@@ -224,20 +224,6 @@ def fourier(f: GridFunction, inverse: bool = False) -> GridFunction:
     return GridFunction(g, out)
 
 
-def dual_fourier(f: GridFunction, inverse: bool = False) -> GridFunction:
-    """Fourier transform from an arbitrary grid onto its dual grid.
-
-    Same normalization as :func:`fourier`; specialising to a self-dual grid
-    recovers it.  The forward/inverse pair is exact for any grid because the
-    sampled characters are exact.
-    """
-    g = f.grid
-    target = g.dual()
-    coeff = ((2 * math.pi) ** (-g.dim / 2)) * g.quadrature_weight
-    out = coeff * centered_character_sum(f.values, range(g.dim), +1 if inverse else -1)
-    return GridFunction(target, out)
-
-
 def symplectic_fourier(a: GridFunction) -> GridFunction:
     """Symplectic Fourier transform, an exact involution on a phase grid.
 

@@ -11,6 +11,10 @@ the reverse for amalgam-type norms), two measures:
 Quasi-Banach exponents below 1 are allowed; infinite exponents take sups.
 When the two exponents coincide the norm collapses to the flat vector norm
 and is computed by exactly that code path (bitwise identical).
+
+``mixed_norm`` memoises each (p, q, order if p != q, weight if not unit,
+measure) on the read-only tensor and returns the first float on a repeat;
+the memo is per tensor, so ``PHASELAB_THREADS`` workers share nothing.
 """
 
 from __future__ import annotations
@@ -57,15 +61,13 @@ class MixedNormSpec:
 
 def flat_norm(values: np.ndarray, p: float, cell: float = 1.0) -> float:
     """Plain l^p (quasi-)norm of all entries with one quadrature cell volume."""
-    mags = np.abs(values)
-    if math.isinf(p):
-        return float(mags.max()) if mags.size else 0.0
-    return float((np.sum(mags**p) * cell) ** (1.0 / p))
+    return float(_axes_norm(np.abs(values), None, p, cell))
 
 
-def _axes_norm(mags: np.ndarray, axes: tuple[int, ...], p: float, cell: float) -> np.ndarray:
+def _axes_norm(mags: np.ndarray, axes: tuple[int, ...] | None, p: float, cell: float) -> np.ndarray:
+    """Norm over ``axes`` (all entries when None) of non-negative magnitudes."""
     if math.isinf(p):
-        return np.max(mags, axis=axes)
+        return np.max(mags, axis=axes, initial=0.0)
     return (np.sum(mags**p, axis=axes) * cell) ** (1.0 / p)
 
 
@@ -84,22 +86,26 @@ def _weight_tensor(spec: MixedNormSpec, F: STFTTensor) -> np.ndarray | None:
 def mixed_norm(F: STFTTensor, spec: MixedNormSpec) -> float:
     """Iterated (quasi-)norm of ``|F * weight|`` in the declared order."""
     w = _weight_tensor(spec, F)
+    p = _exponent_value(spec.p)
+    q = _exponent_value(spec.q)
+    key = (p, q, None if p == q else spec.order, None if w is None else spec.weight, spec.measure)
+    if key in F._norms:
+        return F._norms[key]
     mags = np.abs(F.values) if w is None else np.abs(F.values) * w
     kx, ky = F.block_dims
-    shift_axes = tuple(range(kx))
-    freq_axes = tuple(range(kx, kx + ky))
     quad = spec.measure == "quadrature"
     cell_shift = F.shift_grid.quadrature_weight if quad else 1.0
     cell_freq = F.freq_grid.quadrature_weight if quad else 1.0
-    p = _exponent_value(spec.p)
-    q = _exponent_value(spec.q)
     if p == q:
-        return flat_norm(mags, p, cell_shift * cell_freq if quad else 1.0)
-    if spec.order == "modulation":
-        inner = _axes_norm(mags, shift_axes, p, cell_shift)
-        return float(_axes_norm(inner, tuple(range(inner.ndim)), q, cell_freq))
-    inner = _axes_norm(mags, freq_axes, q, cell_freq)
-    return float(_axes_norm(inner, tuple(range(inner.ndim)), p, cell_shift))
+        value = float(_axes_norm(mags, None, p, cell_shift * cell_freq if quad else 1.0))
+    elif spec.order == "modulation":
+        inner = _axes_norm(mags, tuple(range(kx)), p, cell_shift)
+        value = float(_axes_norm(inner, tuple(range(inner.ndim)), q, cell_freq))
+    else:
+        inner = _axes_norm(mags, tuple(range(kx, kx + ky)), q, cell_freq)
+        value = float(_axes_norm(inner, tuple(range(inner.ndim)), p, cell_shift))
+    F._norms[key] = value
+    return value
 
 
 def _streaming_norm(a: GridFunction, window: GridFunction, spec: MixedNormSpec,

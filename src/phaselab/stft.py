@@ -9,7 +9,7 @@ every identity checked downstream.  Tensors are materialized fully up to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -32,18 +32,24 @@ class STFTTensor:
 
     For the ordinary flavor the frequency block lives on the dual grid of
     the input (identical to it on self-dual grids); for the symplectic
-    flavor both blocks live on the phase grid.
+    flavor both blocks live on the phase grid.  ``values`` is a read-only
+    view, so the norms memoised on the tensor cannot go stale through it.
     """
 
     shift_grid: Grid
     freq_grid: Grid
     values: np.ndarray
     flavor: str
+    #: mixed norms already computed on this tensor, keyed by ``norms.mixed_norm``
+    _norms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         expected = self.shift_grid.shape + self.freq_grid.shape
         if self.values.shape != expected:
             raise GridError(f"tensor shape {self.values.shape} != {expected}")
+        view = self.values.view()
+        view.flags.writeable = False
+        object.__setattr__(self, "values", view)
 
     @property
     def block_dims(self) -> tuple[int, int]:

@@ -397,9 +397,7 @@ def endpoint_ratio_check(seed: int = 8, samples: int = 20, n: int = 16) -> list[
     return [_residual_check(f"endpoint-counting-ratio[n={n}]", margin, 1e-8)]
 
 
-def drift_ratio_checks(seed: int = 9, samples: int = 200) -> list[Check]:
-    """Ratio stability between n = 16 and n = 32 for admissible tuples,
-    unit and split-polynomial weight chains, both product modes."""
+def _drift_configs() -> list[RatioConfig]:
     remark_p = ExponentTuple.parse("2,inf,2,2")
     remark_q = ExponentTuple.parse("2,1,2,2")
     alt1 = ExponentTuple.parse("4,4/3,4,4/3")
@@ -414,14 +412,22 @@ def drift_ratio_checks(seed: int = 9, samples: int = 200) -> list[Check]:
             # twisted-convolution mode repeats the probe on the swapped tuple,
             # for which the twist criterion coincides with the product one
             configs.append(RatioConfig(q, p, w, "twist", "quadrature", f"{lab}:{wlab}:twist"))
+    return configs
+
+
+def drift_ratio_checks(seed: int = 9, samples: int = 200) -> list[Check]:
+    """Ratio stability between n = 16 and n = 32 for admissible tuples,
+    unit and split-polynomial weight chains, both product modes."""
+    configs = _drift_configs()
     ens = EnsembleSpec(seed=seed, count=3 * samples, atoms_per_symbol=2,
                        width_range=(0.35, 0.5), center_radius=1.0, modulation_radius=0.7)
     reports16 = ratio_experiment_multi(configs, ens, make_grid(1, 16))
     reports32 = ratio_experiment_multi(configs, ens, make_grid(1, 32))
     checks = []
     for r16, r32 in zip(reports16, reports32):
-        drift = max(r32.max_ratio / r16.max_ratio, r16.max_ratio / r32.max_ratio)
-        value = max(0.0, drift - 2.0)
+        lo, hi = sorted((r16.max_ratio, r32.max_ratio))
+        # max_ratio is 0 when every sample on a grid is degenerate: no drift is defined
+        drift = hi / lo if lo > 0.0 else math.inf
         checks.append(Check(f"ratio-drift[{r16.config_label}]", float(drift), 2.0,
-                            bool(value == 0.0 and r16.condition_holds)))
+                            bool(drift <= 2.0 and r16.condition_holds)))
     return checks, reports16, reports32

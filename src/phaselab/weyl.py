@@ -288,11 +288,6 @@ class OperatorMatrix:
         """Unscaled kernel samples ``K(x_i, y_j)``."""
         return self.matrix / self.base.quadrature_weight
 
-    def hs_norm(self) -> float:
-        """Quadrature Hilbert-Schmidt norm of the kernel."""
-        w = self.base.quadrature_weight
-        return float(np.sqrt(w**2 * np.sum(np.abs(self.kernel_values()) ** 2)))
-
 
 def materialize_matrix(K: KernelFunction, offset: int = 0) -> OperatorMatrix:
     base = K.phase.base_grid

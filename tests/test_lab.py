@@ -202,3 +202,17 @@ class TestRatioExperiment:
         monkeypatch.setenv("PHASELAB_THREADS", "3")
         threaded = norm_ratio_experiment(all2, all2, [unit_weight()] * 4, ens, pg8)
         assert base.ratios == threaded.ratios
+
+    def test_shared_norms_match_lone_configs_bitwise(self):
+        # run together, the drift configs reuse factor norms through the
+        # per-tensor memo; a lone config takes one norm per tensor and never hits it
+        from phaselab.suites import _drift_configs
+
+        configs = _drift_configs()
+        ens = EnsembleSpec(seed=9, count=6, atoms_per_symbol=2, width_range=(0.35, 0.5),
+                           center_radius=1.0, modulation_radius=0.7)
+        pg16 = make_grid(1, 16)
+        together = ratio_experiment_multi(configs, ens, pg16)
+        for cfg, rep in zip(configs, together):
+            alone = ratio_experiment_multi([cfg], ens, pg16)[0]
+            assert rep.ratios == alone.ratios and None not in rep.ratios

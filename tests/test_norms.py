@@ -14,7 +14,7 @@ from phaselab.grids import (
 )
 from phaselab.norms import MixedNormSpec, flat_norm, mixed_norm, modulation_norm
 from phaselab.stft import STFTTensor, symplectic_stft
-from phaselab.weights import poly_weight, split_weight
+from phaselab.weights import poly_weight, split_weight, unit_weight
 
 RNG = np.random.default_rng(2)
 
@@ -154,3 +154,90 @@ def test_spec_validation():
         MixedNormSpec(2, 2, "diagonal")
     with pytest.raises(GridError):
         MixedNormSpec(2, 2, "modulation", None, "lebesgue")
+
+
+# -- per-tensor norm memo ----------------------------------------------------------
+
+def _drift_specs():
+    """Every factor and product spec the drift configs ask of one tensor."""
+    from phaselab.suites import _drift_configs
+
+    specs = []
+    for cfg in _drift_configs():
+        order = "modulation" if cfg.mode == "weyl" else "amalgam"
+        for j in range(1, cfg.p.n_factors + 1):
+            specs.append(MixedNormSpec(cfg.p[j], cfg.q[j], order, cfg.weights[j], cfg.measure))
+        specs.append(MixedNormSpec(cfg.p[0].conjugate(), cfg.q[0].conjugate(), order,
+                                   cfg.weights[0].reciprocal(), cfg.measure))
+    return specs
+
+
+def _fresh(T):
+    """A tensor over the same array (same memory layout) with an empty memo."""
+    return STFTTensor(T.shift_grid, T.freq_grid, T.values, T.flavor)
+
+
+def test_memo_hit_equals_fresh_tensor(setup):
+    _, _, _, W = setup
+    specs = _drift_specs()
+    first = [mixed_norm(W, spec) for spec in specs]
+    for spec, cold in zip(specs, first):
+        warm = mixed_norm(W, spec)
+        assert warm == cold == mixed_norm(_fresh(W), spec)
+
+
+def test_memo_computes_each_distinct_norm_once(monkeypatch, setup):
+    _, _, _, W = setup
+    specs = _drift_specs()
+    reductions = []
+    real = phaselab.norms._axes_norm
+
+    def counting(mags, axes, p, cell):
+        reductions.append(axes is None)
+        return real(mags, axes, p, cell)
+
+    monkeypatch.setattr(phaselab.norms, "_axes_norm", counting)
+    for spec in specs:
+        mixed_norm(W, spec)
+    # a flat norm is one reduction over all entries, an iterated norm two
+    flat = reductions.count(True)
+    iterated = reductions.count(False) // 2
+    assert flat + iterated == len(W._norms) < len(specs)
+
+
+def test_memo_keeps_distinct_specs_apart(setup):
+    _, _, _, W = setup
+    w = split_weight(poly_weight(1.0), "Y")
+    pairs = [
+        (MixedNormSpec(2, 1, "modulation"), MixedNormSpec(2, 1, "amalgam")),
+        (MixedNormSpec(2, 1, "modulation", w), MixedNormSpec(2, 1, "modulation", w, "counting")),
+        (MixedNormSpec(2, 2, "modulation", w), MixedNormSpec(2, 2, "modulation", w, "counting")),
+        (MixedNormSpec(2, 1, "modulation"), MixedNormSpec(2, 1, "modulation", w)),
+        (MixedNormSpec(2, 2), MixedNormSpec(2, 2, "modulation", w)),
+        (MixedNormSpec(1, 2), MixedNormSpec(2, 1)),
+        (MixedNormSpec(2, 1), MixedNormSpec(2, 4)),
+        (MixedNormSpec(1, 2), MixedNormSpec(4, 2)),
+    ]
+    for a, b in pairs:
+        na, nb = mixed_norm(W, a), mixed_norm(W, b)
+        assert na != nb
+        assert (na, nb) == (mixed_norm(_fresh(W), a), mixed_norm(_fresh(W), b))
+
+
+def test_memo_shares_equivalent_specs(setup):
+    # the order is irrelevant when p = q, and a unit weight equals no weight
+    _, _, _, W = setup
+    a = mixed_norm(W, MixedNormSpec(1.5, 1.5, "amalgam"))
+    b = mixed_norm(W, MixedNormSpec(Exponent.from_value(1.5), 1.5, "modulation", unit_weight()))
+    assert a == b and len(W._norms) == 1
+
+
+def test_tensor_values_read_only(setup):
+    _, _, _, W = setup
+    vals = W.values.copy()
+    T = STFTTensor(W.shift_grid, W.freq_grid, vals, "symplectic")
+    assert not T.values.flags.writeable and not W.values.flags.writeable
+    with pytest.raises(ValueError):
+        T.values[0, 0, 0, 0] = 1.0
+    assert vals.flags.writeable
+    vals[0, 0, 0, 0] = 1.0

@@ -1,0 +1,35 @@
+"""Verification suites: edge cases of the check builders."""
+
+import pytest
+
+from phaselab import suites
+from phaselab.lab import RatioReport
+
+
+def _fake_experiment(max_by_grid):
+    """Stand-in for ``ratio_experiment_multi`` returning fixed ``max_ratio`` values."""
+
+    def run(configs, ens, phase, *args, **kwargs):
+        mx = max_by_grid[phase.n]
+        ratios = (mx,) if mx else (None,)
+        return [RatioReport(cfg.label, cfg.mode, cfg.measure, str(cfg.p), str(cfg.q),
+                            tuple(w.literal() for w in cfg.weights), cfg.p.n_factors,
+                            phase.n, ens.seed, "thm-B", True, ratios, mx, mx, {})
+                for cfg in configs]
+
+    return run
+
+
+@pytest.mark.parametrize("mx16, mx32", [(0.0, 0.0), (0.0, 1.5), (1.5, 0.0)])
+def test_drift_zero_max_ratio_fails_check(monkeypatch, mx16, mx32):
+    # every sample degenerate on a grid: max_ratio is 0 and the drift undefined
+    monkeypatch.setattr(suites, "ratio_experiment_multi", _fake_experiment({16: mx16, 32: mx32}))
+    checks, _, _ = suites.drift_ratio_checks(samples=1)
+    assert len(checks) == len(suites._drift_configs())
+    assert not any(c.passed for c in checks)
+
+
+def test_drift_equal_max_ratio_passes(monkeypatch):
+    monkeypatch.setattr(suites, "ratio_experiment_multi", _fake_experiment({16: 1.5, 32: 1.5}))
+    checks, _, _ = suites.drift_ratio_checks(samples=1)
+    assert all(c.passed and c.value == 1.0 for c in checks)
