@@ -38,8 +38,17 @@ def centered_character_sum(values: np.ndarray, axes: Sequence[int], sign: int) -
     the physical pairing ``x_j * w_k`` reduces to it whenever
     ``spacing * dual_spacing * n = 2*pi``, which holds for all grid pairs
     used here.  Each axis length must be even.
+
+    ``values`` is never written: the first sign multiply allocates the one
+    result buffer and every later pass runs in place on it, keeping the
+    memory layout of ``values``.  Per axis the result equals that of
+    ``sgn * (-1)^(n/2) * fft(sgn * f)`` (``ifft(...) * n`` for ``sign > 0``)
+    bit for bit, except that an exact zero may change sign: the trailing
+    sign, parity and ``n`` factors are one table, which is exact because
+    multiplying by ``+-1`` and by ``n`` commute.
     """
-    out = np.asarray(values, dtype=complex)
+    out = np.asarray(values)
+    owned = False
     for ax in axes:
         n = out.shape[ax]
         if n % 2:
@@ -47,13 +56,18 @@ def centered_character_sum(values: np.ndarray, axes: Sequence[int], sign: int) -
         shape = [1] * out.ndim
         shape[ax] = n
         sgn = _axis_signs(n).reshape(shape)
-        out = out * sgn
-        if sign < 0:
-            out = np.fft.fft(out, axis=ax)
+        if owned:
+            out *= sgn
         else:
-            out = np.fft.ifft(out, axis=ax) * n
-        out = out * sgn * ((-1) ** (n // 2))
-    return out
+            out = np.multiply(out, sgn, dtype=complex)
+            owned = True
+        if sign < 0:
+            np.fft.fft(out, axis=ax, out=out)
+            out *= sgn * ((-1) ** (n // 2))
+        else:
+            np.fft.ifft(out, axis=ax, out=out)
+            out *= sgn * ((-1) ** (n // 2) * n)
+    return out if owned else out.astype(complex, copy=False)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import (
     Grid,
@@ -56,6 +57,18 @@ class STFTTensor:
         return (self.shift_grid.dim, self.freq_grid.dim)
 
 
+def _shifted_windows(phi: GridFunction) -> np.ndarray:
+    """Read-only view ``w[x, y] = conj(phi)[(y - x + c) mod n]`` over all shifts x.
+
+    ``conj(phi)`` is tiled three times per axis, so the window at shift x is
+    the plain slice starting at ``c + n - x`` on each axis; no entry is copied.
+    """
+    g = phi.grid
+    n, c = g.count, g.count // 2
+    tiled = np.tile(np.conj(phi.values), (3,) * g.dim)
+    return sliding_window_view(tiled, g.shape)[(slice(c + n, c, -1),) * g.dim]
+
+
 def _shift_stack(f: GridFunction, phi: GridFunction) -> np.ndarray:
     """All windowed copies ``f(y) * conj(phi(y - x))`` stacked over shifts x."""
     g = f.grid
@@ -65,16 +78,7 @@ def _shift_stack(f: GridFunction, phi: GridFunction) -> np.ndarray:
             f"tensor of {(n ** m) ** 2} entries exceeds the materialization limit; "
             "use the streaming slice iterator"
         )
-    c = n // 2
-    idx = np.arange(n)
-    stack = np.conj(phi.values)
-    # gather phi[(y - (jx - c)) mod n] axis by axis; after step ax the axes
-    # read (jx_1..jx_{ax+1}, y_1..y_m) with the y block kept contiguous
-    for ax in range(m):
-        take = (idx[None, :] - (idx[:, None] - c)) % n
-        stack = np.take(stack, take, axis=2 * ax)
-        stack = np.moveaxis(stack, 2 * ax, ax)
-    return f.values[(np.newaxis,) * m + (Ellipsis,)] * stack
+    return f.values[(np.newaxis,) * m + (Ellipsis,)] * _shifted_windows(phi)
 
 
 def _ordinary_coeff(g: Grid) -> float:
@@ -101,10 +105,10 @@ def _symplectic_transform(block: np.ndarray, g: Grid, lead: int) -> np.ndarray:
     d = g.dim // 2
     out = centered_character_sum(block, range(lead, lead + d), +1)
     out = centered_character_sum(out, range(lead + d, lead + 2 * d), -1)
+    out *= math.pi ** (-d) * g.quadrature_weight
     src = list(range(lead, lead + 2 * d))
     dst = list(range(lead + d, lead + 2 * d)) + list(range(lead, lead + d))
-    out = np.moveaxis(out, src, dst)
-    return (math.pi ** (-d) * g.quadrature_weight) * out
+    return np.moveaxis(out, src, dst)
 
 
 def symplectic_stft(a: GridFunction, Phi: GridFunction) -> STFTTensor:
@@ -132,10 +136,9 @@ def iter_stft_slices(a: GridFunction, Phi: GridFunction, symplectic: bool) -> It
     g = a.grid
     if symplectic and not g.is_symplectic:
         raise GridError("symplectic STFT requires a phase grid")
-    c = g.count // 2
+    windows = _shifted_windows(Phi)
     for index in np.ndindex(g.shape):
-        shift = tuple(i - c for i in index)
-        windowed = a.values * np.conj(np.roll(Phi.values, shift, axis=tuple(range(g.dim))))
+        windowed = a.values * windows[index]
         if symplectic:
             yield index, _symplectic_transform(windowed, g, 0)
         else:

@@ -34,6 +34,7 @@ from .grids import (
 from .lab import (
     EnsembleSpec,
     RatioConfig,
+    RatioReport,
     default_window,
     ensemble_generate,
     paired_stft,
@@ -415,9 +416,14 @@ def _drift_configs() -> list[RatioConfig]:
     return configs
 
 
-def drift_ratio_checks(seed: int = 9, samples: int = 200) -> list[Check]:
+def drift_ratio_checks(seed: int = 9, samples: int = 200
+                       ) -> tuple[list[Check], list[RatioReport], list[RatioReport]]:
     """Ratio stability between n = 16 and n = 32 for admissible tuples,
-    unit and split-polynomial weight chains, both product modes."""
+    unit and split-polynomial weight chains, both product modes.
+
+    Returns ``(checks, reports16, reports32)``: one drift check per config and
+    the per-config ratio reports on each grid, in config order.
+    """
     configs = _drift_configs()
     ens = EnsembleSpec(seed=seed, count=3 * samples, atoms_per_symbol=2,
                        width_range=(0.35, 0.5), center_radius=1.0, modulation_radius=0.7)

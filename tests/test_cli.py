@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from phaselab.cli import main
 
 
@@ -143,3 +145,63 @@ def test_report_determinism_excluding_timing(capsys, tmp_path):
     _, rep2 = run_json(capsys, "representation", "--grid", "8", "--seed", "3")
     assert json.dumps(_strip_timing(rep1), sort_keys=True) == \
         json.dumps(_strip_timing(rep2), sort_keys=True)
+
+
+def _config(tmp_path, values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    return str(cfg)
+
+
+def test_config_sets_subcommand_flag(capsys, tmp_path):
+    code, doc = run_json(capsys, "--config", _config(tmp_path, {"criterion": "twist"}),
+                         "exponents", "--p", "2,inf,2,2", "--q", "2,1,2,2")
+    assert doc["config"]["criterion"] == "twist"
+
+
+def test_config_supplies_required_flags(capsys, tmp_path):
+    cfg = _config(tmp_path, {"p": "2,inf,2,2", "q": "2,1,2,2"})
+    code, doc = run_json(capsys, "--config", cfg, "exponents")
+    assert code == 0
+    assert doc["config"]["p"] == "2,inf,2,2" and doc["config"]["q"] == "2,1,2,2"
+
+
+def test_config_sets_ratio_samples(capsys, tmp_path):
+    cfg = _config(tmp_path, {"samples": 2, "grid": 8})
+    code, doc = run_json(capsys, "--config", cfg, "ratio", "--p", "2,2,2,2", "--q", "2,2,2,2")
+    assert code == 0
+    assert doc["config"]["samples"] == 2 and len(doc["ratio_report"]["ratios"]) == 2
+
+
+def test_explicit_flag_overrides_config(capsys, tmp_path):
+    cfg = _config(tmp_path, {"criterion": "cotowa-2.5", "p": "2,2,2,2"})
+    code, doc = run_json(capsys, "--config", cfg, "exponents", "--p", "2,inf,2,2",
+                         "--q", "2,1,2,2", "--criterion", "thm-B")
+    assert code == 0
+    assert doc["config"]["criterion"] == "thm-B" and doc["config"]["p"] == "2,inf,2,2"
+
+
+def test_config_unknown_key_exits_two(capsys, tmp_path):
+    cfg = _config(tmp_path, {"sampels": 3})
+    code, out, err = run(capsys, "--config", cfg, "ratio", "--p", "2,2,2,2", "--q", "2,2,2,2",
+                         "--grid", "8", "--samples", "1")
+    assert code == 2 and "sampels" in err and not out
+    # a flag of another subcommand is not a flag of this one
+    cfg = _config(tmp_path, {"trials": 10})
+    code, out, err = run(capsys, "--config", cfg, "exponents", "--p", "2,2,2,2", "--q", "2,2,2,2")
+    assert code == 2 and "trials" in err and not out
+
+
+def test_config_bad_choice_exits_two(capsys, tmp_path):
+    cfg = _config(tmp_path, {"mode": "bogus"})
+    code, out, err = run(capsys, "--config", cfg, "ratio", "--p", "2,2,2,2", "--q", "2,2,2,2",
+                         "--grid", "8", "--samples", "1")
+    assert code == 2 and "mode" in err and not out
+
+
+def test_config_bad_value_type_exits_two(capsys, tmp_path):
+    cfg = _config(tmp_path, {"samples": 2.5})
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", cfg, "ratio", "--p", "2,2,2,2", "--q", "2,2,2,2", "--grid", "8"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and "--samples" in captured.err and not captured.out

@@ -52,6 +52,47 @@ def test_centered_sum_matches_direct_oracle(n, sign):
     assert np.max(np.abs(got - want)) < 1e-10
 
 
+def _per_axis_character_sum(values, axes, sign):
+    """The per-axis sign-FFT-sign definition, one new array per pass."""
+    out = np.asarray(values, dtype=complex)
+    for ax in axes:
+        n = out.shape[ax]
+        shape = [1] * out.ndim
+        shape[ax] = n
+        sgn = np.where(np.arange(n) % 2, -1.0, 1.0).reshape(shape)
+        out = out * sgn
+        if sign < 0:
+            out = np.fft.fft(out, axis=ax)
+        else:
+            out = np.fft.ifft(out, axis=ax) * n
+        out = out * sgn * ((-1) ** (n // 2))
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 6, 12, 16, 32])
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("axes", [(1,), (0, 1), (2, 0), ()])
+def test_centered_sum_equals_per_axis_definition(n, sign, axes):
+    cube = RNG.standard_normal((n, 2, n)) + 1j * RNG.standard_normal((n, 2, n))
+    real = RNG.standard_normal((n, 2, n))
+    # a permuted view checks that the result keeps the input's memory layout
+    for vals in (cube, np.transpose(cube, (2, 1, 0)), real):
+        got = centered_character_sum(vals, axes, sign)
+        want = _per_axis_character_sum(vals, axes, sign)
+        assert np.array_equal(got, want)
+        assert got.strides == want.strides and got.dtype == want.dtype
+
+
+def test_centered_sum_leaves_read_only_input_untouched():
+    vals = RNG.standard_normal((8, 8)) + 1j * RNG.standard_normal((8, 8))
+    vals.flags.writeable = False
+    before = vals.copy()
+    for sign in (+1, -1):
+        out = centered_character_sum(vals, (0, 1), sign)
+        assert out.flags.writeable and not np.shares_memory(out, vals)
+    assert np.array_equal(vals, before)
+
+
 def test_make_grid_values():
     pg = make_grid(1, 16)
     assert pg.h == pytest.approx(0.443113, abs=1e-6)

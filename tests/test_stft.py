@@ -16,7 +16,7 @@ from phaselab.grids import (
     make_grid,
     symplectic_fourier,
 )
-from phaselab.stft import iter_stft_slices, stft, symplectic_stft
+from phaselab.stft import _shift_stack, iter_stft_slices, stft, symplectic_stft
 
 RNG = np.random.default_rng(1)
 
@@ -162,7 +162,32 @@ def test_streaming_slices_match_materialized(phase_setup):
     for symplectic in (False, True):
         T = symplectic_stft(a, Phi) if symplectic else stft(a, Phi)
         for index, sl in iter_stft_slices(a, Phi, symplectic):
-            assert np.allclose(sl, T.values[index], atol=1e-13)
+            assert np.array_equal(sl, T.values[index])
+
+
+def _gathered_stack(f, phi):
+    """Direct fancy-index gather ``f[y] * conj(phi[(y - x + c) % n])``."""
+    n, m = f.grid.count, f.grid.dim
+    idx = np.ix_(*[np.arange(n)] * (2 * m))
+    x, y = idx[:m], idx[m:]
+    shifted = tuple((yi - xi + n // 2) % n for xi, yi in zip(x, y))
+    return f.values[y] * np.conj(phi.values)[shifted]
+
+
+def test_shift_stack_equals_direct_gather(base_setup, phase_setup):
+    g, f, phi = base_setup
+    assert np.array_equal(_shift_stack(f, phi), _gathered_stack(f, phi))
+    pg, a, Phi = phase_setup
+    assert np.array_equal(_shift_stack(a, Phi), _gathered_stack(a, Phi))
+
+
+def test_stft_memory_layout(phase_setup):
+    # norms reduce in memory order, so the layout is part of the bitwise contract
+    pg, a, Phi = phase_setup
+    n, item = pg.n, np.dtype(complex).itemsize
+    assert symplectic_stft(a, Phi).values.strides == tuple(
+        item * n**k for k in (3, 1, 0, 2))
+    assert stft(a, Phi).values.strides == tuple(item * n**k for k in (3, 1, 2, 0))
 
 
 def test_materialization_guard():
