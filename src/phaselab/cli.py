@@ -187,31 +187,23 @@ def _cmd_sweep(args) -> int:
     return _exit_code(report)
 
 
-def _apply_config(sp: argparse.ArgumentParser, config: dict) -> None:
-    """Make ``config`` the defaults of subcommand ``sp``.
+def _with_config(argv: list[str], config: dict) -> list[str]:
+    """``argv`` with ``config`` spelt as flags right after the subcommand name.
 
-    A flag the config supplies is no longer required and an explicit flag
-    still wins.  Values are checked like command-line text: a bad value for a
-    typed flag exits 2 at parse time, and keys that name no flag of ``sp`` or
-    values outside a flag's choices go to ``args.config_errors`` for ``main``.
+    ``{"cert_trials": 5}`` becomes ``--cert-trials=5``, so the parser checks
+    each value, the required flags and the key names as it does command-line
+    text, and a flag given explicitly later on the line wins.  A ``null``
+    value leaves the flag at its default.
     """
-    flags = {a.dest: a for a in sp._actions if a.dest != "help"}
-    defaults, errors = {}, []
-    for key, value in config.items():
-        action = flags.get(key)
-        if action is None:
-            errors.append(f"{key!r} is not a flag of {sp.prog!r}")
-            continue
-        # argparse converts a string default with the flag's type, as it does a flag
-        defaults[key] = None if value is None else str(value)
-        if action.choices is not None and defaults[key] not in action.choices:
-            errors.append(f"{key!r} must be one of {', '.join(action.choices)}")
-        action.required = False
-    sp.set_defaults(**defaults, config_errors=errors)
+    flags = [f"--{key.replace('_', '-')}={value}"
+             for key, value in config.items() if value is not None]
+    i = 0
+    while i < len(argv) and argv[i].startswith("-"):
+        i += 2 if argv[i] == "--config" else 1
+    return argv[:i + 1] + flags + argv[i + 1:]
 
 
-def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    """The ``phaselab`` parser; ``config`` (the ``--config`` file) supplies flag defaults."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phaselab",
         description="Desk-scale phase-space numerics: transforms, symbol products, "
@@ -220,34 +212,36 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file with default values for the flags")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, func):
+    def common(sp):
         sp.add_argument("--emit", choices=("json", "csv"), default="json")
         sp.add_argument("--out", help="output path (default: stdout)")
         sp.add_argument("--seed", type=int, default=0)
-        sp.set_defaults(func=func)
-        _apply_config(sp, config or {})
 
     sp = sub.add_parser("exponents", help="evaluate a boundedness condition")
     sp.add_argument("--n", type=int, default=None, help="number of factors N")
     sp.add_argument("--p", required=True, help="comma-separated exponents, e.g. 2,inf,2,2")
     sp.add_argument("--q", required=True)
     sp.add_argument("--criterion", choices=CRITERIA, default="thm-B")
-    common(sp, _cmd_exponents)
+    common(sp)
+    sp.set_defaults(func=_cmd_exponents)
 
     sp = sub.add_parser("interpolate", help="construct an interpolation certificate")
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--p", required=True)
     sp.add_argument("--q", required=True)
     sp.add_argument("--tolerance", type=float, default=1e-12)
-    common(sp, _cmd_interpolate)
+    common(sp)
+    sp.set_defaults(func=_cmd_interpolate)
 
     sp = sub.add_parser("identities", help="transform and product identity suite")
     sp.add_argument("--grid", type=int, default=32)
-    common(sp, _cmd_identities)
+    common(sp)
+    sp.set_defaults(func=_cmd_identities)
 
     sp = sub.add_parser("representation", help="STFT integral representation check")
     sp.add_argument("--grid", type=int, default=8)
-    common(sp, _cmd_representation)
+    common(sp)
+    sp.set_defaults(func=_cmd_representation)
 
     sp = sub.add_parser("ratio", help="norm-ratio experiment")
     sp.add_argument("--n", type=int, default=None)
@@ -259,20 +253,22 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     sp.add_argument("--grid", type=int, default=16)
     sp.add_argument("--samples", type=int, default=50)
     sp.add_argument("--atoms", type=int, default=2)
-    common(sp, _cmd_ratio)
+    common(sp)
+    sp.set_defaults(func=_cmd_ratio)
 
     sp = sub.add_parser("sweep", help="exponent combinatorics sweeps")
     sp.add_argument("--trials", type=int, default=20000)
     sp.add_argument("--cert-trials", type=int, default=200)
-    common(sp, _cmd_sweep)
+    common(sp)
+    sp.set_defaults(func=_cmd_sweep)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     pre = argparse.ArgumentParser(prog="phaselab", add_help=False)
     pre.add_argument("--config")
     config_path = pre.parse_known_args(argv)[0].config
-    config = {}
     if config_path:
         try:
             with open(config_path) as fh:
@@ -283,12 +279,13 @@ def main(argv=None) -> int:
         if not isinstance(config, dict):
             print("config error: top-level JSON object expected", file=sys.stderr)
             return 2
-    args, remaining = build_parser(config).parse_known_args(argv)
+        argv = _with_config(argv, config)
+    try:
+        args, remaining = build_parser().parse_known_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error (or the help)
+        return exc.code
     if remaining:
         print(f"unrecognized arguments: {' '.join(remaining)}", file=sys.stderr)
-        return 2
-    if args.config_errors:
-        print(f"config error: {'; '.join(args.config_errors)}", file=sys.stderr)
         return 2
     args.t0 = time.time()
     try:

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from phaselab.cli import main
 
 
@@ -154,8 +152,10 @@ def _config(tmp_path, values):
 
 
 def test_config_sets_subcommand_flag(capsys, tmp_path):
+    # these exponents pass under twist and fail under the default thm-B
     code, doc = run_json(capsys, "--config", _config(tmp_path, {"criterion": "twist"}),
-                         "exponents", "--p", "2,inf,2,2", "--q", "2,1,2,2")
+                         "exponents", "--p", "1,1,1,inf", "--q", "inf,inf,inf,1")
+    assert code == 0
     assert doc["config"]["criterion"] == "twist"
 
 
@@ -201,7 +201,21 @@ def test_config_bad_choice_exits_two(capsys, tmp_path):
 
 def test_config_bad_value_type_exits_two(capsys, tmp_path):
     cfg = _config(tmp_path, {"samples": 2.5})
-    with pytest.raises(SystemExit) as exc:
-        main(["--config", cfg, "ratio", "--p", "2,2,2,2", "--q", "2,2,2,2", "--grid", "8"])
-    captured = capsys.readouterr()
-    assert exc.value.code == 2 and "--samples" in captured.err and not captured.out
+    code, out, err = run(capsys, "--config", cfg, "ratio", "--p", "2,2,2,2", "--q", "2,2,2,2",
+                         "--grid", "8")
+    assert code == 2 and "--samples" in err and not out
+
+
+def test_config_key_spelling_and_null(capsys, tmp_path):
+    # keys are spelt with "_" for "-"; null leaves a flag at its default
+    cfg = _config(tmp_path, {"cert_trials": 3, "trials": 40, "seed": None})
+    code, doc = run_json(capsys, "--config", cfg, "sweep")
+    assert code == 0
+    assert doc["config"] == {"trials": 40, "cert_trials": 3, "seed": 0}
+
+
+def test_parser_errors_return_two(capsys):
+    code, out, err = run(capsys, "exponents", "--q", "2,2,2,2")
+    assert code == 2 and "--p" in err and not out
+    code, out, err = run(capsys, "representation", "--grid", "eight")
+    assert code == 2 and "--grid" in err and not out
