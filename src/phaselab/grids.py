@@ -31,7 +31,8 @@ def _axis_signs(n: int) -> np.ndarray:
     return s
 
 
-def centered_character_sum(values: np.ndarray, axes: Sequence[int], sign: int) -> np.ndarray:
+def centered_character_sum(values: np.ndarray, axes: Sequence[int], sign: int,
+                           out: np.ndarray | None = None) -> np.ndarray:
     """Per-axis sums ``sum_j f_j exp(sign * 2*pi*1j * (j-n/2)(k-n/2) / n)``.
 
     This is the index-space core shared by every transform in the package;
@@ -39,35 +40,42 @@ def centered_character_sum(values: np.ndarray, axes: Sequence[int], sign: int) -
     ``spacing * dual_spacing * n = 2*pi``, which holds for all grid pairs
     used here.  Each axis length must be even.
 
-    ``values`` is never written: the first sign multiply allocates the one
-    result buffer and every later pass runs in place on it, keeping the
-    memory layout of ``values``.  Per axis the result equals that of
+    As with ``np.fft.fft``, the result goes to ``out`` when given (a complex
+    array of the input's shape, which may be ``values`` itself); otherwise
+    the first sign multiply allocates it with the memory layout of
+    ``values``, which is then never written.  Every later pass runs in place
+    on the result.  Per axis the result equals that of
     ``sgn * (-1)^(n/2) * fft(sgn * f)`` (``ifft(...) * n`` for ``sign > 0``)
     bit for bit, except that an exact zero may change sign: the trailing
     sign, parity and ``n`` factors are one table, which is exact because
     multiplying by ``+-1`` and by ``n`` commute.
     """
-    out = np.asarray(values)
+    res = np.asarray(values)
     owned = False
     for ax in axes:
-        n = out.shape[ax]
+        n = res.shape[ax]
         if n % 2:
             raise GridError(f"centered transform needs an even axis, got {n}")
-        shape = [1] * out.ndim
+        shape = [1] * res.ndim
         shape[ax] = n
         sgn = _axis_signs(n).reshape(shape)
         if owned:
-            out *= sgn
+            res *= sgn
         else:
-            out = np.multiply(out, sgn, dtype=complex)
+            res = np.multiply(res, sgn, out=out, dtype=complex)
             owned = True
         if sign < 0:
-            np.fft.fft(out, axis=ax, out=out)
-            out *= sgn * ((-1) ** (n // 2))
+            np.fft.fft(res, axis=ax, out=res)
+            res *= sgn * ((-1) ** (n // 2))
         else:
-            np.fft.ifft(out, axis=ax, out=out)
-            out *= sgn * ((-1) ** (n // 2) * n)
-    return out if owned else out.astype(complex, copy=False)
+            np.fft.ifft(res, axis=ax, out=res)
+            res *= sgn * ((-1) ** (n // 2) * n)
+    if owned:
+        return res
+    if out is None:
+        return res.astype(complex, copy=False)
+    np.copyto(out, res)
+    return out
 
 
 @dataclass(frozen=True)

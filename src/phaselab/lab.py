@@ -303,26 +303,33 @@ def _sample_ratios(configs: Sequence[RatioConfig], symbols: Sequence[GridFunctio
         prod_tensor["weyl"] = symplectic_stft(nfold_product(symbols, A, method), window)
     if need_twist:
         prod_tensor["twist"] = symplectic_stft(nfold_twisted(symbols, method), window)
+    # every config's norm of one tensor is taken before the next tensor, so the
+    # magnitudes a tensor shares across configs are built once and released
+    orders = ["modulation" if cfg.mode == "weyl" else "amalgam" for cfg in configs]
+    factor_norms = [[] for _ in configs]  # per config, up to its first zero
+    for j, tens in enumerate(tensors, start=1):
+        for cfg, order, vals in zip(configs, orders, factor_norms):
+            if 0.0 not in vals:
+                vals.append(mixed_norm(tens, MixedNormSpec(
+                    cfg.p[j], cfg.q[j], order, cfg.weights[j], cfg.measure)))
+        tens._mags.clear()
+    numers = {}
+    for mode, tens in prod_tensor.items():
+        for i, (cfg, order, vals) in enumerate(zip(configs, orders, factor_norms)):
+            if cfg.mode == mode and 0.0 not in vals:
+                spec0 = MixedNormSpec(cfg.p[0].conjugate(), cfg.q[0].conjugate(), order,
+                                      cfg.weights[0].reciprocal(), cfg.measure)
+                numers[i] = mixed_norm(tens, spec0)
+        tens._mags.clear()
     out = []
-    for cfg in configs:
-        order = "modulation" if cfg.mode == "weyl" else "amalgam"
-        denom = 1.0
-        degenerate = False
-        for j, (s, tens) in enumerate(zip(symbols, tensors), start=1):
-            spec = MixedNormSpec(cfg.p[j], cfg.q[j], order, cfg.weights[j], cfg.measure)
-            val = mixed_norm(tens, spec)
-            if val == 0.0:
-                degenerate = True
-                break
-            denom *= val
-        if degenerate:
+    for i, vals in enumerate(factor_norms):
+        if 0.0 in vals:
             out.append(None)
             continue
-        p0c = cfg.p[0].conjugate()
-        q0c = cfg.q[0].conjugate()
-        spec0 = MixedNormSpec(p0c, q0c, order, cfg.weights[0].reciprocal(), cfg.measure)
-        numer = mixed_norm(prod_tensor[cfg.mode], spec0)
-        out.append(numer / denom)
+        denom = 1.0
+        for val in vals:
+            denom *= val
+        out.append(numers[i] / denom)
     return out
 
 

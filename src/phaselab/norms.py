@@ -14,7 +14,12 @@ and is computed by exactly that code path (bitwise identical).
 
 ``mixed_norm`` memoises each (p, q, order if p != q, weight if not unit,
 measure) on the read-only tensor and returns the first float on a repeat;
-the memo is per tensor, so ``PHASELAB_THREADS`` workers share nothing.
+the memo is per tensor, so ``PHASELAB_THREADS`` workers share nothing.  On a
+miss it reduces magnitudes shared through a second per-tensor cache: ``|V|``
+is built once per tensor and ``|V| * w`` once per (tensor, weight).  The
+cache lives as long as the tensor unless ``_mags`` is cleared;
+``lab._sample_ratios`` takes every config's norm of one tensor before the
+next and then clears it.
 """
 
 from __future__ import annotations
@@ -83,6 +88,18 @@ def _weight_tensor(spec: MixedNormSpec, F: STFTTensor) -> np.ndarray | None:
     return spec.weight.evaluate_grid(coords)
 
 
+def _magnitudes(F: STFTTensor, weight: WeightSpec | None, w: np.ndarray | None) -> np.ndarray:
+    """``|F|`` (``w`` None) or ``|F| * w``, each built once per tensor and weight."""
+    cache = F._mags
+    if None not in cache:
+        cache[None] = np.abs(F.values)
+    if w is None:
+        return cache[None]
+    if weight not in cache:
+        cache[weight] = cache[None] * w
+    return cache[weight]
+
+
 def mixed_norm(F: STFTTensor, spec: MixedNormSpec) -> float:
     """Iterated (quasi-)norm of ``|F * weight|`` in the declared order."""
     w = _weight_tensor(spec, F)
@@ -91,7 +108,7 @@ def mixed_norm(F: STFTTensor, spec: MixedNormSpec) -> float:
     key = (p, q, None if p == q else spec.order, None if w is None else spec.weight, spec.measure)
     if key in F._norms:
         return F._norms[key]
-    mags = np.abs(F.values) if w is None else np.abs(F.values) * w
+    mags = _magnitudes(F, spec.weight, w)
     kx, ky = F.block_dims
     quad = spec.measure == "quadrature"
     cell_shift = F.shift_grid.quadrature_weight if quad else 1.0

@@ -43,6 +43,8 @@ class STFTTensor:
     flavor: str
     #: mixed norms already computed on this tensor, keyed by ``norms.mixed_norm``
     _norms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    #: ``|values|`` (key None) and ``|values| * w`` (key: weight) shared by ``norms.mixed_norm``
+    _mags: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         expected = self.shift_grid.shape + self.freq_grid.shape
@@ -96,19 +98,24 @@ def stft(f: GridFunction, phi: GridFunction) -> STFTTensor:
         raise GridError("window must be nonzero")
     g = f.grid
     stacked = _shift_stack(f, phi)
-    spec = _ordinary_coeff(g) * centered_character_sum(stacked, range(g.dim, 2 * g.dim), -1)
-    return STFTTensor(g, g.dual(), spec, "ordinary")
+    centered_character_sum(stacked, range(g.dim, 2 * g.dim), -1, out=stacked)
+    stacked *= _ordinary_coeff(g)
+    return STFTTensor(g, g.dual(), stacked, "ordinary")
 
 
 def _symplectic_transform(block: np.ndarray, g: Grid, lead: int) -> np.ndarray:
-    """Apply the symplectic Fourier transform to the trailing ``2d`` axes."""
+    """Apply the symplectic Fourier transform to the trailing ``2d`` axes.
+
+    ``block`` is the caller's own complex array: both character sums and the
+    scale run in place on it, and the result is a ``moveaxis`` view of it.
+    """
     d = g.dim // 2
-    out = centered_character_sum(block, range(lead, lead + d), +1)
-    out = centered_character_sum(out, range(lead + d, lead + 2 * d), -1)
-    out *= math.pi ** (-d) * g.quadrature_weight
+    centered_character_sum(block, range(lead, lead + d), +1, out=block)
+    centered_character_sum(block, range(lead + d, lead + 2 * d), -1, out=block)
+    block *= math.pi ** (-d) * g.quadrature_weight
     src = list(range(lead, lead + 2 * d))
     dst = list(range(lead + d, lead + 2 * d)) + list(range(lead, lead + d))
-    return np.moveaxis(out, src, dst)
+    return np.moveaxis(block, src, dst)
 
 
 def symplectic_stft(a: GridFunction, Phi: GridFunction) -> STFTTensor:
@@ -142,4 +149,6 @@ def iter_stft_slices(a: GridFunction, Phi: GridFunction, symplectic: bool) -> It
         if symplectic:
             yield index, _symplectic_transform(windowed, g, 0)
         else:
-            yield index, _ordinary_coeff(g) * centered_character_sum(windowed, range(g.dim), -1)
+            centered_character_sum(windowed, range(g.dim), -1, out=windowed)
+            windowed *= _ordinary_coeff(g)
+            yield index, windowed

@@ -81,6 +81,14 @@ def test_centered_sum_equals_per_axis_definition(n, sign, axes):
         want = _per_axis_character_sum(vals, axes, sign)
         assert np.array_equal(got, want)
         assert got.strides == want.strides and got.dtype == want.dtype
+        # out= a fresh buffer, and out= the input itself, give the same array
+        buf = np.empty_like(vals, dtype=complex)
+        assert centered_character_sum(vals, axes, sign, out=buf) is buf
+        alias = vals.astype(complex, order="K")
+        assert centered_character_sum(alias, axes, sign, out=alias) is alias
+        for res in (buf, alias):
+            assert np.array_equal(res, got)
+            assert res.strides == got.strides and res.dtype == got.dtype
 
 
 def test_centered_sum_leaves_read_only_input_untouched():
@@ -90,6 +98,8 @@ def test_centered_sum_leaves_read_only_input_untouched():
     for sign in (+1, -1):
         out = centered_character_sum(vals, (0, 1), sign)
         assert out.flags.writeable and not np.shares_memory(out, vals)
+        buf = np.empty_like(vals)
+        assert centered_character_sum(vals, (0, 1), sign, out=buf) is buf
     assert np.array_equal(vals, before)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import phaselab.lab
 from phaselab.exponents import ExponentTuple
 from phaselab.grids import GridError, GridFunction, make_grid
 from phaselab.lab import (
@@ -11,6 +12,7 @@ from phaselab.lab import (
     default_window,
     ensemble_generate,
     nfold_product,
+    nfold_twisted,
     norm_ratio_experiment,
     paired_stft,
     ratio_experiment_multi,
@@ -216,3 +218,96 @@ class TestRatioExperiment:
         for cfg, rep in zip(configs, together):
             alone = ratio_experiment_multi([cfg], ens, pg16)[0]
             assert rep.ratios == alone.ratios and None not in rep.ratios
+
+
+# -- tensor-by-tensor norm walk ------------------------------------------------------
+
+def _config_by_config_ratios(configs, symbols, phase, A, window, method):
+    """The config-by-config ``_sample_ratios``: each config walks every tensor."""
+    tensors = [symplectic_stft(s, window) for s in symbols]
+    prod_tensor = {}
+    if any(c.mode == "weyl" for c in configs):
+        prod_tensor["weyl"] = symplectic_stft(nfold_product(symbols, A, method), window)
+    if any(c.mode == "twist" for c in configs):
+        prod_tensor["twist"] = symplectic_stft(nfold_twisted(symbols, method), window)
+    out = []
+    for cfg in configs:
+        order = "modulation" if cfg.mode == "weyl" else "amalgam"
+        denom = 1.0
+        degenerate = False
+        for j, tens in enumerate(tensors, start=1):
+            spec = MixedNormSpec(cfg.p[j], cfg.q[j], order, cfg.weights[j], cfg.measure)
+            val = phaselab.lab.mixed_norm(tens, spec)
+            if val == 0.0:
+                degenerate = True
+                break
+            denom *= val
+        if degenerate:
+            out.append(None)
+            continue
+        spec0 = MixedNormSpec(cfg.p[0].conjugate(), cfg.q[0].conjugate(), order,
+                              cfg.weights[0].reciprocal(), cfg.measure)
+        out.append(phaselab.lab.mixed_norm(prod_tensor[cfg.mode], spec0) / denom)
+    return out
+
+
+@pytest.fixture
+def count_norms(monkeypatch):
+    """Counts ``mixed_norm`` calls made through ``phaselab.lab``."""
+    calls = []
+    real = phaselab.lab.mixed_norm
+
+    def counting(F, spec):
+        calls.append(spec)
+        return real(F, spec)
+
+    monkeypatch.setattr(phaselab.lab, "mixed_norm", counting)
+    return calls
+
+
+def _drift_samples(count):
+    """The drift configs, their ensemble of ``count`` symbols at n = 16, and its samples."""
+    from phaselab.suites import _drift_configs
+
+    pg16 = make_grid(1, 16)
+    ens = EnsembleSpec(seed=9, count=count, atoms_per_symbol=2, width_range=(0.35, 0.5),
+                       center_radius=1.0, modulation_radius=0.7)
+    symbols = ensemble_generate(ens, pg16)
+    return _drift_configs(), ens, [symbols[k:k + 3] for k in range(0, count, 3)], pg16
+
+
+class TestTensorWalk:
+    def test_drift_configs_match_config_by_config(self, count_norms):
+        configs, _, groups, pg16 = _drift_samples(6)
+        window = default_window(pg16)
+        for grp in groups:
+            count_norms.clear()
+            want = _config_by_config_ratios(configs, grp, pg16, 0.5, window, "fast")
+            n_oracle = len(count_norms)
+            got = _sample_ratios(configs, grp, pg16, 0.5, window, "fast")
+            assert got == want and None not in got
+            assert n_oracle == 48 and len(count_norms) == 2 * n_oracle
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_zero_symbol_stops_like_config_by_config(self, count_norms, position):
+        configs, _, groups, pg16 = _drift_samples(3)
+        window = default_window(pg16)
+        symbols = list(groups[0])
+        symbols[position] = GridFunction(pg16.symbol_grid, np.zeros(pg16.symbol_grid.shape))
+        want = _config_by_config_ratios(configs, symbols, pg16, 0.5, window, "fast")
+        n_oracle = len(count_norms)
+        got = _sample_ratios(configs, symbols, pg16, 0.5, window, "fast")
+        assert got == want == [None] * len(configs)
+        assert len(count_norms) == 2 * n_oracle == 2 * len(configs) * (position + 1)
+
+    def test_threads_match_config_by_config(self, count_norms, monkeypatch):
+        configs, ens, groups, pg16 = _drift_samples(9)
+        window = default_window(pg16)
+        rows = [_config_by_config_ratios(configs, grp, pg16, 0.5, window, "fast")
+                for grp in groups]
+        n_oracle = len(count_norms)
+        monkeypatch.setenv("PHASELAB_THREADS", "3")
+        reports = ratio_experiment_multi(configs, ens, pg16)
+        for i, rep in enumerate(reports):
+            assert rep.ratios == tuple(row[i] for row in rows)
+        assert len(count_norms) == 2 * n_oracle

@@ -241,3 +241,92 @@ def test_tensor_values_read_only(setup):
         T.values[0, 0, 0, 0] = 1.0
     assert vals.flags.writeable
     vals[0, 0, 0, 0] = 1.0
+
+
+# -- magnitudes shared per tensor ------------------------------------------------
+
+def test_abs_runs_once_per_tensor(monkeypatch, setup):
+    _, _, _, W = setup
+    T = _fresh(W)
+    calls = []
+    real = np.abs
+
+    def counting(x, *args, **kwargs):
+        if x is T.values:
+            calls.append(1)
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "abs", counting)
+    for spec in _drift_specs():
+        mixed_norm(T, spec)
+    assert len(calls) == 1
+
+
+class _CountedWeight(np.ndarray):
+    """Weight tensor that counts the products it enters."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.multiply:
+            _CountedWeight.products += 1
+        inputs = [x.view(np.ndarray) if isinstance(x, _CountedWeight) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_weighted_magnitudes_built_once_per_weight(monkeypatch, setup):
+    _, _, _, W = setup
+    T = _fresh(W)
+    real = phaselab.norms._weight_tensor
+
+    def counted(spec, F):
+        w = real(spec, F)
+        return None if w is None else w.view(_CountedWeight)
+
+    monkeypatch.setattr(phaselab.norms, "_weight_tensor", counted)
+    monkeypatch.setattr(_CountedWeight, "products", 0)
+    # the drift specs share one weight (poly(-1)'s reciprocal is poly(1)); add a second
+    w2 = split_weight(poly_weight(2.0), "Y")
+    specs = _drift_specs() + [MixedNormSpec(2, 1, "modulation", w2), MixedNormSpec(1, 2, "amalgam", w2)]
+    for spec in specs:
+        mixed_norm(T, spec)
+    weights = {s.weight for s in specs if s.weight is not None and s.weight.kind != "unit"}
+    assert len(weights) == 2
+    assert _CountedWeight.products == len(weights)
+    assert set(T._mags) == {None} | weights
+
+
+def test_warm_magnitudes_equal_cold_bitwise(setup):
+    _, _, _, W = setup
+    specs = _drift_specs()
+    warm = _fresh(W)
+    for spec in specs:
+        mixed_norm(warm, spec)
+    warm._norms.clear()
+    for spec in specs:
+        assert mixed_norm(warm, spec) == mixed_norm(_fresh(W), spec)
+
+
+def test_sample_ratios_releases_magnitudes(monkeypatch):
+    import phaselab.lab
+    from phaselab.grids import GridFunction
+    from phaselab.lab import EnsembleSpec, _sample_ratios, default_window, ensemble_generate
+    from phaselab.suites import _drift_configs
+
+    made = []
+    real = phaselab.lab.symplectic_stft
+
+    def keeping(a, window):
+        made.append(real(a, window))
+        return made[-1]
+
+    monkeypatch.setattr(phaselab.lab, "symplectic_stft", keeping)
+    pg = make_grid(1, 16)
+    ens = EnsembleSpec(seed=9, count=3, atoms_per_symbol=2, width_range=(0.35, 0.5),
+                       center_radius=1.0, modulation_radius=0.7)
+    symbols = ensemble_generate(ens, pg)
+    zero = GridFunction(pg.symbol_grid, np.zeros(pg.symbol_grid.shape))
+    for grp in (symbols, [symbols[0], zero, symbols[2]]):
+        _sample_ratios(_drift_configs(), grp, pg, 0.5, default_window(pg), "fast")
+    assert len(made) == 10
+    assert all(T._norms for T in made[:3]) and all(T._mags == {} for T in made)
