@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Two-grid norm-ratio experiments for admissible exponent tuples.
+"""Grid-refinement norm-ratio experiments for admissible exponent tuples.
 
-Runs the quantized-product probes (modulation-type norms) and the
-twisted-convolution probes (amalgam-type norms) over a shared deterministic
-ensemble on two grids, printing drift factors and writing plot-ready CSV.
+Runs the drift check's probes (``suites.drift_configs``): quantized-product
+probes (modulation-type norms) and twisted-convolution probes (amalgam-type
+norms) over a shared deterministic ensemble on each grid of ``--grids``,
+printing drift factors against the first grid and writing plot-ready CSV.
 """
 
 import argparse
@@ -11,10 +12,9 @@ import csv
 import pathlib
 import sys
 
-from phaselab.exponents import ExponentTuple
+from phaselab import suites
 from phaselab.grids import make_grid
-from phaselab.lab import EnsembleSpec, RatioConfig, ratio_experiment_multi
-from phaselab.weights import parse_weight_list, unit_weight
+from phaselab.lab import EnsembleSpec, ratio_experiment_multi
 
 
 def main():
@@ -25,19 +25,7 @@ def main():
     ap.add_argument("--out", default="results/ratios.csv")
     args = ap.parse_args()
 
-    tuples = [
-        ("remark", ExponentTuple.parse("2,inf,2,2"), ExponentTuple.parse("2,1,2,2")),
-        ("alt1", ExponentTuple.parse("4,4/3,4,4/3"), ExponentTuple.parse("4,4/3,4,4/3")),
-        ("alt2", ExponentTuple.parse("2,inf,inf,2"), ExponentTuple.parse("2,1,1,2")),
-    ]
-    chain = parse_weight_list(
-        "split:poly:s=-1@Y,split:poly:s=1@Y,split:poly:s=1@Y,split:poly:s=1@Y", 4)
-    unit = (unit_weight(),) * 4
-    configs = []
-    for label, p, q in tuples:
-        for w, wlab in ((unit, "unit"), (chain, "chain")):
-            configs.append(RatioConfig(p, q, w, "weyl", "quadrature", f"{label}:{wlab}"))
-            configs.append(RatioConfig(q, p, w, "twist", "quadrature", f"{label}:{wlab}:twist"))
+    configs = suites.drift_configs()
 
     grids = [int(g) for g in args.grids.split(",")]
     budget = min(make_grid(1, n).extent for n in grids) / 4

@@ -203,6 +203,16 @@ def _with_config(argv: list[str], config: dict) -> list[str]:
     return argv[:i + 1] + flags + argv[i + 1:]
 
 
+def _at_least(minimum: int):
+    """argparse type for an integer no smaller than ``minimum``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phaselab",
@@ -215,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--emit", choices=("json", "csv"), default="json")
         sp.add_argument("--out", help="output path (default: stdout)")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=_at_least(0), default=0)
 
     sp = sub.add_parser("exponents", help="evaluate a boundedness condition")
     sp.add_argument("--n", type=int, default=None, help="number of factors N")
@@ -251,14 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("weyl", "twist"), default="weyl")
     sp.add_argument("--measure", choices=("quadrature", "counting"), default="quadrature")
     sp.add_argument("--grid", type=int, default=16)
-    sp.add_argument("--samples", type=int, default=50)
-    sp.add_argument("--atoms", type=int, default=2)
+    sp.add_argument("--samples", type=_at_least(1), default=50)
+    sp.add_argument("--atoms", type=_at_least(1), default=2)
     common(sp)
     sp.set_defaults(func=_cmd_ratio)
 
     sp = sub.add_parser("sweep", help="exponent combinatorics sweeps")
-    sp.add_argument("--trials", type=int, default=20000)
-    sp.add_argument("--cert-trials", type=int, default=200)
+    sp.add_argument("--trials", type=_at_least(1), default=20000)
+    sp.add_argument("--cert-trials", type=_at_least(1), default=200)
     common(sp)
     sp.set_defaults(func=_cmd_sweep)
     return parser

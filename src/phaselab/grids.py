@@ -122,9 +122,6 @@ class Grid:
         ax = self.axis
         return [ax.reshape([-1 if i == k else 1 for i in range(self.dim)]) for k in range(self.dim)]
 
-    def point(self, index: Sequence[int]) -> np.ndarray:
-        return (np.asarray(index) - self.count // 2) * self.spacing
-
 
 @dataclass(frozen=True)
 class PhaseGrid:

@@ -30,7 +30,7 @@ from .grids import (
     PhaseGrid,
     gaussian_atom,
 )
-from .norms import MixedNormSpec, mixed_norm, modulation_norm
+from .norms import MixedNormSpec, modulation_norm, stft_norms
 from .stft import STFTTensor, symplectic_stft
 from .weights import WeightSpec
 from .weyl import pseudo_product, twisted_convolution, weyl_product
@@ -288,49 +288,37 @@ class RatioReport:
 def _thread_count() -> int:
     try:
         return max(1, int(os.environ.get(THREAD_ENV, "1")))
-    except ValueError:
-        return 1
+    except ValueError as exc:
+        raise GridError(f"{THREAD_ENV} must be an integer ({exc})") from None
 
 
 def _sample_ratios(configs: Sequence[RatioConfig], symbols: Sequence[GridFunction],
                    phase: PhaseGrid, A, window: GridFunction, method: str) -> list:
-    """Ratios of all configs on one symbol tuple, sharing transforms."""
-    need_weyl = any(c.mode == "weyl" for c in configs)
-    need_twist = any(c.mode == "twist" for c in configs)
-    tensors = [symplectic_stft(s, window) for s in symbols]
-    prod_tensor = {}
-    if need_weyl:
-        prod_tensor["weyl"] = symplectic_stft(nfold_product(symbols, A, method), window)
-    if need_twist:
-        prod_tensor["twist"] = symplectic_stft(nfold_twisted(symbols, method), window)
-    # every config's norm of one tensor is taken before the next tensor, so the
-    # magnitudes a tensor shares across configs are built once and released
+    """Ratios of all configs on one symbol tuple.  Each tensor is built when due,
+    gives every asking config its norm in one ``stft_norms`` call, and is dropped."""
     orders = ["modulation" if cfg.mode == "weyl" else "amalgam" for cfg in configs]
     factor_norms = [[] for _ in configs]  # per config, up to its first zero
-    for j, tens in enumerate(tensors, start=1):
-        for cfg, order, vals in zip(configs, orders, factor_norms):
-            if 0.0 not in vals:
-                vals.append(mixed_norm(tens, MixedNormSpec(
-                    cfg.p[j], cfg.q[j], order, cfg.weights[j], cfg.measure)))
-        tens._mags.clear()
-    numers = {}
-    for mode, tens in prod_tensor.items():
-        for i, (cfg, order, vals) in enumerate(zip(configs, orders, factor_norms)):
-            if cfg.mode == mode and 0.0 not in vals:
-                spec0 = MixedNormSpec(cfg.p[0].conjugate(), cfg.q[0].conjugate(), order,
-                                      cfg.weights[0].reciprocal(), cfg.measure)
-                numers[i] = mixed_norm(tens, spec0)
-        tens._mags.clear()
-    out = []
-    for i, vals in enumerate(factor_norms):
-        if 0.0 in vals:
-            out.append(None)
+    for j, symbol in enumerate(symbols, start=1):
+        asking = [i for i, vals in enumerate(factor_norms) if 0.0 not in vals]
+        if not asking:
+            break
+        specs = [MixedNormSpec(configs[i].p[j], configs[i].q[j], orders[i], configs[i].weights[j],
+                               configs[i].measure) for i in asking]
+        for i, val in zip(asking, stft_norms(symbol, window, specs)):
+            factor_norms[i].append(val)
+    numers = {}  # product norm per config that has no zero factor norm
+    for mode in ("weyl", "twist"):
+        asking = [i for i, cfg in enumerate(configs)
+                  if cfg.mode == mode and 0.0 not in factor_norms[i]]
+        if not asking:
             continue
-        denom = 1.0
-        for val in vals:
-            denom *= val
-        out.append(numers[i] / denom)
-    return out
+        product = (nfold_product(symbols, A, method) if mode == "weyl"
+                   else nfold_twisted(symbols, method))
+        specs = [MixedNormSpec(configs[i].p[0].conjugate(), configs[i].q[0].conjugate(), orders[i],
+                               configs[i].weights[0].reciprocal(), configs[i].measure) for i in asking]
+        numers.update(zip(asking, stft_norms(product, window, specs)))
+    return [numers[i] / math.prod(vals) if i in numers else None
+            for i, vals in enumerate(factor_norms)]
 
 
 def ratio_experiment_multi(configs: Sequence[RatioConfig], ensemble: EnsembleSpec,

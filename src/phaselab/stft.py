@@ -2,8 +2,10 @@
 
 Window shifts wrap periodically; combined with the truncation policy for
 test symbols this keeps wrap-around contamination below the tolerance of
-every identity checked downstream.  Tensors are materialized fully up to
-``2^20`` entries and must be streamed slice-by-slice beyond that.
+every identity checked downstream.  ``stft_blocks`` yields either STFT in
+blocks of whole rows of the leading shift axis, each of at most ``2^20``
+entries (``MATERIALIZE_LIMIT``); ``stft`` and ``symplectic_stft`` are its
+one-block case and refuse tensors past that size.
 """
 
 from __future__ import annotations
@@ -54,10 +56,6 @@ class STFTTensor:
         view.flags.writeable = False
         object.__setattr__(self, "values", view)
 
-    @property
-    def block_dims(self) -> tuple[int, int]:
-        return (self.shift_grid.dim, self.freq_grid.dim)
-
 
 def _shifted_windows(phi: GridFunction) -> np.ndarray:
     """Read-only view ``w[x, y] = conj(phi)[(y - x + c) mod n]`` over all shifts x.
@@ -71,20 +69,12 @@ def _shifted_windows(phi: GridFunction) -> np.ndarray:
     return sliding_window_view(tiled, g.shape)[(slice(c + n, c, -1),) * g.dim]
 
 
-def _shift_stack(f: GridFunction, phi: GridFunction) -> np.ndarray:
-    """All windowed copies ``f(y) * conj(phi(y - x))`` stacked over shifts x."""
-    g = f.grid
-    n, m = g.count, g.dim
-    if (n**m) ** 2 > MATERIALIZE_LIMIT:
-        raise GridError(
-            f"tensor of {(n ** m) ** 2} entries exceeds the materialization limit; "
-            "use the streaming slice iterator"
-        )
-    return f.values[(np.newaxis,) * m + (Ellipsis,)] * _shifted_windows(phi)
+def _shift_stack(f: GridFunction, phi: GridFunction, rows: slice = slice(None)) -> np.ndarray:
+    """Windowed copies ``f(y) * conj(phi(y - x))`` stacked over the shifts x in ``rows``.
 
-
-def _ordinary_coeff(g: Grid) -> float:
-    return (2 * math.pi) ** (-g.dim / 2) * g.quadrature_weight
+    ``rows`` selects along the leading shift axis; every other axis is whole.
+    """
+    return f.values[(np.newaxis,) * f.grid.dim + (Ellipsis,)] * _shifted_windows(phi)[rows]
 
 
 def stft(f: GridFunction, phi: GridFunction) -> STFTTensor:
@@ -93,14 +83,7 @@ def stft(f: GridFunction, phi: GridFunction) -> STFTTensor:
     ``V_phi f(x, xi) = (2*pi)^{-d/2} * s^d * sum_y f(y) conj(phi(y-x)) e^{-i<y, xi>}``
     with the frequency variable on the dual grid.
     """
-    require_same_grid(f, phi)
-    if not np.any(phi.values):
-        raise GridError("window must be nonzero")
-    g = f.grid
-    stacked = _shift_stack(f, phi)
-    centered_character_sum(stacked, range(g.dim, 2 * g.dim), -1, out=stacked)
-    stacked *= _ordinary_coeff(g)
-    return STFTTensor(g, g.dual(), stacked, "ordinary")
+    return STFTTensor(f.grid, f.grid.dual(), _one_block(f, phi, False), "ordinary")
 
 
 def _symplectic_transform(block: np.ndarray, g: Grid, lead: int) -> np.ndarray:
@@ -120,22 +103,31 @@ def _symplectic_transform(block: np.ndarray, g: Grid, lead: int) -> np.ndarray:
 
 def symplectic_stft(a: GridFunction, Phi: GridFunction) -> STFTTensor:
     """Symplectic STFT ``(X, Y) -> pi^{-d} integral a(Z) conj(Phi(Z-X)) e^{2i sigma(Y,Z)} dZ``."""
-    require_same_grid(a, Phi)
-    if not np.any(Phi.values):
-        raise GridError("window must be nonzero")
-    g = a.grid
-    if not g.is_symplectic:
-        raise GridError("symplectic STFT requires a phase grid")
-    stacked = _shift_stack(a, Phi)
-    spec = _symplectic_transform(stacked, g, g.dim)
-    return STFTTensor(g, g, spec, "symplectic")
+    return STFTTensor(a.grid, a.grid, _one_block(a, Phi, True), "symplectic")
 
 
-def iter_stft_slices(a: GridFunction, Phi: GridFunction, symplectic: bool) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """Stream the STFT one shift-slice at a time (for large grids).
+def _fits(g: Grid) -> bool:
+    """Whether an STFT over ``g`` is within ``MATERIALIZE_LIMIT`` entries."""
+    return (g.count**g.dim) ** 2 <= MATERIALIZE_LIMIT
 
-    Yields ``(shift_index, values_over_frequency)`` in row-major shift order;
-    output is identical to the materialized tensor restricted to that slice.
+
+def _one_block(a: GridFunction, Phi: GridFunction, symplectic: bool) -> np.ndarray:
+    """The whole STFT as one block; past ``MATERIALIZE_LIMIT`` use ``norms.stft_norms``."""
+    if not _fits(a.grid):
+        raise GridError(f"tensor over {a.grid.shape} exceeds the materialization limit")
+    ((_, values),) = stft_blocks(a, Phi, symplectic)
+    return values
+
+
+def stft_blocks(a: GridFunction, Phi: GridFunction, symplectic: bool
+                ) -> Iterator[tuple[slice, np.ndarray]]:
+    """The STFT of ``a`` in blocks of whole rows of the leading shift axis.
+
+    Yields ``(rows, values)`` in shift order, where ``values`` is the tensor
+    restricted to leading shift indices ``rows``.  A block holds as many rows
+    as fit in ``MATERIALIZE_LIMIT`` entries, so no array past the limit is
+    built, and a single row past it is refused.  A tensor within the limit is
+    one block, bitwise the materialized one with its strides.
     """
     require_same_grid(a, Phi)
     if not np.any(Phi.values):
@@ -143,12 +135,16 @@ def iter_stft_slices(a: GridFunction, Phi: GridFunction, symplectic: bool) -> It
     g = a.grid
     if symplectic and not g.is_symplectic:
         raise GridError("symplectic STFT requires a phase grid")
-    windows = _shifted_windows(Phi)
-    for index in np.ndindex(g.shape):
-        windowed = a.values * windows[index]
+    n, m = g.count, g.dim
+    step = MATERIALIZE_LIMIT * n // (n**m) ** 2
+    if step < 1:
+        raise GridError(f"one shift row of {n ** (2 * m - 1)} entries exceeds the materialization limit")
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
+        block = _shift_stack(a, Phi, rows)
         if symplectic:
-            yield index, _symplectic_transform(windowed, g, 0)
+            yield rows, _symplectic_transform(block, g, m)
         else:
-            centered_character_sum(windowed, range(g.dim), -1, out=windowed)
-            windowed *= _ordinary_coeff(g)
-            yield index, windowed
+            centered_character_sum(block, range(m, 2 * m), -1, out=block)
+            block *= (2 * math.pi) ** (-m / 2) * g.quadrature_weight
+            yield rows, block

@@ -398,7 +398,9 @@ def endpoint_ratio_check(seed: int = 8, samples: int = 20, n: int = 16) -> list[
     return [_residual_check(f"endpoint-counting-ratio[n={n}]", margin, 1e-8)]
 
 
-def _drift_configs() -> list[RatioConfig]:
+def drift_configs() -> list[RatioConfig]:
+    """The 12 admissible ratio probes of the drift check: 3 tuple pairs x (unit,
+    split-polynomial chain) weights x (weyl, twist) modes, quadrature measure."""
     remark_p = ExponentTuple.parse("2,inf,2,2")
     remark_q = ExponentTuple.parse("2,1,2,2")
     alt1 = ExponentTuple.parse("4,4/3,4,4/3")
@@ -424,7 +426,7 @@ def drift_ratio_checks(seed: int = 9, samples: int = 200
     Returns ``(checks, reports16, reports32)``: one drift check per config and
     the per-config ratio reports on each grid, in config order.
     """
-    configs = _drift_configs()
+    configs = drift_configs()
     ens = EnsembleSpec(seed=seed, count=3 * samples, atoms_per_symbol=2,
                        width_range=(0.35, 0.5), center_radius=1.0, modulation_radius=0.7)
     reports16 = ratio_experiment_multi(configs, ens, make_grid(1, 16))

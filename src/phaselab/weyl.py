@@ -223,15 +223,6 @@ def kernel_to_symbol(K: KernelFunction) -> GridFunction:
     return GridFunction(g, vals)
 
 
-def kernel_symbol_map(obj, A, direction: str):
-    """Spec-facing dispatcher between the two kernel-map directions."""
-    if direction == "symbol->kernel":
-        return symbol_to_kernel(obj, A)
-    if direction == "kernel->symbol":
-        return kernel_to_symbol(obj)
-    raise GridError(f"unknown direction {direction!r}")
-
-
 def _kernel_sample_indices(phase: PhaseGrid, A: np.ndarray, offset: int = 0):
     """Index arrays mapping base-lattice pairs ``(x, y)`` into the (u, t) axes.
 

@@ -1,6 +1,9 @@
 """Command-line runner: exit codes, report shape, determinism, file output."""
 
 import json
+import math
+
+import pytest
 
 from phaselab.cli import main
 
@@ -219,3 +222,46 @@ def test_parser_errors_return_two(capsys):
     assert code == 2 and "--p" in err and not out
     code, out, err = run(capsys, "representation", "--grid", "eight")
     assert code == 2 and "--grid" in err and not out
+
+
+SPLIT_CHAIN = "split:poly:s=-1@Y,split:poly:s=1@Y,split:poly:s=1@Y,split:poly:s=1@Y"
+SMALL_RATIO = ("ratio", "--p", "2,2,2,2", "--q", "2,2,2,2", "--grid", "8", "--samples", "1")
+
+
+@pytest.mark.parametrize("argv", [
+    SMALL_RATIO,
+    ("sweep", "--trials", "10", "--cert-trials", "2"),
+    ("identities", "--grid", "16"),
+    ("representation", "--grid", "8"),
+])
+def test_negative_seed_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert code == 2 and "--seed" in err and not out
+
+
+@pytest.mark.parametrize("argv", [
+    SMALL_RATIO[:-1] + ("0",),
+    SMALL_RATIO[:-1] + ("-2",),
+    SMALL_RATIO + ("--atoms", "0"),
+    ("sweep", "--trials", "-5", "--cert-trials", "2"),
+    ("sweep", "--trials", "10", "--cert-trials", "0"),
+])
+def test_counts_below_one_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "at least 1" in err and not out
+
+
+def test_bad_thread_count_exits_two(capsys, monkeypatch):
+    # one sample: no worker thread would start even if the value were read
+    monkeypatch.setenv("PHASELAB_THREADS", "two")
+    code, out, err = run(capsys, *SMALL_RATIO)
+    assert code == 2 and "PHASELAB_THREADS" in err and not out
+
+
+def test_ratio_grid_64_runs(capsys):
+    # past the materialization limit: every norm is taken block by block
+    code, doc = run_json(capsys, "ratio", "--p", "2,inf,2,2", "--q", "2,1,2,2", "--grid", "64",
+                         "--samples", "1", "--weights", SPLIT_CHAIN)
+    assert code == 0
+    (ratio,) = doc["ratio_report"]["ratios"]
+    assert ratio is not None and math.isfinite(ratio) and ratio > 0

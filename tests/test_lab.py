@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-import phaselab.lab
+import phaselab.norms
+import phaselab.stft
 from phaselab.exponents import ExponentTuple
 from phaselab.grids import GridError, GridFunction, make_grid
 from phaselab.lab import (
@@ -19,7 +20,7 @@ from phaselab.lab import (
     stft_integral_representation,
     window_for_representation,
 )
-from phaselab.lab import _sample_ratios
+from phaselab.lab import _sample_ratios, _thread_count
 from phaselab.norms import MixedNormSpec, modulation_norm
 from phaselab.stft import symplectic_stft
 from phaselab.weights import unit_weight
@@ -205,12 +206,18 @@ class TestRatioExperiment:
         threaded = norm_ratio_experiment(all2, all2, [unit_weight()] * 4, ens, pg8)
         assert base.ratios == threaded.ratios
 
+    @pytest.mark.parametrize("value", ["two", "1.5", ""])
+    def test_bad_thread_env_is_an_error(self, monkeypatch, value):
+        monkeypatch.setenv("PHASELAB_THREADS", value)
+        with pytest.raises(GridError, match="PHASELAB_THREADS"):
+            _thread_count()
+
     def test_shared_norms_match_lone_configs_bitwise(self):
         # run together, the drift configs reuse factor norms through the
         # per-tensor memo; a lone config takes one norm per tensor and never hits it
-        from phaselab.suites import _drift_configs
+        from phaselab.suites import drift_configs
 
-        configs = _drift_configs()
+        configs = drift_configs()
         ens = EnsembleSpec(seed=9, count=6, atoms_per_symbol=2, width_range=(0.35, 0.5),
                            center_radius=1.0, modulation_radius=0.7)
         pg16 = make_grid(1, 16)
@@ -237,7 +244,7 @@ def _config_by_config_ratios(configs, symbols, phase, A, window, method):
         degenerate = False
         for j, tens in enumerate(tensors, start=1):
             spec = MixedNormSpec(cfg.p[j], cfg.q[j], order, cfg.weights[j], cfg.measure)
-            val = phaselab.lab.mixed_norm(tens, spec)
+            val = phaselab.norms.mixed_norm(tens, spec)
             if val == 0.0:
                 degenerate = True
                 break
@@ -247,33 +254,33 @@ def _config_by_config_ratios(configs, symbols, phase, A, window, method):
             continue
         spec0 = MixedNormSpec(cfg.p[0].conjugate(), cfg.q[0].conjugate(), order,
                               cfg.weights[0].reciprocal(), cfg.measure)
-        out.append(phaselab.lab.mixed_norm(prod_tensor[cfg.mode], spec0) / denom)
+        out.append(phaselab.norms.mixed_norm(prod_tensor[cfg.mode], spec0) / denom)
     return out
 
 
 @pytest.fixture
 def count_norms(monkeypatch):
-    """Counts ``mixed_norm`` calls made through ``phaselab.lab``."""
+    """Counts ``mixed_norm`` calls, made by ``norms.stft_norms`` or the oracle."""
     calls = []
-    real = phaselab.lab.mixed_norm
+    real = phaselab.norms.mixed_norm
 
     def counting(F, spec):
         calls.append(spec)
         return real(F, spec)
 
-    monkeypatch.setattr(phaselab.lab, "mixed_norm", counting)
+    monkeypatch.setattr(phaselab.norms, "mixed_norm", counting)
     return calls
 
 
 def _drift_samples(count):
     """The drift configs, their ensemble of ``count`` symbols at n = 16, and its samples."""
-    from phaselab.suites import _drift_configs
+    from phaselab.suites import drift_configs
 
     pg16 = make_grid(1, 16)
     ens = EnsembleSpec(seed=9, count=count, atoms_per_symbol=2, width_range=(0.35, 0.5),
                        center_radius=1.0, modulation_radius=0.7)
     symbols = ensemble_generate(ens, pg16)
-    return _drift_configs(), ens, [symbols[k:k + 3] for k in range(0, count, 3)], pg16
+    return drift_configs(), ens, [symbols[k:k + 3] for k in range(0, count, 3)], pg16
 
 
 class TestTensorWalk:
@@ -311,3 +318,20 @@ class TestTensorWalk:
         for i, rep in enumerate(reports):
             assert rep.ratios == tuple(row[i] for row in rows)
         assert len(count_norms) == 2 * n_oracle
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_multi_block_matches_one_block(self, monkeypatch, n):
+        from phaselab.suites import drift_configs
+
+        configs = drift_configs()
+        pg = make_grid(1, n)
+        ens = EnsembleSpec(seed=9, count=3, atoms_per_symbol=2, width_range=(0.35, 0.5),
+                           center_radius=1.0, modulation_radius=0.7)
+        symbols = ensemble_generate(ens, pg)
+        window = default_window(pg)
+        want = _sample_ratios(configs, symbols, pg, 0.5, window, "fast")
+        # four rows of the leading shift axis per block
+        monkeypatch.setattr(phaselab.stft, "MATERIALIZE_LIMIT", 4 * n**3)
+        got = _sample_ratios(configs, symbols, pg, 0.5, window, "fast")
+        assert None not in want
+        assert got == pytest.approx(want, rel=1e-12, abs=0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import phaselab.norms
+import phaselab.stft
 from phaselab.exponents import Exponent
 from phaselab.grids import (
     GaussianAtomSpec,
@@ -12,7 +13,7 @@ from phaselab.grids import (
     make_grid,
     symplectic_fourier,
 )
-from phaselab.norms import MixedNormSpec, flat_norm, mixed_norm, modulation_norm
+from phaselab.norms import MixedNormSpec, flat_norm, mixed_norm, modulation_norm, stft_norms
 from phaselab.stft import STFTTensor, symplectic_stft
 from phaselab.weights import poly_weight, split_weight, unit_weight
 
@@ -34,7 +35,7 @@ def test_single_entry_counting(setup):
     vals[3, 5, 7, 2] = 2 - 1j
     T = STFTTensor(W.shift_grid, W.freq_grid, vals, "symplectic")
     w = split_weight(poly_weight(1.0), "Y")
-    point = np.concatenate([g.point((3, 5)), g.point((7, 2))])
+    point = g.axis[[3, 5, 7, 2]]
     for (p, q) in [(1, 2), (0.5, 3), (float("inf"), 1)]:
         got = mixed_norm(T, MixedNormSpec(p, q, "modulation", w, "counting"))
         assert got == pytest.approx(abs(2 - 1j) * w(point), rel=1e-12)
@@ -131,20 +132,36 @@ def test_duality_lower_bound():
             assert abs(a.inner(b)) <= na * nb / Phi.norm2() ** 2 * (1 + 1e-8)
 
 
-def test_streaming_path_matches(monkeypatch, setup):
-    pg, a, Phi, _ = setup
+def test_multi_block_matches_one_block(monkeypatch):
+    # every drift spec, in both orders and with both measures, plus the
+    # flavors of modulation_norm (the ordinary STFT included)
     w = split_weight(poly_weight(1.0), "Y")
+    specs = _drift_specs()
+    specs += [MixedNormSpec(s.p, s.q, s.order, s.weight, "counting") for s in specs]
     cases = [
         (MixedNormSpec(1.5, 2.5, "modulation", w), "symplectic-M"),
         (MixedNormSpec(float("inf"), 2, "amalgam", w), "symplectic-W"),
         (MixedNormSpec(2, float("inf"), "modulation", None), "symplectic-M"),
         (MixedNormSpec(3, 1, "amalgam", None), "M"),
+        (MixedNormSpec(2, 1, "amalgam", w, "counting"), "W"),
+        # weights on the shift block see which rows a block holds
+        (MixedNormSpec(1.5, 3, "modulation", split_weight(poly_weight(1.0), "X")), "symplectic-M"),
+        (MixedNormSpec(3, 1.5, "amalgam", poly_weight(0.5)), "W"),
     ]
-    expected = [modulation_norm(a, Phi, spec, flavor) for spec, flavor in cases]
-    monkeypatch.setattr(phaselab.norms, "MATERIALIZE_LIMIT", 1)
-    for (spec, flavor), want in zip(cases, expected):
-        got = modulation_norm(a, Phi, spec, flavor)
-        assert got == pytest.approx(want, rel=1e-10)
+    for n in (16, 32):
+        pg = make_grid(1, n)
+        a = gaussian_atom(pg, GaussianAtomSpec((0.4, -0.2), (2 * pg.h, -pg.h), 0.45))
+        Phi = gaussian_atom(pg, GaussianAtomSpec((0, 0), (0, 0), 0.45))
+        want = [stft_norms(a, Phi, specs, symplectic) for symplectic in (True, False)]
+        want_flavors = [modulation_norm(a, Phi, spec, flavor) for spec, flavor in cases]
+        for rows in (1, 4):
+            monkeypatch.setattr(phaselab.stft, "MATERIALIZE_LIMIT", rows * n**3)
+            for symplectic, values in zip((True, False), want):
+                got = stft_norms(a, Phi, specs, symplectic)
+                assert got == pytest.approx(values, rel=1e-12, abs=0)
+            got = [modulation_norm(a, Phi, spec, flavor) for spec, flavor in cases]
+            assert got == pytest.approx(want_flavors, rel=1e-12, abs=0)
+        monkeypatch.undo()
 
 
 def test_spec_validation():
@@ -160,10 +177,10 @@ def test_spec_validation():
 
 def _drift_specs():
     """Every factor and product spec the drift configs ask of one tensor."""
-    from phaselab.suites import _drift_configs
+    from phaselab.suites import drift_configs
 
     specs = []
-    for cfg in _drift_configs():
+    for cfg in drift_configs():
         order = "modulation" if cfg.mode == "weyl" else "amalgam"
         for j in range(1, cfg.p.n_factors + 1):
             specs.append(MixedNormSpec(cfg.p[j], cfg.q[j], order, cfg.weights[j], cfg.measure))
@@ -190,19 +207,17 @@ def test_memo_computes_each_distinct_norm_once(monkeypatch, setup):
     _, _, _, W = setup
     specs = _drift_specs()
     reductions = []
-    real = phaselab.norms._axes_norm
+    real = phaselab.norms._partial
 
-    def counting(mags, axes, p, cell):
-        reductions.append(axes is None)
-        return real(mags, axes, p, cell)
+    def counting(*args):
+        reductions.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(phaselab.norms, "_axes_norm", counting)
+    monkeypatch.setattr(phaselab.norms, "_partial", counting)
     for spec in specs:
         mixed_norm(W, spec)
-    # a flat norm is one reduction over all entries, an iterated norm two
-    flat = reductions.count(True)
-    iterated = reductions.count(False) // 2
-    assert flat + iterated == len(W._norms) < len(specs)
+    # a materialized tensor is one block: one partial reduction per distinct norm
+    assert len(reductions) == len(W._norms) < len(specs)
 
 
 def test_memo_keeps_distinct_specs_apart(setup):
@@ -279,8 +294,8 @@ def test_weighted_magnitudes_built_once_per_weight(monkeypatch, setup):
     T = _fresh(W)
     real = phaselab.norms._weight_tensor
 
-    def counted(spec, F):
-        w = real(spec, F)
+    def counted(*args):
+        w = real(*args)
         return None if w is None else w.view(_CountedWeight)
 
     monkeypatch.setattr(phaselab.norms, "_weight_tensor", counted)
@@ -308,25 +323,29 @@ def test_warm_magnitudes_equal_cold_bitwise(setup):
 
 
 def test_sample_ratios_releases_magnitudes(monkeypatch):
-    import phaselab.lab
+    # each tensor, with its magnitude cache, is freed before the next is built
+    import weakref
+
     from phaselab.grids import GridFunction
     from phaselab.lab import EnsembleSpec, _sample_ratios, default_window, ensemble_generate
-    from phaselab.suites import _drift_configs
+    from phaselab.suites import drift_configs
 
     made = []
-    real = phaselab.lab.symplectic_stft
+    real = phaselab.norms.symplectic_stft
 
-    def keeping(a, window):
-        made.append(real(a, window))
-        return made[-1]
+    def tracking(a, window):
+        assert all(ref() is None for ref in made)
+        T = real(a, window)
+        made.append(weakref.ref(T))
+        return T
 
-    monkeypatch.setattr(phaselab.lab, "symplectic_stft", keeping)
+    monkeypatch.setattr(phaselab.norms, "symplectic_stft", tracking)
     pg = make_grid(1, 16)
     ens = EnsembleSpec(seed=9, count=3, atoms_per_symbol=2, width_range=(0.35, 0.5),
                        center_radius=1.0, modulation_radius=0.7)
     symbols = ensemble_generate(ens, pg)
     zero = GridFunction(pg.symbol_grid, np.zeros(pg.symbol_grid.shape))
     for grp in (symbols, [symbols[0], zero, symbols[2]]):
-        _sample_ratios(_drift_configs(), grp, pg, 0.5, default_window(pg), "fast")
-    assert len(made) == 10
-    assert all(T._norms for T in made[:3]) and all(T._mags == {} for T in made)
+        _sample_ratios(drift_configs(), grp, pg, 0.5, default_window(pg), "fast")
+    # 3 factors and 2 products; then 2 factors, after which every config is degenerate
+    assert len(made) == 7 and all(ref() is None for ref in made)

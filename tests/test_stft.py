@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import phaselab.stft
 from phaselab.grids import (
     GaussianAtomSpec,
     GridError,
@@ -16,7 +17,7 @@ from phaselab.grids import (
     make_grid,
     symplectic_fourier,
 )
-from phaselab.stft import _shift_stack, iter_stft_slices, stft, symplectic_stft
+from phaselab.stft import _shift_stack, stft, stft_blocks, symplectic_stft
 
 RNG = np.random.default_rng(1)
 
@@ -157,12 +158,31 @@ def test_symplectic_fourier_covariance(phase_setup):
     assert np.max(np.abs(Wf.values - rhs)) / np.max(np.abs(W.values)) < 1e-10
 
 
-def test_streaming_slices_match_materialized(phase_setup):
-    pg, a, Phi = phase_setup
+@pytest.mark.parametrize("n", [16, 32])
+def test_blocks_match_materialized(monkeypatch, n):
+    pg = make_grid(1, n)
+    a = gaussian_atom(pg, GaussianAtomSpec((0.5, -0.3), (2 * pg.h, pg.h), 0.45))
+    Phi = gaussian_atom(pg, GaussianAtomSpec((0, 0), (0, 0), 0.45))
     for symplectic in (False, True):
         T = symplectic_stft(a, Phi) if symplectic else stft(a, Phi)
-        for index, sl in iter_stft_slices(a, Phi, symplectic):
-            assert np.array_equal(sl, T.values[index])
+        ((rows, values),) = stft_blocks(a, Phi, symplectic)
+        assert rows == slice(0, n) and np.array_equal(values, T.values)
+        assert values.strides == T.values.strides
+        for per_block in (1, 3, 8):
+            # blocks of whole rows of the leading shift axis, the last one short
+            monkeypatch.setattr(phaselab.stft, "MATERIALIZE_LIMIT", per_block * n**3)
+            blocks = list(stft_blocks(a, Phi, symplectic))
+            assert [r.start for r, _ in blocks] == list(range(0, n, per_block))
+            assert np.array_equal(np.concatenate([v for _, v in blocks]), T.values)
+        monkeypatch.undo()
+
+
+def test_blocks_refuse_rows_past_the_limit():
+    # d = 2, n = 8: one row of the leading shift axis holds 8^7 > 2^20 entries
+    pg = make_grid(2, 8)
+    a = gaussian_atom(pg, GaussianAtomSpec((0,) * 4, (0,) * 4, 1.0))
+    with pytest.raises(GridError, match="shift row"):
+        next(stft_blocks(a, a, True))
 
 
 def _gathered_stack(f, phi):

@@ -25,7 +25,7 @@ def test_drift_zero_max_ratio_fails_check(monkeypatch, mx16, mx32):
     # every sample degenerate on a grid: max_ratio is 0 and the drift undefined
     monkeypatch.setattr(suites, "ratio_experiment_multi", _fake_experiment({16: mx16, 32: mx32}))
     checks, _, _ = suites.drift_ratio_checks(samples=1)
-    assert len(checks) == len(suites._drift_configs())
+    assert len(checks) == len(suites.drift_configs())
     assert not any(c.passed for c in checks)
 
 
