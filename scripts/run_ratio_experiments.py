@@ -13,14 +13,15 @@ import pathlib
 import sys
 
 from phaselab import suites
+from phaselab.cli import _at_least
 from phaselab.grids import make_grid
 from phaselab.lab import EnsembleSpec, ratio_experiment_multi
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--samples", type=int, default=100)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--samples", type=_at_least(1), default=100)
+    ap.add_argument("--seed", type=_at_least(0), default=0)
     ap.add_argument("--grids", default="16,32")
     ap.add_argument("--out", default="results/ratios.csv")
     args = ap.parse_args()

@@ -43,15 +43,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _report_skeleton(command: str, config: dict) -> dict:
-    return {
-        "artifact": {"name": "phaselab", "version": __version__, "schema": SCHEMA_VERSION},
-        "command": command,
-        "config": config,
-        "checks": [],
-    }
-
-
 def _emit(report: dict, args, csv_text: str | None = None) -> None:
     if args.emit == "csv":
         if csv_text is None:
@@ -66,86 +57,77 @@ def _emit(report: dict, args, csv_text: str | None = None) -> None:
         sys.stdout.write(payload)
 
 
-def _exit_code(report: dict) -> int:
-    return 0 if all(c["pass"] for c in report["checks"]) else 1
+def _run(args) -> int:
+    """Run one subcommand and write its report; the exit code follows the checks.
+
+    ``args.func`` returns ``(config, checks, sections, csv_text)``: the
+    report's ``config``, its :class:`suites.Check` rows, any extra top-level
+    report sections, and the CSV form (None if there is none).
+    """
+    config, checks, sections, csv_text = args.func(args)
+    report = {
+        "artifact": {"name": "phaselab", "version": __version__, "schema": SCHEMA_VERSION},
+        "command": args.command,
+        "config": config,
+        "checks": [c.as_dict() for c in checks],
+        **sections,
+        "timing": {"total_s": time.time() - args.t0},
+    }
+    _emit(report, args, csv_text)
+    return 0 if all(c.passed for c in checks) else 1
 
 
-def _parse_tuple(text: str, n: int | None) -> ExponentTuple:
-    tup = ExponentTuple.parse(text)
-    if n is not None and tup.n_factors != n:
-        raise ConfigError(f"tuple {text!r} has N = {tup.n_factors}, expected N = {n}")
-    return tup
+def _parse_pair(args) -> list[ExponentTuple]:
+    """``--p`` and ``--q``, each with ``--n`` factors (default: as many as p)."""
+    pair, n = [], args.n
+    for text in (args.p, args.q):
+        tup = ExponentTuple.parse(text)
+        if n is not None and tup.n_factors != n:
+            raise ConfigError(f"tuple {text!r} has N = {tup.n_factors}, expected N = {n}")
+        pair.append(tup)
+        n = tup.n_factors
+    return pair
 
 
-def _cmd_exponents(args) -> int:
-    p = _parse_tuple(args.p, args.n)
-    q = _parse_tuple(args.q, args.n if args.n is not None else p.n_factors)
-    if p.n_factors != q.n_factors:
-        raise ConfigError("p and q must have the same length")
+def _cmd_exponents(args):
+    p, q = _parse_pair(args)
     result = check_conditions(args.criterion, p, q)
-    report = _report_skeleton("exponents", {
-        "n": p.n_factors, "p": str(p), "q": str(q), "criterion": args.criterion,
-    })
-    report["checks"].append({
-        "name": f"condition[{args.criterion}]",
-        "value": 0.0 if result.holds else 1.0,
-        "tolerance": None,
-        "pass": result.holds,
-    })
-    report["condition"] = result.as_dict()
-    report["timing"] = {"total_s": time.time() - args.t0}
-    _emit(report, args)
-    return _exit_code(report)
+    config = {"n": p.n_factors, "p": str(p), "q": str(q), "criterion": args.criterion}
+    check = suites.Check(f"condition[{args.criterion}]", 0.0 if result.holds else 1.0,
+                         None, result.holds)
+    return config, [check], {"condition": result.as_dict()}, None
 
 
-def _cmd_interpolate(args) -> int:
-    p = _parse_tuple(args.p, args.n)
-    q = _parse_tuple(args.q, args.n if args.n is not None else p.n_factors)
+def _cmd_interpolate(args):
+    p, q = _parse_pair(args)
     cert = construct_interpolation(p, q)
-    report = _report_skeleton("interpolate", {"p": str(p), "q": str(q)})
     consistent = (not cert.feasible) or cert.residual <= args.tolerance
-    report["checks"].append({
-        "name": "certificate-consistency",
-        "value": cert.residual,
-        "tolerance": args.tolerance,
-        "pass": bool(consistent),
-    })
-    report["certificate"] = cert.as_dict()
-    report["timing"] = {"total_s": time.time() - args.t0}
-    _emit(report, args)
-    return _exit_code(report)
+    check = suites.Check("certificate-consistency", cert.residual, args.tolerance,
+                         bool(consistent))
+    return {"p": str(p), "q": str(q)}, [check], {"certificate": cert.as_dict()}, None
 
 
-def _cmd_identities(args) -> int:
+def _cmd_identities(args):
+    if args.grid > 32:
+        raise ConfigError("the identity product suite is capped at --grid 32")
     checks = []
     checks += suites.suite_involution(seed=args.seed)
     checks += suites.suite_convention(seed=args.seed + 1)
-    checks += suites.suite_products(n=min(args.grid, 32), seed=args.seed + 2)
+    checks += suites.suite_products(n=args.grid, seed=args.seed + 2)
     checks += suites.suite_routes(seed=args.seed + 3)
     checks += suites.suite_kernel_factorization(seed=args.seed + 4)
-    report = _report_skeleton("identities", {"grid": args.grid, "seed": args.seed})
-    report["checks"] = [c.as_dict() for c in checks]
-    report["timing"] = {"total_s": time.time() - args.t0}
-    _emit(report, args)
-    return _exit_code(report)
+    return {"grid": args.grid, "seed": args.seed}, checks, {}, None
 
 
-def _cmd_representation(args) -> int:
+def _cmd_representation(args):
     if args.grid > 8:
         raise ConfigError("representation quadrature is capped at --grid 8")
     checks = suites.suite_representation(n=args.grid, seed=args.seed)
-    report = _report_skeleton("representation", {"grid": args.grid, "seed": args.seed})
-    report["checks"] = [c.as_dict() for c in checks]
-    report["timing"] = {"total_s": time.time() - args.t0}
-    _emit(report, args)
-    return _exit_code(report)
+    return {"grid": args.grid, "seed": args.seed}, checks, {}, None
 
 
-def _cmd_ratio(args) -> int:
-    p = _parse_tuple(args.p, args.n)
-    q = _parse_tuple(args.q, args.n if args.n is not None else p.n_factors)
-    if p.n_factors != q.n_factors:
-        raise ConfigError("p and q must have the same length")
+def _cmd_ratio(args):
+    p, q = _parse_pair(args)
     n_slots = p.n_factors + 1
     weights = (parse_weight_list(args.weights, n_slots)
                if args.weights else (unit_weight(),) * n_slots)
@@ -158,33 +140,22 @@ def _cmd_ratio(args) -> int:
     cfg = RatioConfig(p, q, tuple(weights), args.mode, args.measure, "cli")
     rep = ratio_experiment_multi([cfg], ensemble, phase)[0]
     finite = all(r is None or (r == r and r != float("inf")) for r in rep.ratios)
-    report = _report_skeleton("ratio", {
+    config = {
         "p": str(p), "q": str(q), "weights": list(rep.weights), "mode": args.mode,
         "measure": args.measure, "grid": args.grid, "seed": args.seed,
         "samples": args.samples, "atoms": args.atoms,
-    })
-    report["checks"].append({
-        "name": "ratios-finite", "value": 0.0 if finite else 1.0,
-        "tolerance": None, "pass": bool(finite),
-    })
-    report["ratio_report"] = rep.as_dict()
-    report["timing"] = {"total_s": time.time() - args.t0}
-    _emit(report, args, csv_text=rep.to_csv())
-    return _exit_code(report)
+    }
+    check = suites.Check("ratios-finite", 0.0 if finite else 1.0, None, bool(finite))
+    return config, [check], {"ratio_report": rep.as_dict()}, rep.to_csv()
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     checks = []
     checks += suites.suite_exponent_combinatorics(trials=args.trials, seed=args.seed)
     checks += suites.suite_worked_instance()
     checks += suites.suite_interpolation(trials=args.cert_trials, seed=args.seed + 1)
-    report = _report_skeleton("sweep", {
-        "trials": args.trials, "cert_trials": args.cert_trials, "seed": args.seed,
-    })
-    report["checks"] = [c.as_dict() for c in checks]
-    report["timing"] = {"total_s": time.time() - args.t0}
-    _emit(report, args)
-    return _exit_code(report)
+    config = {"trials": args.trials, "cert_trials": args.cert_trials, "seed": args.seed}
+    return config, checks, {}, None
 
 
 def _with_config(argv: list[str], config: dict) -> list[str]:
@@ -260,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--weights", help="comma-separated weight literals (one per slot)")
     sp.add_argument("--mode", choices=("weyl", "twist"), default="weyl")
     sp.add_argument("--measure", choices=("quadrature", "counting"), default="quadrature")
-    sp.add_argument("--grid", type=int, default=16)
+    # default_window is truncation-safe from n = 16 up
+    sp.add_argument("--grid", type=_at_least(16), default=16)
     sp.add_argument("--samples", type=_at_least(1), default=50)
     sp.add_argument("--atoms", type=_at_least(1), default=2)
     common(sp)
@@ -299,7 +271,7 @@ def main(argv=None) -> int:
         return 2
     args.t0 = time.time()
     try:
-        return args.func(args)
+        return _run(args)
     except (ConfigError, ExponentError, GridError, WeightError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

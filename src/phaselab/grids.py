@@ -12,9 +12,7 @@ coordinate shear of the operator calculus grid-aligned.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -324,46 +322,3 @@ def base_gaussian(grid: Grid, center: float | Sequence[float] = 0.0, width: floa
         envelope = envelope + delta**2
         phase_arg = phase_arg + frequency[i] * c
     return GridFunction(grid, np.exp(-envelope / (2 * width**2)) * np.exp(1j * phase_arg))
-
-
-# -- serialisation -----------------------------------------------------------
-
-def gridfunction_header(f: GridFunction) -> dict:
-    return {"d": f.grid.dim, "n": f.grid.count, "h": f.grid.spacing}
-
-
-def gridfunction_to_json(f: GridFunction) -> str:
-    """One JSON document: grid metadata header plus interleaved re/im samples."""
-    flat = np.ascontiguousarray(f.values).ravel()
-    data = np.empty(2 * flat.size)
-    data[0::2] = flat.real
-    data[1::2] = flat.imag
-    return json.dumps({**gridfunction_header(f), "data": data.tolist()})
-
-
-def gridfunction_from_json(text: str) -> GridFunction:
-    doc = json.loads(text)
-    grid = Grid(int(doc["d"]), int(doc["n"]), float(doc["h"]))
-    data = np.asarray(doc["data"], dtype=float)
-    vals = (data[0::2] + 1j * data[1::2]).reshape(grid.shape)
-    return GridFunction(grid, vals)
-
-
-def gridfunction_to_bytes(f: GridFunction) -> bytes:
-    """Header line (JSON) + little-endian float64 interleaved re/im, row-major."""
-    header = json.dumps(gridfunction_header(f)).encode() + b"\n"
-    flat = np.ascontiguousarray(f.values).ravel()
-    data = np.empty(2 * flat.size)
-    data[0::2] = flat.real
-    data[1::2] = flat.imag
-    return header + struct.pack(f"<{data.size}d", *data)
-
-
-def gridfunction_from_bytes(blob: bytes) -> GridFunction:
-    header, _, payload = blob.partition(b"\n")
-    doc = json.loads(header.decode())
-    grid = Grid(int(doc["d"]), int(doc["n"]), float(doc["h"]))
-    count = 2 * grid.count**grid.dim
-    data = np.asarray(struct.unpack(f"<{count}d", payload), dtype=float)
-    vals = (data[0::2] + 1j * data[1::2]).reshape(grid.shape)
-    return GridFunction(grid, vals)

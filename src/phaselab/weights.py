@@ -33,7 +33,7 @@ class WeightError(ValueError):
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Declarative weight; evaluation happens in :meth:`__call__`."""
+    """Declarative weight; :meth:`evaluate_grid` evaluates it (``__call__`` at one point)."""
 
     kind: str  # unit | poly | exp | split | product
     param: float = 0.0
@@ -52,52 +52,30 @@ class WeightSpec:
             raise WeightError("product weight needs at least one factor")
 
     def __call__(self, point: Sequence[float]) -> float:
-        return float(self.evaluate_blocks(np.asarray(point, dtype=float)))
+        return np.asarray(self.evaluate_grid(np.asarray(point, dtype=float))).item()
 
-    def evaluate_blocks(self, point: np.ndarray) -> float:
+    def evaluate_grid(self, coords: Sequence[np.ndarray], log: bool = False) -> np.ndarray:
+        """Broadcast evaluation over per-axis coordinate arrays.
+
+        ``log`` returns the natural log of the weight, which keeps escape-ray
+        probes inside float range.
+        """
         if self.kind == "unit":
-            return 1.0
+            return np.zeros(1) if log else np.ones(1)
         if self.kind == "poly":
-            return float((1.0 + np.dot(point, point)) ** (self.param / 2))
+            sq = sum(c**2 for c in coords)
+            return self.param / 2 * np.log1p(sq) if log else (1.0 + sq) ** (self.param / 2)
         if self.kind == "exp":
-            return float(math.exp(self.param * math.sqrt(np.dot(point, point))))
+            sq = sum(c**2 for c in coords)
+            return self.param * np.sqrt(sq) if log else np.exp(self.param * np.sqrt(sq))
         if self.kind == "split":
-            if len(point) % 2:
+            if len(coords) % 2:
                 raise WeightError("split weight needs an even-dimensional argument")
-            half = len(point) // 2
-            part = point[:half] if self.block == "X" else point[half:]
-            return self.inner[0].evaluate_blocks(part)
-        return float(np.prod([w.evaluate_blocks(point) for w in self.inner]))
-
-    def log_evaluate(self, point: np.ndarray) -> float:
-        """Natural log of the weight; keeps escape-ray probes inside float range."""
-        point = np.asarray(point, dtype=float)
-        if self.kind == "unit":
-            return 0.0
-        if self.kind == "poly":
-            return float(self.param / 2 * math.log1p(np.dot(point, point)))
-        if self.kind == "exp":
-            return float(self.param * math.sqrt(np.dot(point, point)))
-        if self.kind == "split":
-            half = len(point) // 2
-            part = point[:half] if self.block == "X" else point[half:]
-            return self.inner[0].log_evaluate(part)
-        return float(sum(w.log_evaluate(point) for w in self.inner))
-
-    def evaluate_grid(self, coords: Sequence[np.ndarray]) -> np.ndarray:
-        """Broadcast evaluation over per-axis coordinate arrays."""
-        if self.kind == "unit":
-            return np.ones(1)
-        if self.kind == "poly":
-            sq = sum(c**2 for c in coords)
-            return (1.0 + sq) ** (self.param / 2)
-        if self.kind == "exp":
-            sq = sum(c**2 for c in coords)
-            return np.exp(self.param * np.sqrt(sq))
-        if self.kind == "split":
             half = len(coords) // 2
             part = coords[:half] if self.block == "X" else coords[half:]
-            return self.inner[0].evaluate_grid(part)
+            return self.inner[0].evaluate_grid(part, log)
+        if log:
+            return sum(w.evaluate_grid(coords, log) for w in self.inner)
         out = np.ones(1)
         for w in self.inner:
             out = out * w.evaluate_grid(coords)
@@ -191,46 +169,44 @@ def verify_moderate(w: WeightSpec, v: WeightSpec, samples: np.ndarray) -> tuple[
     where ``worst_ratio`` is the smallest admissible ``C`` on the samples and
     ``ok`` flags it as finite.
     """
-    worst = 0.0
-    for x, y in samples:
-        ratio = w(x + y) / (w(x) * v(y))
-        worst = max(worst, ratio)
+    x, y = samples[:, 0].T, samples[:, 1].T
+    ratios = w.evaluate_grid(x + y) / (w.evaluate_grid(x) * v.evaluate_grid(y))
+    worst = float(np.max(ratios, initial=0.0))
     return bool(np.isfinite(worst)), worst
 
 
 def _tuple_arguments(kind: str, points: np.ndarray, A: np.ndarray | None, d: int) -> np.ndarray:
-    """Arguments fed to each weight for one sampled tuple ``(X_0..X_N)``.
+    """Arguments fed to each weight for sampled tuples ``(X_0..X_N)``.
 
-    Returns an array of shape ``(N + 1, 4d)``: row 0 is the output-slot
-    argument, row j >= 1 belongs to the j-th factor.
+    ``points`` has shape ``(tuples, N + 1, 2d)``; returns shape
+    ``(tuples, N + 1, 4d)``: slot 0 is the output-slot argument, slot j >= 1
+    belongs to the j-th factor, whose pair is ``(X_j, X_{j-1})`` (slot 0
+    pairs ``(X_N, X_0)``).
     """
-    n_plus_1 = points.shape[0]
-    out = np.empty((n_plus_1, 4 * d))
-    pairs = [(points[-1], points[0])] + [(points[j], points[j - 1]) for j in range(1, n_plus_1)]
-    for row, (X, Y) in enumerate(pairs):
-        if kind == "weyl":
-            out[row] = np.concatenate([X + Y, X - Y])
-        elif kind == "twist":
-            out[row] = np.concatenate([X - Y, X + Y])
-        elif kind == "a-calculus":
-            x, xi = X[:d], X[d:]
-            y, eta = Y[:d], Y[d:]
-            out[row] = np.concatenate([y + A @ (x - y), xi + A.T @ (eta - xi), eta - xi, x - y])
-        else:
-            raise WeightError(f"unknown condition kind {kind!r}")
-    return out
+    X = np.concatenate([points[:, -1:], points[:, 1:]], axis=1)
+    Y = np.concatenate([points[:, :1], points[:, :-1]], axis=1)
+    if kind == "weyl":
+        return np.concatenate([X + Y, X - Y], axis=-1)
+    if kind == "twist":
+        return np.concatenate([X - Y, X + Y], axis=-1)
+    if kind == "a-calculus":
+        x, xi = X[..., :d], X[..., d:]
+        y, eta = Y[..., :d], Y[..., d:]
+        return np.concatenate([y + (x - y) @ A.T, xi + (eta - xi) @ A, eta - xi, x - y], axis=-1)
+    raise WeightError(f"unknown condition kind {kind!r}")
 
 
 #: geometric ray ladder; the far end is what catches slowly decaying products
 RAY_RADII = (1.0, 1e1, 1e2, 1e4, 1e6, 1e8)
 
 
-def _escape_tuples(n_factors: int, d: int) -> list[np.ndarray]:
+def _escape_tuples(n_factors: int, d: int) -> np.ndarray:
     """Deterministic rays probing the generic failure directions.
 
     Sends single points, the two end points in opposite directions, and the
     whole tuple off along each coordinate axis, over a geometric radius
-    ladder; log-space evaluation keeps even the far rays finite.
+    ladder; log-space evaluation keeps even the far rays finite.  Returns
+    shape ``(rays, n_factors + 1, 2d)``.
     """
     tuples = []
     dim = 2 * d
@@ -246,7 +222,7 @@ def _escape_tuples(n_factors: int, d: int) -> list[np.ndarray]:
             pts[-1], pts[0] = e, -e
             tuples.append(pts)
             tuples.append(np.tile(e, (n_factors + 1, 1)))
-    return tuples
+    return np.array(tuples)
 
 
 def product_weight_condition(
@@ -277,14 +253,10 @@ def product_weight_condition(
     else:
         A = None
     rng = np.random.default_rng(seed)
-    log_inf = math.inf
-    tuples = _escape_tuples(n_factors, d)
-    for k in range(sample_count):
-        pts = rng.uniform(-radius, radius, size=(n_factors + 1, 2 * d))
-        tuples.append(pts)
-    for pts in tuples:
-        args = _tuple_arguments(kind, pts, A, d)
-        log_prod = sum(w.log_evaluate(args[row]) for row, w in enumerate(weights))
-        log_inf = min(log_inf, log_prod)
+    points = np.concatenate([_escape_tuples(n_factors, d),
+                             rng.uniform(-radius, radius, size=(sample_count, n_factors + 1, 2 * d))])
+    args = _tuple_arguments(kind, points, A, d)
+    log_prod = sum(w.evaluate_grid(args[:, slot].T, log=True) for slot, w in enumerate(weights))
+    log_inf = float(np.min(log_prod))
     inf_estimate = math.exp(log_inf) if log_inf > -745 else 0.0
     return bool(inf_estimate >= INF_THRESHOLD), float(inf_estimate)

@@ -333,30 +333,6 @@ def weyl_product_via_operators(a: GridFunction, b: GridFunction) -> GridFunction
     return compose_via_matrices(a, b, 0.5)
 
 
-def operator_matrix_to_json(M: OperatorMatrix) -> str:
-    """One JSON document: base-grid header plus interleaved re/im entries,
-    row-major (same layout contract as the grid-function serializers)."""
-    import json
-
-    flat = np.ascontiguousarray(M.matrix).ravel()
-    data = np.empty(2 * flat.size)
-    data[0::2] = flat.real
-    data[1::2] = flat.imag
-    return json.dumps({"d": M.base.dim, "n": M.base.count, "h": M.base.spacing,
-                       "data": data.tolist()})
-
-
-def operator_matrix_from_json(text: str) -> OperatorMatrix:
-    import json
-
-    doc = json.loads(text)
-    base = Grid(int(doc["d"]), int(doc["n"]), float(doc["h"]))
-    data = np.asarray(doc["data"], dtype=float)
-    size = base.count**base.dim
-    mat = (data[0::2] + 1j * data[1::2]).reshape(size, size)
-    return OperatorMatrix(base, mat)
-
-
 # -- calculi transform and general quantizations ------------------------------
 
 def calculi_transform(a: GridFunction, A1, A2) -> GridFunction:

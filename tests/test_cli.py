@@ -2,6 +2,9 @@
 
 import json
 import math
+import pathlib
+import runpy
+import sys
 
 import pytest
 
@@ -74,11 +77,11 @@ def test_representation_command(capsys):
 
 
 def test_ratio_json_and_csv(capsys, tmp_path):
-    args = ("ratio", "--p", "2,2,2,2", "--q", "2,2,2,2", "--grid", "8",
+    args = ("ratio", "--p", "2,2,2,2", "--q", "2,2,2,2", "--grid", "16",
             "--samples", "3", "--seed", "9")
     code, doc = run_json(capsys, *args)
     assert code == 0
-    assert doc["ratio_report"]["grid_n"] == 8
+    assert doc["ratio_report"]["grid_n"] == 16
     assert len(doc["ratio_report"]["ratios"]) == 3
     out_path = tmp_path / "ratios.csv"
     code, out, err = run(capsys, *args, "--emit", "csv", "--out", str(out_path))
@@ -91,14 +94,14 @@ def test_ratio_weights_literals(capsys):
     code, doc = run_json(capsys, "ratio", "--p", "2,inf,2,2", "--q", "2,1,2,2",
                          "--weights",
                          "split:poly:s=-1@Y,split:poly:s=1@Y,split:poly:s=1@Y,split:poly:s=1@Y",
-                         "--grid", "8", "--samples", "2")
+                         "--grid", "16", "--samples", "2")
     assert code == 0
     assert doc["ratio_report"]["weights"][0] == "split:poly:s=-1@Y"
 
 
 def test_ratio_bad_weights_exit_two(capsys):
     code, out, err = run(capsys, "ratio", "--p", "2,2,2,2", "--q", "2,2,2,2",
-                         "--weights", "unit,unit", "--grid", "8", "--samples", "1")
+                         "--weights", "unit,unit", "--grid", "16", "--samples", "1")
     assert code == 2
 
 
@@ -135,17 +138,23 @@ def _strip_timing(doc):
     return doc
 
 
-def test_report_determinism_excluding_timing(capsys, tmp_path):
-    args = ("ratio", "--p", "2,2,2,2", "--q", "2,2,2,2", "--grid", "8",
-            "--samples", "3", "--seed", "41")
-    _, doc1 = run_json(capsys, *args)
-    _, doc2 = run_json(capsys, *args)
-    assert json.dumps(_strip_timing(doc1), sort_keys=True) == \
-        json.dumps(_strip_timing(doc2), sort_keys=True)
-    _, rep1 = run_json(capsys, "representation", "--grid", "8", "--seed", "3")
-    _, rep2 = run_json(capsys, "representation", "--grid", "8", "--seed", "3")
-    assert json.dumps(_strip_timing(rep1), sort_keys=True) == \
-        json.dumps(_strip_timing(rep2), sort_keys=True)
+def test_report_determinism_excluding_timing(capsys):
+    # every subcommand at a tiny size: the shared runner writes each report
+    for args in [
+        ("exponents", "--p", "2,inf,2,2", "--q", "2,1,2,2"),
+        ("interpolate", "--p", "2,2,2,2", "--q", "2,2,2,2"),
+        ("identities", "--grid", "16", "--seed", "2"),
+        ("representation", "--grid", "8", "--seed", "3"),
+        ("ratio", "--p", "2,2,2,2", "--q", "2,2,2,2", "--grid", "16", "--samples", "3",
+         "--seed", "41"),
+        ("sweep", "--trials", "10", "--cert-trials", "2", "--seed", "5"),
+    ]:
+        code1, doc1 = run_json(capsys, *args)
+        code2, doc2 = run_json(capsys, *args)
+        assert code1 == code2 == 0, args
+        assert doc1["command"] == args[0] and doc1["timing"]["total_s"] >= 0
+        assert json.dumps(_strip_timing(doc1), sort_keys=True) == \
+            json.dumps(_strip_timing(doc2), sort_keys=True), args
 
 
 def _config(tmp_path, values):
@@ -170,7 +179,7 @@ def test_config_supplies_required_flags(capsys, tmp_path):
 
 
 def test_config_sets_ratio_samples(capsys, tmp_path):
-    cfg = _config(tmp_path, {"samples": 2, "grid": 8})
+    cfg = _config(tmp_path, {"samples": 2, "grid": 16})
     code, doc = run_json(capsys, "--config", cfg, "ratio", "--p", "2,2,2,2", "--q", "2,2,2,2")
     assert code == 0
     assert doc["config"]["samples"] == 2 and len(doc["ratio_report"]["ratios"]) == 2
@@ -187,7 +196,7 @@ def test_explicit_flag_overrides_config(capsys, tmp_path):
 def test_config_unknown_key_exits_two(capsys, tmp_path):
     cfg = _config(tmp_path, {"sampels": 3})
     code, out, err = run(capsys, "--config", cfg, "ratio", "--p", "2,2,2,2", "--q", "2,2,2,2",
-                         "--grid", "8", "--samples", "1")
+                         "--grid", "16", "--samples", "1")
     assert code == 2 and "sampels" in err and not out
     # a flag of another subcommand is not a flag of this one
     cfg = _config(tmp_path, {"trials": 10})
@@ -198,14 +207,14 @@ def test_config_unknown_key_exits_two(capsys, tmp_path):
 def test_config_bad_choice_exits_two(capsys, tmp_path):
     cfg = _config(tmp_path, {"mode": "bogus"})
     code, out, err = run(capsys, "--config", cfg, "ratio", "--p", "2,2,2,2", "--q", "2,2,2,2",
-                         "--grid", "8", "--samples", "1")
+                         "--grid", "16", "--samples", "1")
     assert code == 2 and "mode" in err and not out
 
 
 def test_config_bad_value_type_exits_two(capsys, tmp_path):
     cfg = _config(tmp_path, {"samples": 2.5})
     code, out, err = run(capsys, "--config", cfg, "ratio", "--p", "2,2,2,2", "--q", "2,2,2,2",
-                         "--grid", "8")
+                         "--grid", "16")
     assert code == 2 and "--samples" in err and not out
 
 
@@ -225,7 +234,7 @@ def test_parser_errors_return_two(capsys):
 
 
 SPLIT_CHAIN = "split:poly:s=-1@Y,split:poly:s=1@Y,split:poly:s=1@Y,split:poly:s=1@Y"
-SMALL_RATIO = ("ratio", "--p", "2,2,2,2", "--q", "2,2,2,2", "--grid", "8", "--samples", "1")
+SMALL_RATIO = ("ratio", "--p", "2,2,2,2", "--q", "2,2,2,2", "--grid", "16", "--samples", "1")
 
 
 @pytest.mark.parametrize("argv", [
@@ -265,3 +274,30 @@ def test_ratio_grid_64_runs(capsys):
     assert code == 0
     (ratio,) = doc["ratio_report"]["ratios"]
     assert ratio is not None and math.isfinite(ratio) and ratio > 0
+
+
+def test_ratio_grid_below_16_exits_two(capsys):
+    # default_window is truncation-safe only from n = 16 up
+    code, out, err = run(capsys, "ratio", "--p", "2,2,2,2", "--q", "2,2,2,2", "--grid", "8",
+                         "--samples", "1")
+    assert code == 2 and "--grid" in err and not out
+
+
+def test_identities_grid_above_32_exits_two(capsys):
+    # the product identities are capped at n = 32, and the report must say the size run
+    code, out, err = run(capsys, "identities", "--grid", "64")
+    assert code == 2 and "--grid 32" in err and not out
+
+
+RATIO_SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_ratio_experiments.py"
+
+
+@pytest.mark.parametrize("flags", [("--seed", "-1"), ("--samples", "0")])
+def test_ratio_script_rejects_bad_counts(capsys, monkeypatch, tmp_path, flags):
+    argv = ["--samples", "1", "--grids", "16", "--out", str(tmp_path / "r.csv"), *flags]
+    monkeypatch.setattr(sys, "argv", [str(RATIO_SCRIPT), *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(RATIO_SCRIPT), run_name="__main__")
+    assert exc.value.code == 2
+    assert flags[0] in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()

@@ -1,4 +1,4 @@
-"""Grids, Fourier transforms, Gaussian atoms, serialization."""
+"""Grids, Fourier transforms, Gaussian atoms."""
 
 import math
 
@@ -16,10 +16,6 @@ from phaselab.grids import (
     centered_character_sum,
     fourier,
     gaussian_atom,
-    gridfunction_from_bytes,
-    gridfunction_from_json,
-    gridfunction_to_bytes,
-    gridfunction_to_json,
     make_base_grid,
     make_grid,
     sigma,
@@ -258,25 +254,6 @@ def test_gridfunction_immutability_and_validation():
     bad[0, 0] = np.nan
     with pytest.raises(GridError):
         GridFunction(pg.symbol_grid, bad)
-
-
-def test_serialization_round_trips():
-    pg = make_grid(1, 16)
-    a = gaussian_atom(pg, GaussianAtomSpec((0.4, -0.3), (pg.h, 0), 0.5, 1.5 - 0.5j))
-    b = gridfunction_from_json(gridfunction_to_json(a))
-    assert b.grid == a.grid and np.array_equal(b.values, a.values)
-    c = gridfunction_from_bytes(gridfunction_to_bytes(a))
-    assert c.grid == a.grid and np.array_equal(c.values, a.values)
-
-
-def test_serialization_header_fields():
-    import json
-
-    pg = make_grid(1, 16)
-    a = gaussian_atom(pg, GaussianAtomSpec((0, 0), (0, 0), 0.5))
-    doc = json.loads(gridfunction_to_json(a))
-    assert doc["d"] == 2 and doc["n"] == 16 and doc["h"] == pytest.approx(pg.h)
-    assert len(doc["data"]) == 2 * 16 * 16
 
 
 def test_grid_dual_pairing():

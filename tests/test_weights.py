@@ -16,7 +16,7 @@ from phaselab.weights import (
     unit_weight,
     verify_moderate,
 )
-from phaselab.weights import _tuple_arguments
+from phaselab.weights import _escape_tuples, _tuple_arguments
 
 RNG = np.random.default_rng(0)
 
@@ -119,9 +119,9 @@ def test_exponential_chain_log_space():
 def test_a_calculus_half_identity_coincides_with_plain():
     """For the symmetric quantization the sheared pattern is the plain one
     after (U, V) -> (U/2, JV); checked pointwise on shared samples."""
-    pts = RNG.uniform(-3, 3, size=(4, 2))
-    args_a = _tuple_arguments("a-calculus", pts, np.array([[0.5]]), 1)
-    args_w = _tuple_arguments("weyl", pts, None, 1)
+    pts = RNG.uniform(-3, 3, size=(1, 4, 2))
+    (args_a,) = _tuple_arguments("a-calculus", pts, np.array([[0.5]]), 1)
+    (args_w,) = _tuple_arguments("weyl", pts, None, 1)
     for row_a, row_w in zip(args_a, args_w):
         U, V = row_w[:2], row_w[2:]
         assert np.allclose(row_a[:2], U / 2)
@@ -135,3 +135,114 @@ def test_condition_validation():
         product_weight_condition("a-calculus", [unit_weight()] * 4)  # missing A
     with pytest.raises(WeightError):
         product_weight_condition("nope", [unit_weight()] * 4)
+
+
+# -- scalar oracles: one point, one tuple at a time -----------------------------
+
+def _scalar_weight(w, point, log=False):
+    """One weight at one point, by plain recursion over the spec."""
+    if w.kind == "unit":
+        return 0.0 if log else 1.0
+    sq = float(np.dot(point, point))
+    if w.kind == "poly":
+        return w.param / 2 * math.log1p(sq) if log else (1.0 + sq) ** (w.param / 2)
+    if w.kind == "exp":
+        return w.param * math.sqrt(sq) if log else math.exp(w.param * math.sqrt(sq))
+    if w.kind == "split":
+        half = len(point) // 2
+        return _scalar_weight(w.inner[0], point[:half] if w.block == "X" else point[half:], log)
+    parts = [_scalar_weight(v, point, log) for v in w.inner]
+    return sum(parts) if log else math.prod(parts)
+
+
+def _scalar_arguments(kind, pts, A, d):
+    """Slot arguments of one tuple: slot 0 pairs (X_N, X_0), slot j pairs (X_j, X_{j-1})."""
+    rows = []
+    for X, Y in [(pts[-1], pts[0])] + [(pts[j], pts[j - 1]) for j in range(1, len(pts))]:
+        if kind == "weyl":
+            rows.append(np.concatenate([X + Y, X - Y]))
+        elif kind == "twist":
+            rows.append(np.concatenate([X - Y, X + Y]))
+        else:
+            x, xi, y, eta = X[:d], X[d:], Y[:d], Y[d:]
+            rows.append(np.concatenate([y + A @ (x - y), xi + A.T @ (eta - xi), eta - xi, x - y]))
+    return rows
+
+
+def _scalar_condition(kind, weights, A=None, sample_count=1000, seed=0, d=1, radius=32.0):
+    """The infimum of ``product_weight_condition`` by a loop over tuples."""
+    n_factors = len(weights) - 1
+    A = np.atleast_2d(np.asarray(A, dtype=float)) if kind == "a-calculus" else None
+    rng = np.random.default_rng(seed)
+    tuples = list(_escape_tuples(n_factors, d))
+    tuples += [rng.uniform(-radius, radius, size=(n_factors + 1, 2 * d))
+               for _ in range(sample_count)]
+    log_inf = math.inf
+    for pts in tuples:
+        args = _scalar_arguments(kind, pts, A, d)
+        log_inf = min(log_inf, sum(_scalar_weight(w, a, log=True) for w, a in zip(weights, args)))
+    return math.exp(log_inf) if log_inf > -745 else 0.0
+
+
+SPLIT_POLY = [split_weight(poly_weight(-1.0), "Y")] + [split_weight(poly_weight(1.0), "Y")] * 3
+SPLIT_EXP = [split_weight(exp_weight(-0.5), "Y")] + [split_weight(exp_weight(0.5), "Y")] * 3
+MIXED = [parse_weight("poly:s=-1*split:exp:c=-0.25@X"), poly_weight(0.5),
+         parse_weight("split:poly:s=1@X*exp:c=0.1"), split_weight(exp_weight(0.25), "Y")]
+
+
+@pytest.mark.parametrize("kind, weights, A, d", [
+    ("weyl", [unit_weight()] * 4, None, 1),
+    ("twist", [unit_weight()] * 4, None, 1),
+    ("a-calculus", [unit_weight()] * 4, 0.5, 1),
+    ("weyl", SPLIT_POLY, None, 1),
+    ("twist", SPLIT_POLY, None, 1),
+    ("weyl", [split_weight(poly_weight(-1.0), "Y")] + [unit_weight()] * 3, None, 1),
+    ("weyl", SPLIT_EXP, None, 1),
+    ("weyl", [split_weight(exp_weight(-0.5), "Y")] + [unit_weight()] * 3, None, 1),
+    ("twist", SPLIT_EXP, None, 1),
+    ("weyl", MIXED, None, 1),
+    ("a-calculus", SPLIT_POLY, 0.5, 1),
+    ("a-calculus", MIXED, 0.25, 1),
+    ("a-calculus", MIXED, [[0.25, 0.5], [0.0, 0.75]], 2),
+    ("twist", MIXED, None, 2),
+])
+def test_condition_matches_scalar_loop(kind, weights, A, d):
+    _, inf = product_weight_condition(kind, weights, A=A, sample_count=400, seed=7, d=d)
+    want = _scalar_condition(kind, weights, A=A, sample_count=400, seed=7, d=d)
+    assert inf == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("kind, A, d", [
+    ("weyl", None, 1), ("twist", None, 2), ("a-calculus", [[0.25, 0.5], [0.0, 0.75]], 2),
+])
+def test_tuple_arguments_match_scalar_loop(kind, A, d):
+    A = None if A is None else np.asarray(A)
+    pts = RNG.uniform(-3, 3, size=(50, 4, 2 * d))
+    args = _tuple_arguments(kind, pts, A, d)
+    for tup, rows in zip(pts, args):
+        assert np.allclose(rows, _scalar_arguments(kind, tup, A, d), rtol=1e-14, atol=1e-14)
+
+
+def test_verify_moderate_matches_scalar_loop():
+    samples = RNG.uniform(-5, 5, size=(200, 2, 4))
+    for w in (unit_weight(), poly_weight(1.5), poly_weight(-2.0), exp_weight(0.5),
+              split_weight(poly_weight(2.0), "Y"), *MIXED):
+        v = w.moderator()
+        _, worst = verify_moderate(w, v, samples)
+        want = max(_scalar_weight(w, x + y) / (_scalar_weight(w, x) * _scalar_weight(v, y))
+                   for x, y in samples)
+        assert worst == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_call_matches_scalar_weight():
+    for w in (unit_weight(), poly_weight(1.5), exp_weight(-0.5), *MIXED):
+        for point in RNG.uniform(-4, 4, size=(20, 4)):
+            assert w(point) == pytest.approx(_scalar_weight(w, point), rel=1e-12, abs=0.0)
+
+
+def test_split_weight_needs_even_dimension():
+    w = split_weight(poly_weight(1.0), "X")
+    with pytest.raises(WeightError):
+        w((1.0, 2.0, 3.0))
+    with pytest.raises(WeightError):
+        w.evaluate_grid(np.ix_(np.zeros(3), np.zeros(3), np.zeros(3)))

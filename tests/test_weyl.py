@@ -384,14 +384,3 @@ def test_two_dimensional_symbols_supported():
     assert _rel(weyl_product(a, one).values - a.values, a.values) < 1e-10
     M = operator_matrix(one, 0.5)
     assert np.max(np.abs(M.matrix - np.eye(M.matrix.shape[0]))) < 1e-12
-
-
-def test_operator_matrix_serialization_round_trip():
-    from phaselab.weyl import operator_matrix_from_json, operator_matrix_to_json
-
-    pg = make_grid(1, 16)
-    a = _atom_cloud(pg, 13, atoms=2, width=0.45, center_frac=0.08, modulation_frac=0.04)
-    M = operator_matrix(a, 0.5)
-    back = operator_matrix_from_json(operator_matrix_to_json(M))
-    assert back.base == M.base
-    assert np.array_equal(back.matrix, M.matrix)
