@@ -19,6 +19,7 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -43,37 +44,33 @@ class ConfigError(ValueError):
     pass
 
 
-def _emit(report: dict, args, csv_text: str | None = None) -> None:
-    if args.emit == "csv":
-        if csv_text is None:
-            raise ConfigError("this command has no CSV form; use --emit json")
-        payload = csv_text
-    else:
-        payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-
-
 def _run(args) -> int:
     """Run one subcommand and write its report; the exit code follows the checks.
 
     ``args.func`` returns ``(config, checks, sections, csv_text)``: the
     report's ``config``, its :class:`suites.Check` rows, any extra top-level
-    report sections, and the CSV form (None if there is none).
+    report sections, and the CSV form (None if there is none; the parser
+    offers ``--emit csv`` only where there is one).  ``--out`` is opened
+    before the command runs, so a path that cannot be written costs no
+    computation; it is opened for appending and emptied only when the report
+    is written, so a failed run leaves an existing file as it was (and a new
+    path as an empty file).
     """
-    config, checks, sections, csv_text = args.func(args)
-    report = {
-        "artifact": {"name": "phaselab", "version": __version__, "schema": SCHEMA_VERSION},
-        "command": args.command,
-        "config": config,
-        "checks": [c.as_dict() for c in checks],
-        **sections,
-        "timing": {"total_s": time.time() - args.t0},
-    }
-    _emit(report, args, csv_text)
+    with open(args.out, "a") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        config, checks, sections, csv_text = args.func(args)
+        report = {
+            "artifact": {"name": "phaselab", "version": __version__, "schema": SCHEMA_VERSION},
+            "command": args.command,
+            "config": config,
+            "checks": [c.as_dict() for c in checks],
+            **sections,
+            "timing": {"total_s": time.time() - args.t0},
+        }
+        payload = (csv_text if args.emit == "csv"
+                   else json.dumps(report, sort_keys=True, indent=2) + "\n")
+        if args.out:
+            fh.truncate(0)
+        fh.write(payload)
     return 0 if all(c.passed for c in checks) else 1
 
 
@@ -193,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file with default values for the flags")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--emit", choices=("json", "csv"), default="json")
+    def common(sp, emits=("json",)):
+        sp.add_argument("--emit", choices=emits, default="json")
         sp.add_argument("--out", help="output path (default: stdout)")
         sp.add_argument("--seed", type=_at_least(0), default=0)
 
@@ -235,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", type=_at_least(16), default=16)
     sp.add_argument("--samples", type=_at_least(1), default=50)
     sp.add_argument("--atoms", type=_at_least(1), default=2)
-    common(sp)
+    common(sp, emits=("json", "csv"))
     sp.set_defaults(func=_cmd_ratio)
 
     sp = sub.add_parser("sweep", help="exponent combinatorics sweeps")

@@ -24,20 +24,38 @@ the memo is per tensor, so ``PHASELAB_THREADS`` workers share nothing.  On a
 miss it reduces magnitudes shared through a second per-tensor cache: ``|V|``
 is built once per tensor and ``|V| * w`` once per (tensor, weight); both
 caches go with the tensor, which ``stft_norms`` drops once its norms are taken.
+
+The buffers stay: ``stft_norms`` writes the STFT block, ``|V|`` and each
+``|V| * w`` (one slot per distinct weight of a tensor) into a per-thread
+arena, at most one set per block layout (about 32 MiB at n = 32), so the next
+tensor reuses the pages instead of faulting in fresh ones.  Each buffer is a
+first fresh result, so reuses have its strides and the bits do not change.
+No arena buffer outlives its ``stft_norms`` call in a returned value, and the
+public functions called without ``_scratch`` allocate as before.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 import numpy as np
 
 from .exponents import Exponent
 from .grids import Grid, GridError, GridFunction
-from .stft import STFTTensor, _fits, stft, stft_blocks, symplectic_stft
+from .stft import STFTTensor, _fits, _reuse, stft, stft_blocks, symplectic_stft
 from .weights import WeightSpec
 
 FLAVORS = ("M", "W", "symplectic-M", "symplectic-W")
+
+_ARENA = threading.local()
+
+
+def _arena() -> dict:
+    """This thread's scratch buffers for ``stft_norms``, kept between calls."""
+    if not hasattr(_ARENA, "buffers"):
+        _ARENA.buffers = {}
+    return _ARENA.buffers
 
 
 def _exponent_value(p) -> float:
@@ -136,14 +154,18 @@ def _weight_tensor(weight: WeightSpec | None, shift_grid: Grid, freq_grid: Grid,
 
 
 def _magnitudes(F: STFTTensor, weight: WeightSpec | None, w: np.ndarray | None) -> np.ndarray:
-    """``|F|`` (``w`` None) or ``|F| * w``, each built once per tensor and weight."""
+    """``|F|`` (``w`` None) or ``|F| * w``, each built once per tensor and weight.
+
+    A tensor built on an arena (``F._scratch``) keeps them there too: ``|F|``
+    in the ``"abs"`` buffer and the k-th distinct weight's in slot k.
+    """
     cache = F._mags
     if None not in cache:
-        cache[None] = np.abs(F.values)
+        cache[None] = _reuse(F._scratch, "abs", np.abs, F.values)
     if w is None:
         return cache[None]
     if weight not in cache:
-        cache[weight] = cache[None] * w
+        cache[weight] = _reuse(F._scratch, len(cache), np.multiply, cache[None], w)
     return cache[weight]
 
 
@@ -166,20 +188,25 @@ def stft_norms(a: GridFunction, window: GridFunction, specs: list[MixedNormSpec]
     A tensor within ``MATERIALIZE_LIMIT`` is built once and every spec goes
     through :func:`mixed_norm`.  A larger one is walked once in blocks: per
     block ``|V|`` is taken once and ``|V| * w`` once per distinct weight, and
-    each distinct norm adds its block's partial sums (or maxima).
+    each distinct norm adds its block's partial sums (or maxima).  Either way
+    the tensor and its magnitudes live in this thread's arena buffers.
     """
     g = a.grid
+    scratch = _arena()
     if _fits(g):
-        F = symplectic_stft(a, window) if symplectic else stft(a, window)
+        build = symplectic_stft if symplectic else stft
+        F = build(a, window, _scratch=scratch)
         return [mixed_norm(F, spec) for spec in specs]
     freq_grid = g if symplectic else g.dual()
     keys = [_norm_key(spec) for spec in specs]
     cells = {key: _cells(key[4], g, freq_grid) for key in keys}
+    weights = dict.fromkeys(key[3] for key in keys if key[3] is not None)
     acc = {}
-    for rows, block in stft_blocks(a, window, symplectic):
-        mags = {None: np.abs(block)}
-        for weight in dict.fromkeys(key[3] for key in keys if key[3] is not None):
-            mags[weight] = mags[None] * _weight_tensor(weight, g, freq_grid, rows)
+    for rows, block in stft_blocks(a, window, symplectic, _scratch=scratch):
+        mags = {None: _reuse(scratch, "abs", np.abs, block)}
+        for slot, weight in enumerate(weights, start=1):
+            w = _weight_tensor(weight, g, freq_grid, rows)
+            mags[weight] = _reuse(scratch, slot, np.multiply, mags[None], w)
         for key in cells:
             combine = np.maximum if math.isinf(key[0]) else np.add
             acc[key] = combine(acc.get(key, 0.0), _partial(mags[key[3]], key, cells[key]))

@@ -6,6 +6,12 @@ every identity checked downstream.  ``stft_blocks`` yields either STFT in
 blocks of whole rows of the leading shift axis, each of at most ``2^20``
 entries (``MATERIALIZE_LIMIT``); ``stft`` and ``symplectic_stft`` are its
 one-block case and refuse tensors past that size.
+
+Every builder takes a private ``_scratch`` dict (``norms.stft_norms`` passes
+its per-thread arena): the shift stack is then written into the buffer kept
+there for its layout instead of a fresh array, so the returned values alias
+that buffer until the next STFT built with the same scratch.  Without it
+every call allocates its own tensor.
 """
 
 from __future__ import annotations
@@ -47,6 +53,8 @@ class STFTTensor:
     _norms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     #: ``|values|`` (key None) and ``|values| * w`` (key: weight) shared by ``norms.mixed_norm``
     _mags: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    #: the arena ``values`` were built in, which ``_mags`` then uses too (None: own arrays)
+    _scratch: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         expected = self.shift_grid.shape + self.freq_grid.shape
@@ -69,21 +77,40 @@ def _shifted_windows(phi: GridFunction) -> np.ndarray:
     return sliding_window_view(tiled, g.shape)[(slice(c + n, c, -1),) * g.dim]
 
 
-def _shift_stack(f: GridFunction, phi: GridFunction, rows: slice = slice(None)) -> np.ndarray:
+def _reuse(scratch: dict | None, slot, ufunc, *operands: np.ndarray) -> np.ndarray:
+    """``ufunc(*operands)``, written into ``scratch``'s buffer for ``slot`` if it has one.
+
+    The buffer is the first fresh result for ``slot`` and the operands'
+    shapes, strides and dtypes, so a reuse has exactly the memory layout (and
+    bits) a fresh call would give.  With ``scratch`` None nothing is kept.
+    """
+    if scratch is None:
+        return ufunc(*operands)
+    key = (slot, *((x.shape, x.strides, x.dtype.str) for x in operands))
+    if key not in scratch:
+        scratch[key] = ufunc(*operands)
+        return scratch[key]
+    return ufunc(*operands, out=scratch[key])
+
+
+def _shift_stack(f: GridFunction, phi: GridFunction, rows: slice = slice(None),
+                 scratch: dict | None = None) -> np.ndarray:
     """Windowed copies ``f(y) * conj(phi(y - x))`` stacked over the shifts x in ``rows``.
 
     ``rows`` selects along the leading shift axis; every other axis is whole.
     """
-    return f.values[(np.newaxis,) * f.grid.dim + (Ellipsis,)] * _shifted_windows(phi)[rows]
+    return _reuse(scratch, "block", np.multiply,
+                  f.values[(np.newaxis,) * f.grid.dim + (Ellipsis,)], _shifted_windows(phi)[rows])
 
 
-def stft(f: GridFunction, phi: GridFunction) -> STFTTensor:
+def stft(f: GridFunction, phi: GridFunction, *, _scratch: dict | None = None) -> STFTTensor:
     """Windowed unitary Fourier transform ``V_phi f``.
 
     ``V_phi f(x, xi) = (2*pi)^{-d/2} * s^d * sum_y f(y) conj(phi(y-x)) e^{-i<y, xi>}``
     with the frequency variable on the dual grid.
     """
-    return STFTTensor(f.grid, f.grid.dual(), _one_block(f, phi, False), "ordinary")
+    return STFTTensor(f.grid, f.grid.dual(), _one_block(f, phi, False, _scratch), "ordinary",
+                     _scratch=_scratch)
 
 
 def _symplectic_transform(block: np.ndarray, g: Grid, lead: int) -> np.ndarray:
@@ -101,9 +128,11 @@ def _symplectic_transform(block: np.ndarray, g: Grid, lead: int) -> np.ndarray:
     return np.moveaxis(block, src, dst)
 
 
-def symplectic_stft(a: GridFunction, Phi: GridFunction) -> STFTTensor:
+def symplectic_stft(a: GridFunction, Phi: GridFunction, *,
+                    _scratch: dict | None = None) -> STFTTensor:
     """Symplectic STFT ``(X, Y) -> pi^{-d} integral a(Z) conj(Phi(Z-X)) e^{2i sigma(Y,Z)} dZ``."""
-    return STFTTensor(a.grid, a.grid, _one_block(a, Phi, True), "symplectic")
+    return STFTTensor(a.grid, a.grid, _one_block(a, Phi, True, _scratch), "symplectic",
+                     _scratch=_scratch)
 
 
 def _fits(g: Grid) -> bool:
@@ -111,23 +140,26 @@ def _fits(g: Grid) -> bool:
     return (g.count**g.dim) ** 2 <= MATERIALIZE_LIMIT
 
 
-def _one_block(a: GridFunction, Phi: GridFunction, symplectic: bool) -> np.ndarray:
+def _one_block(a: GridFunction, Phi: GridFunction, symplectic: bool,
+               scratch: dict | None) -> np.ndarray:
     """The whole STFT as one block; past ``MATERIALIZE_LIMIT`` use ``norms.stft_norms``."""
     if not _fits(a.grid):
         raise GridError(f"tensor over {a.grid.shape} exceeds the materialization limit")
-    ((_, values),) = stft_blocks(a, Phi, symplectic)
+    ((_, values),) = stft_blocks(a, Phi, symplectic, _scratch=scratch)
     return values
 
 
-def stft_blocks(a: GridFunction, Phi: GridFunction, symplectic: bool
-                ) -> Iterator[tuple[slice, np.ndarray]]:
+def stft_blocks(a: GridFunction, Phi: GridFunction, symplectic: bool, *,
+                _scratch: dict | None = None) -> Iterator[tuple[slice, np.ndarray]]:
     """The STFT of ``a`` in blocks of whole rows of the leading shift axis.
 
     Yields ``(rows, values)`` in shift order, where ``values`` is the tensor
     restricted to leading shift indices ``rows``.  A block holds as many rows
     as fit in ``MATERIALIZE_LIMIT`` entries, so no array past the limit is
     built, and a single row past it is refused.  A tensor within the limit is
-    one block, bitwise the materialized one with its strides.
+    one block, bitwise the materialized one with its strides.  With
+    ``_scratch`` every block is written into the one buffer kept there for
+    its layout, so a block is valid only until the next is yielded.
     """
     require_same_grid(a, Phi)
     if not np.any(Phi.values):
@@ -141,7 +173,7 @@ def stft_blocks(a: GridFunction, Phi: GridFunction, symplectic: bool
         raise GridError(f"one shift row of {n ** (2 * m - 1)} entries exceeds the materialization limit")
     for start in range(0, n, step):
         rows = slice(start, min(start + step, n))
-        block = _shift_stack(a, Phi, rows)
+        block = _shift_stack(a, Phi, rows, _scratch)
         if symplectic:
             yield rows, _symplectic_transform(block, g, m)
         else:

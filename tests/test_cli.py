@@ -132,6 +132,41 @@ def test_csv_unavailable_for_suites(capsys):
     assert code == 2
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("computed before the output flags were checked")
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--trials", "10", "--cert-trials", "2", "--emit", "csv"),
+    ("identities", "--grid", "16", "--emit", "csv"),
+    ("identities", "--grid", "16", "--out", "{missing}/x.json"),
+    ("ratio", "--p", "2,2,2,2", "--q", "2,2,2,2", "--samples", "1", "--out", "{missing}/r.csv"),
+])
+def test_output_flags_checked_before_computing(capsys, monkeypatch, tmp_path, argv):
+    from phaselab import cli, suites
+
+    for name in ("suite_exponent_combinatorics", "suite_worked_instance", "suite_interpolation",
+                 "suite_involution", "suite_convention", "suite_products", "suite_routes",
+                 "suite_kernel_factorization"):
+        monkeypatch.setattr(suites, name, _refuse)
+    monkeypatch.setattr(cli, "ratio_experiment_multi", _refuse)
+    argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert ("--emit" if "csv" in argv else "missing") in err
+
+
+def test_failed_run_leaves_out_file_as_it_was(capsys, tmp_path):
+    out_path = tmp_path / "report.json"
+    out_path.write_text("previous\n")
+    code, out, err = run(capsys, "identities", "--grid", "64", "--out", str(out_path))
+    assert code == 2 and "--grid 32" in err
+    assert out_path.read_text() == "previous\n"
+    code, out, err = run(capsys, "exponents", "--p", "2,2,2,2", "--q", "2,2,2,2",
+                         "--out", str(out_path))
+    assert code == 0 and json.loads(out_path.read_text())["command"] == "exponents"
+
+
 def _strip_timing(doc):
     doc = dict(doc)
     doc.pop("timing")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import phaselab.lab
 import phaselab.norms
 import phaselab.stft
 from phaselab.exponents import Exponent
@@ -14,7 +15,7 @@ from phaselab.grids import (
     symplectic_fourier,
 )
 from phaselab.norms import MixedNormSpec, flat_norm, mixed_norm, modulation_norm, stft_norms
-from phaselab.stft import STFTTensor, symplectic_stft
+from phaselab.stft import STFTTensor, stft, stft_blocks, symplectic_stft
 from phaselab.weights import poly_weight, split_weight, unit_weight
 
 RNG = np.random.default_rng(2)
@@ -333,9 +334,9 @@ def test_sample_ratios_releases_magnitudes(monkeypatch):
     made = []
     real = phaselab.norms.symplectic_stft
 
-    def tracking(a, window):
+    def tracking(a, window, **scratch):
         assert all(ref() is None for ref in made)
-        T = real(a, window)
+        T = real(a, window, **scratch)
         made.append(weakref.ref(T))
         return T
 
@@ -349,3 +350,152 @@ def test_sample_ratios_releases_magnitudes(monkeypatch):
         _sample_ratios(drift_configs(), grp, pg, 0.5, default_window(pg), "fast")
     # 3 factors and 2 products; then 2 factors, after which every config is degenerate
     assert len(made) == 7 and all(ref() is None for ref in made)
+
+
+# -- per-thread scratch arena ------------------------------------------------------
+
+def _window(pg):
+    return gaussian_atom(pg, GaussianAtomSpec((0,) * (2 * pg.d), (0,) * (2 * pg.d), 0.45))
+
+
+def _symbols(pg, count, seed=5):
+    """``count`` different Gaussian symbols on ``pg``."""
+    rng = np.random.default_rng(seed)
+    k, r = 2 * pg.d, min(0.6, pg.symbol_grid.extent / 10)  # truncation-safe reach
+    return [gaussian_atom(pg, GaussianAtomSpec(tuple(rng.uniform(-r, r, k)),
+                                               tuple(rng.uniform(-r, r, k) * 2 / 3), 0.45))
+            for _ in range(count)]
+
+
+def _arena_specs():
+    """The drift specs plus a second Y weight and an X weight: three weight slots."""
+    w2 = split_weight(poly_weight(2.0), "Y")
+    wx = split_weight(poly_weight(1.0), "X")
+    return _drift_specs() + [MixedNormSpec(2, 1, "modulation", w2),
+                             MixedNormSpec(1.5, 3, "amalgam", wx, "counting"),
+                             MixedNormSpec(float("inf"), 2, "modulation", wx)]
+
+
+@pytest.mark.parametrize("symplectic", [True, False])
+@pytest.mark.parametrize("d, n", [(1, 16), (1, 32), (2, 4)])
+def test_arena_norms_equal_fresh_tensor_bitwise(d, n, symplectic):
+    # a stale block or magnitude buffer would give the previous symbol's norms
+    pg = make_grid(d, n)
+    Phi = _window(pg)
+    specs = _arena_specs()
+    build = symplectic_stft if symplectic else stft
+    keys = None
+    for a in _symbols(pg, 3):
+        got = stft_norms(a, Phi, specs, symplectic)
+        fresh = build(a, Phi)
+        assert got == [mixed_norm(fresh, spec) for spec in specs]
+        # one set of buffers per layout: later symbols add none
+        keys = keys or set(phaselab.norms._arena())
+        assert set(phaselab.norms._arena()) == keys
+
+
+def test_block_walk_equals_itself_without_the_arena(monkeypatch):
+    pg = make_grid(1, 64)
+    Phi = _window(pg)
+    w = split_weight(poly_weight(1.0), "Y")
+    specs = [MixedNormSpec(2, 1, "modulation", w), MixedNormSpec(1, 2, "amalgam", w, "counting"),
+             MixedNormSpec(float("inf"), 2, "modulation", split_weight(poly_weight(1.0), "X")),
+             MixedNormSpec(3, 3)]
+    a, b = _symbols(pg, 2)
+    stft_norms(a, Phi, specs)
+    warm = stft_norms(b, Phi, specs)
+    phaselab.norms._arena().clear()
+    assert stft_norms(b, Phi, specs) == warm
+    # and with no buffer kept at all, not even from block to block within the walk
+    def fresh(scratch, slot, ufunc, *operands):
+        return ufunc(*operands)
+
+    monkeypatch.setattr(phaselab.stft, "_reuse", fresh)
+    monkeypatch.setattr(phaselab.norms, "_reuse", fresh)
+    assert stft_norms(b, Phi, specs) == warm
+
+
+def test_arena_buffers_have_fresh_strides(monkeypatch):
+    pg = make_grid(1, 16)
+    Phi = _window(pg)
+    a, b = _symbols(pg, 2)
+    specs = _arena_specs()
+    for build in (symplectic_stft, stft):
+        scratch = {}
+        first = build(a, Phi, _scratch=scratch)
+        for spec in specs:
+            mixed_norm(first, spec)
+        reused = build(b, Phi, _scratch=scratch)
+        for spec in specs:
+            mixed_norm(reused, spec)
+        fresh = build(b, Phi)
+        for spec in specs:
+            mixed_norm(fresh, spec)
+        assert np.shares_memory(reused.values, first.values)
+        assert reused.values.strides == fresh.values.strides
+        assert set(reused._mags) == set(fresh._mags)
+        for k, mags in fresh._mags.items():
+            assert np.shares_memory(reused._mags[k], first._mags[k])
+            assert reused._mags[k].strides == mags.strides
+    # blocks of a walk: every block goes into one buffer with the fresh block's strides
+    monkeypatch.setattr(phaselab.stft, "MATERIALIZE_LIMIT", 4 * 16**3)
+    for symplectic in (True, False):
+        want = [(rows, block.strides) for rows, block in stft_blocks(a, Phi, symplectic)]
+        scratch = {}
+        for f in (a, b):
+            got = [(rows, block.strides)
+                   for rows, block in stft_blocks(f, Phi, symplectic, _scratch=scratch)]
+            assert got == want and len(want) == 4
+        assert len(scratch) == 1
+
+
+def test_public_tensors_never_alias_the_arena():
+    pg = make_grid(1, 16)
+    Phi = _window(pg)
+    a, b, c = _symbols(pg, 3)
+    specs = _arena_specs()
+    stft_norms(a, Phi, specs)
+    T = symplectic_stft(b, Phi)
+    V = stft(b, Phi)
+    for spec in specs:
+        mixed_norm(T, spec)
+    before = T.values.copy(), V.values.copy()
+    for symplectic in (True, False):
+        stft_norms(c, Phi, specs, symplectic)
+    arena = list(phaselab.norms._arena().values())
+    for arr in (T.values, V.values, *T._mags.values()):
+        assert not any(np.shares_memory(arr, buf) for buf in arena)
+    assert T.values.tobytes() == before[0].tobytes() and V.values.tobytes() == before[1].tobytes()
+
+
+def test_thread_workers_hold_distinct_arenas(monkeypatch):
+    import json
+    import threading
+
+    from phaselab.lab import EnsembleSpec, ratio_experiment_multi
+    from phaselab.suites import drift_configs
+
+    pg = make_grid(1, 16)
+    ens = EnsembleSpec(seed=9, count=6, atoms_per_symbol=2, width_range=(0.35, 0.5),
+                       center_radius=1.0, modulation_radius=0.7)
+    one = ratio_experiment_multi(drift_configs(), ens, pg)
+    arenas = {}
+    both_started = threading.Barrier(2, timeout=60)  # each of the 2 samples on its own worker
+    real = phaselab.lab.stft_norms
+
+    def recording(*args, **kwargs):
+        me = threading.get_ident()
+        if me not in arenas:
+            arenas[me] = phaselab.norms._arena()
+            both_started.wait()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(phaselab.lab, "stft_norms", recording)
+    monkeypatch.setenv("PHASELAB_THREADS", "2")
+    two = ratio_experiment_multi(drift_configs(), ens, pg)
+    assert (json.dumps([r.as_dict() for r in two], sort_keys=True)
+            == json.dumps([r.as_dict() for r in one], sort_keys=True))
+    assert threading.get_ident() not in arenas
+    x, y = arenas.values()
+    assert x is not y and x and y
+    assert not any(np.shares_memory(u, v) for u in x.values() for v in y.values())
