@@ -249,14 +249,22 @@ def symplectic_fourier(a: GridFunction) -> GridFunction:
     g = a.grid
     if not g.is_symplectic:
         raise GridError("symplectic transform requires a symplectically self-dual grid")
+    return GridFunction(g, _symplectic_transform(a.values, g))
+
+
+def _symplectic_transform(values: np.ndarray, g: Grid, lead: int = 0,
+                          out: np.ndarray | None = None) -> np.ndarray:
+    """The symplectic Fourier transform over the ``2d`` axes of ``values`` after ``lead``.
+
+    ``out`` is as in :func:`centered_character_sum`; the scale runs in place
+    on the result of the sums, and a ``moveaxis`` view of it is returned."""
     d = g.dim // 2
     # 2*sigma(Y, Z) = sum_i 2*h^2 [ (j_z_i - c)(k_eta_i - c) - (k_y_i - c)(j_zeta_i - c) ]
-    out = centered_character_sum(a.values, range(d), +1)
-    out = centered_character_sum(out, range(d, 2 * d), -1)
+    res = centered_character_sum(values, range(lead, lead + d), +1, out=out)
+    centered_character_sum(res, range(lead + d, lead + 2 * d), -1, out=res)
+    res *= math.pi ** (-d) * g.quadrature_weight
     # first block now pairs with eta (second output block), second with y
-    out = np.moveaxis(out, list(range(2 * d)), list(range(d, 2 * d)) + list(range(d)))
-    coeff = math.pi ** (-d) * g.quadrature_weight
-    return GridFunction(g, coeff * out)
+    return np.moveaxis(res, list(range(lead, lead + d)), list(range(lead + d, lead + 2 * d)))
 
 
 @dataclass(frozen=True)

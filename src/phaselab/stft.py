@@ -27,6 +27,7 @@ from .grids import (
     Grid,
     GridError,
     GridFunction,
+    _symplectic_transform,
     centered_character_sum,
     require_same_grid,
 )
@@ -113,21 +114,6 @@ def stft(f: GridFunction, phi: GridFunction, *, _scratch: dict | None = None) ->
                      _scratch=_scratch)
 
 
-def _symplectic_transform(block: np.ndarray, g: Grid, lead: int) -> np.ndarray:
-    """Apply the symplectic Fourier transform to the trailing ``2d`` axes.
-
-    ``block`` is the caller's own complex array: both character sums and the
-    scale run in place on it, and the result is a ``moveaxis`` view of it.
-    """
-    d = g.dim // 2
-    centered_character_sum(block, range(lead, lead + d), +1, out=block)
-    centered_character_sum(block, range(lead + d, lead + 2 * d), -1, out=block)
-    block *= math.pi ** (-d) * g.quadrature_weight
-    src = list(range(lead, lead + 2 * d))
-    dst = list(range(lead + d, lead + 2 * d)) + list(range(lead, lead + d))
-    return np.moveaxis(block, src, dst)
-
-
 def symplectic_stft(a: GridFunction, Phi: GridFunction, *,
                     _scratch: dict | None = None) -> STFTTensor:
     """Symplectic STFT ``(X, Y) -> pi^{-d} integral a(Z) conj(Phi(Z-X)) e^{2i sigma(Y,Z)} dZ``."""
@@ -175,7 +161,7 @@ def stft_blocks(a: GridFunction, Phi: GridFunction, symplectic: bool, *,
         rows = slice(start, min(start + step, n))
         block = _shift_stack(a, Phi, rows, _scratch)
         if symplectic:
-            yield rows, _symplectic_transform(block, g, m)
+            yield rows, _symplectic_transform(block, g, m, out=block)
         else:
             centered_character_sum(block, range(m, 2 * m), -1, out=block)
             block *= (2 * math.pi) ** (-m / 2) * g.quadrature_weight

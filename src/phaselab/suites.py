@@ -294,20 +294,14 @@ def _fraction_grid(step: int, length: int):
 def suite_exponent_combinatorics(trials: int = 100_000, seed: int = 6) -> list[Check]:
     """Implication-chain sweeps, conjugate duality and condition dominance."""
     checks = []
-    violations = 0
-    for x in _fraction_grid(8, 4):
-        c1, c2, c3 = implication_chain(x, "odd-pairs")
-        d1, d2, d3 = implication_chain(x, "all-pairs")
-        if (c1 and not c2) or (c2 and not c3) or (d1 and not d2) or (d2 and not d3):
-            violations += 1
-    checks.append(_verdict_check("implication-chain[N=3,step=1/8]", violations == 0))
-    violations = 0
-    for x in _fraction_grid(4, 6):
-        c1, c2, c3 = implication_chain(x, "odd-pairs")
-        d1, d2, d3 = implication_chain(x, "all-pairs")
-        if (c1 and not c2) or (c2 and not c3) or (d1 and not d2) or (d2 and not d3):
-            violations += 1
-    checks.append(_verdict_check("implication-chain[N=5,step=1/4]", violations == 0))
+    for step, length in ((8, 4), (4, 6)):
+        violations = 0
+        for x in _fraction_grid(step, length):
+            c1, c2, c3 = implication_chain(x, "odd-pairs")
+            d1, d2, d3 = implication_chain(x, "all-pairs")
+            if (c1 and not c2) or (c2 and not c3) or (d1 and not d2) or (d2 and not d3):
+                violations += 1
+        checks.append(_verdict_check(f"implication-chain[N={length - 1},step=1/{step}]", violations == 0))
 
     rng = np.random.default_rng(seed)
     conj_violations = 0

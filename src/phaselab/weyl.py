@@ -2,8 +2,9 @@
 
 Every product here is computable along two independent routes:
 
-* phase-space route: twisted convolution (direct double-sum oracle or the
-  FFT-factorized fast path) feeding the product formula;
+* phase-space route: twisted convolution (the O(n^{4d}) direct double-sum
+  oracle or the O(n^{3d} log n) FFT-factorized fast path, both at every d)
+  feeding the product formula;
 * operator route: symbols mapped to operator matrices on the companion base
   grid, composed as matrices, mapped back.
 
@@ -18,7 +19,10 @@ unitary bijection; materializing the ``(x, y)`` matrix is a sampling step.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import string
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -82,88 +86,92 @@ def _phase_table(n: int, sign: int) -> np.ndarray:
 def twisted_convolution(a: GridFunction, b: GridFunction, method: str = "fast") -> GridFunction:
     """Twisted convolution ``(2/pi)^{d/2} h^{2d} sum_Y a(X-Y) b(Y) e^{2i sigma(X,Y)}``.
 
-    ``method="direct"`` is the quadratic-cost double-sum oracle kept as the
-    permanent reference; ``method="fast"`` factors the symplectic phase into
-    per-axis transforms (FFT convolutions), identical output to roundoff.
-    The fast factorization is implemented for d = 1; higher dimensions fall
-    back to the direct path.
+    ``method="direct"`` is the O(n^{4d}) double-sum oracle kept as the
+    permanent reference; ``method="fast"`` factors the symplectic phase over
+    the d axis pairs into FFT convolutions, O(n^{3d} log n) and identical
+    output to roundoff.  Both routes run at every d.
     """
-    require_same_grid(a, b)
-    phase = _phase_of(a)
-    if method == "direct" or phase.d != 1:
-        return _twisted_direct(a, b, phase)
-    if method != "fast":
+    if method not in ("fast", "direct"):
         raise GridError(f"unknown twisted convolution method {method!r}")
-    return _twisted_fast(a, b, phase)
+    require_same_grid(a, b)
+    route = _twisted_fast if method == "fast" else _twisted_direct
+    return route(a, b, _phase_of(a))
 
 
 def _twisted_coeff(phase: PhaseGrid) -> float:
     return (2 / math.pi) ** (phase.d / 2) * phase.symbol_grid.quadrature_weight
 
 
+#: einsum subscripts, three per axis pair j: ``y_j``, ``xi_j``, ``eta_j`` (``kml`` at d = 1)
+_SUBSCRIPTS = "kml" + "".join(ch for ch in string.ascii_lowercase if ch not in "kml")
+
+
+def _spread(table: np.ndarray, axes: tuple[int, ...], ndim: int) -> np.ndarray:
+    """``table`` reshaped so that its axes lie on ``axes`` of ``ndim`` broadcast axes."""
+    return table.reshape([table.shape[axes.index(ax)] if ax in axes else 1 for ax in range(ndim)])
+
+
+def _differences(n: int) -> np.ndarray:
+    """``diff[p, q]``: index of the point ``p - q`` on a centered periodic axis of n points."""
+    return (np.arange(n)[:, None] - np.arange(n)[None, :] + n // 2) % n
+
+
+def _each_position(n: int, d: int, ndim: int):
+    """Every output position ``x`` (a d-tuple) with the ``np.ix_`` index arrays of
+    ``x - y`` over the first d of ``ndim`` axes.  They are built once, since
+    ``np.ix_`` per ``x`` costs the d = 1 fast path about 10% of its time."""
+    rows = [_spread(_differences(n), (0, 1 + j), 1 + ndim) for j in range(d)]  # leading axis: x_j
+    return zip(itertools.product(range(n), repeat=d), itertools.product(*rows))
+
+
 def _twisted_direct(a: GridFunction, b: GridFunction, phase: PhaseGrid) -> GridFunction:
-    """Direct double sum, chunked over output rows to bound memory."""
+    """Direct double sum, one output position ``x`` at a time to bound memory."""
     g = a.grid
     n, d = g.count, phase.d
-    c = n // 2
-    idx = np.arange(n)
     coeff = _twisted_coeff(phase)
-    if d == 1:
-        P = _phase_table(n, +1)  # P[p, q] = e^{2pi i (p-c)(q-c)/n}
-        out = np.empty((n, n), dtype=complex)
-        bv = b.values
-        for i1 in range(n):
-            # ag[k1, i2, k2] = a[(i1-k1) index, (i2-k2) index]
-            ag = a.values[
-                (i1 - idx[:, None, None] + c) % n,
-                (idx[None, :, None] - idx[None, None, :] + c) % n,
-            ]
-            # e^{2i sigma(X, Y)} = e^{2i(x2 y1 - x1 y2)} = P[i2, k1] * conj(P)[i1, k2]
-            term = np.einsum("kml,kl,mk,l->m", ag, bv, P, np.conj(P[i1]), optimize=True)
-            out[i1] = coeff * term
-        return GridFunction(g, out)
-    # generic dimension: flat gathered matrix in blocks
-    shape = g.shape
-    size = int(np.prod(shape))
-    coords = [ix.ravel() for ix in np.meshgrid(*[idx] * g.dim, indexing="ij")]
-    coords = np.stack(coords, axis=1)  # (size, 2d) integer indices
-    centered = coords - c
-    out = np.empty(size, dtype=complex)
-    bflat = b.values.ravel()
-    for start in range(0, size, 512):
-        stop = min(start + 512, size)
-        X = centered[start:stop]  # (chunk, 2d)
-        diff = (X[:, None, :] - centered[None, :, :] + c) % n
-        gather = a.values[tuple(diff[..., k] for k in range(g.dim))]
-        # 2*sigma(X, Y) with h^2 = pi/n: (2pi/n) * sum_i (y_i * xi_i - x_i * eta_i)
-        cross = X[:, None, d:] * centered[None, :, :d] - X[:, None, :d] * centered[None, :, d:]
-        phase_arr = np.exp(2j * np.pi * np.sum(cross, axis=2) / n)
-        out[start:stop] = coeff * np.sum(gather * phase_arr * bflat[None, :], axis=1)
-    return GridFunction(g, out.reshape(shape))
+    P = _phase_table(n, +1)  # P[p, q] = e^{2pi i (p-c)(q-c)/n}
+    Pc = np.conj(P)
+    k, m, l = (_SUBSCRIPTS[s:3 * d:3] for s in range(3))
+    spec = f"{k}{m}{l},{k}{l}," + ",".join([mj + kj for kj, mj in zip(k, m)] + list(l)) + f"->{m}"
+    # ag[y, xi, eta] = a[x - y, xi - eta] over 3d gather axes
+    freq_index = tuple(_spread(_differences(n), (d + j, 2 * d + j), 3 * d) for j in range(d))
+    out = np.empty(g.shape, dtype=complex)
+    for x, rows in _each_position(n, d, 3 * d):
+        ag = a.values[rows + freq_index]
+        # e^{2i sigma(X, Y)} = prod_j e^{2i(xi_j y_j - x_j eta_j)} = prod_j P[xi_j, y_j] Pc[x_j, eta_j]
+        term = np.einsum(spec, ag, b.values, *[P] * d, *(Pc[xj] for xj in x), optimize=True)
+        out[x] = coeff * term
+    return GridFunction(g, out)
 
 
 def _twisted_fast(a: GridFunction, b: GridFunction, phase: PhaseGrid) -> GridFunction:
-    """Per-axis factorization: FFT convolution in the second axis, explicit
-    character sum in the first (d = 1)."""
+    """Per-pair factorization: FFT convolution over the frequency axes, explicit
+    character sum over the position axes, one output position ``x`` at a time."""
     g = a.grid
-    n = g.count
-    c = n // 2
+    n, d = g.count, phase.d
     coeff = _twisted_coeff(phase)
     Pm = _phase_table(n, -1)  # e^{-2pi i (p-c)(q-c)/n}
-    Pp = np.conj(Pm)
-    # a re-indexed by physical offsets: a_off[m1, m2] = a[(m1 + c) % n, (m2 + c) % n]
-    roll_idx = (np.arange(n) + c) % n
-    a_off = a.values[roll_idx][:, roll_idx]
-    fa = np.fft.fft(a_off, axis=1)  # row-wise spectra over the second offset
-    out = np.empty((n, n), dtype=complex)
-    for i1 in range(n):
-        bmod = b.values * Pm[i1][None, :]  # b[k1, k2] e^{-2i x1 y2}
-        fb = np.fft.fft(bmod, axis=1)
-        rows = (i1 - np.arange(n)) % n  # offset index of x1 - y1 per k1
-        # circular convolution over k2: sum_k2 bmod[k1, k2] a_off[i1-k1, i2-k2]
-        conv = np.fft.ifft(fb * fa[rows], axis=1)
-        # sum over k1 with the remaining phase e^{+2i x2 y1} = Pp[i2, k1]
-        out[i1] = coeff * np.einsum("km,mk->m", conv, Pp)
+    Pp = [np.conj(Pm)] * d
+    freq_axes = range(d, 2 * d)
+    k, m, _ = (_SUBSCRIPTS[s:3 * d:3] for s in range(3))
+    spec = f"{k}{m}," + ",".join(mj + kj for kj, mj in zip(k, m)) + f"->{m}"
+    # mod[x][y, eta] = prod_j e^{-2i x_j eta_j}, broadcast over the position axes y
+    mod = functools.reduce(np.multiply, (_spread(Pm, (j, 2 * d + j), 3 * d) for j in range(d)))
+    # spectra of a over its frequency axes, each axis re-indexed by offset: a[.., (o + c) % n, ..]
+    fa = a.values
+    for ax in freq_axes:
+        fa = np.fft.fft(fa.take((np.arange(n) + n // 2) % n, axis=ax), axis=ax)
+    out = np.empty(g.shape, dtype=complex)
+    for x, rows in _each_position(n, d, d):
+        fb = b.values * mod[x]  # b(y, eta) e^{-2i x eta}
+        for ax in freq_axes:
+            fb = np.fft.fft(fb, axis=ax)
+        # circular convolution over eta: sum_eta b(y, eta) e^{-2i x eta} a(x - y, xi - eta)
+        conv = fb * fa[rows]
+        for ax in freq_axes:
+            conv = np.fft.ifft(conv, axis=ax)
+        # sum over y with the remaining phase e^{+2i xi y} = prod_j Pp[xi_j, y_j]
+        out[x] = coeff * np.einsum(spec, conv, *Pp)
     return GridFunction(g, out)
 
 

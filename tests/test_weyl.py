@@ -63,6 +63,49 @@ def pg16():
     return make_grid(1, 16)
 
 
+def _phase_table(n, sign):
+    k = np.arange(n) - n // 2
+    return np.exp(sign * 2j * np.pi * np.outer(k, k) / n)
+
+
+def _d1_fast_oracle(a, b):
+    """The single-axis-pair fast path, kept as a bitwise oracle for d = 1."""
+    n = a.grid.count
+    c = n // 2
+    coeff = (2 / math.pi) ** 0.5 * a.grid.quadrature_weight
+    Pm = _phase_table(n, -1)
+    Pp = np.conj(Pm)
+    roll_idx = (np.arange(n) + c) % n
+    a_off = a.values[roll_idx][:, roll_idx]
+    fa = np.fft.fft(a_off, axis=1)
+    out = np.empty((n, n), dtype=complex)
+    for i1 in range(n):
+        bmod = b.values * Pm[i1][None, :]
+        fb = np.fft.fft(bmod, axis=1)
+        rows = (i1 - np.arange(n)) % n
+        conv = np.fft.ifft(fb * fa[rows], axis=1)
+        out[i1] = coeff * np.einsum("km,mk->m", conv, Pp)
+    return out
+
+
+def _d1_direct_oracle(a, b):
+    """The single-axis-pair direct double sum, kept as a bitwise oracle for d = 1."""
+    n = a.grid.count
+    c = n // 2
+    idx = np.arange(n)
+    coeff = (2 / math.pi) ** 0.5 * a.grid.quadrature_weight
+    P = _phase_table(n, +1)
+    out = np.empty((n, n), dtype=complex)
+    for i1 in range(n):
+        ag = a.values[
+            (i1 - idx[:, None, None] + c) % n,
+            (idx[None, :, None] - idx[None, None, :] + c) % n,
+        ]
+        term = np.einsum("kml,kl,mk,l->m", ag, b.values, P, np.conj(P[i1]), optimize=True)
+        out[i1] = coeff * term
+    return out
+
+
 class TestTwistedConvolution:
     def test_zero_factor(self, pg16):
         a = _random_symbol(pg16)
@@ -98,9 +141,37 @@ class TestTwistedConvolution:
         assert abs(lhs - inner(b, twisted_convolution(involution(a), c))) < 1e-10 * abs(lhs)
 
     def test_unknown_method(self, pg16):
-        a = _random_symbol(pg16)
-        with pytest.raises(GridError):
-            twisted_convolution(a, a, "magic")
+        for pg in (pg16, make_grid(2, 4)):
+            a = _random_symbol(pg)
+            with pytest.raises(GridError):
+                twisted_convolution(a, a, "magic")
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_d1_routes_bitwise_unchanged(self, n):
+        pg = make_grid(1, n)
+        a, b = _random_symbol(pg), _random_symbol(pg)
+        assert np.array_equal(twisted_convolution(a, b, "fast").values, _d1_fast_oracle(a, b))
+        assert np.array_equal(twisted_convolution(a, b, "direct").values, _d1_direct_oracle(a, b))
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_d2_fast_equals_direct_oracle(self, n):
+        pg = make_grid(2, n)
+        a, b = _random_symbol(pg), _random_symbol(pg)
+        fast = twisted_convolution(a, b, "fast")
+        direct = twisted_convolution(a, b, "direct")
+        assert _rel(fast.values - direct.values, direct.values) < 1e-12
+
+    def test_d2_associativity_and_transform_exchange(self):
+        pg = make_grid(2, 8)
+        a, b, c = (_random_symbol(pg) for _ in range(3))
+        s1 = twisted_convolution(twisted_convolution(a, b), c)
+        s2 = twisted_convolution(a, twisted_convolution(b, c))
+        assert _rel(s1.values - s2.values, s1.values) < 1e-10
+        lhs = symplectic_fourier(twisted_convolution(a, b))
+        m1 = twisted_convolution(symplectic_fourier(a), b)
+        m2 = twisted_convolution(point_reflection(a), symplectic_fourier(b))
+        assert _rel(lhs.values - m1.values, lhs.values) < 1e-10
+        assert _rel(lhs.values - m2.values, lhs.values) < 1e-10
 
 
 class TestWeylProduct:
@@ -365,7 +436,6 @@ def test_quantization_matrix_validation():
 
 def test_two_dimensional_symbols_supported():
     # d = 2 stays in scope at desk scale: involution exact, products associative
-    # (the twisted convolution runs its direct path above d = 1)
     pg8 = make_grid(2, 8)
     rng = np.random.default_rng(17)
     g8 = pg8.symbol_grid
