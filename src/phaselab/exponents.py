@@ -249,18 +249,9 @@ def _jsonable(v):
     return v
 
 
-def _require_same_shape(p: ExponentTuple, q: ExponentTuple):
-    if p.n_factors != q.n_factors:
-        raise ExponentError("p and q must have the same length")
-
-
 def _require_odd(criterion: str, n_factors: int):
     if n_factors < 3 or n_factors % 2 == 0:
         raise ExponentError(f"criterion {criterion!r} needs odd N >= 3, got N = {n_factors}")
-
-
-def _scaled_ints(vals: Sequence[Fraction], common: int) -> list[int]:
-    return [v.numerator * (common // v.denominator) for v in vals]
 
 
 def _int_pair_min(x: list[int], y: list[int], n: int, scale_q: int, full: int):
@@ -293,13 +284,16 @@ def check_conditions(criterion: str, p: ExponentTuple, q: ExponentTuple) -> Cond
     ``twist``          thm-B with the roles of ``p`` and ``q`` exchanged;
     ``prop2-pattern``  membership test for the endpoint exponent patterns.
 
-    All reciprocals are exact rationals, so the whole evaluation runs in
-    common-denominator integer arithmetic and verdicts at equality (which
-    several worked instances hit) are reliable.
+    Every criterion but the pattern test compares ``max(R(1/b'), 0)`` with a
+    minimum of terms built on ``1/a``, where ``(a, b)`` is ``(p, q)``, or
+    ``(q, p)`` for ``twist``.  All reciprocals are exact rationals, so the
+    whole evaluation runs in common-denominator integer arithmetic and
+    verdicts at equality (which several worked instances hit) are reliable.
     """
     if criterion not in CRITERIA:
         raise ExponentError(f"unknown criterion {criterion!r}")
-    _require_same_shape(p, q)
+    if p.n_factors != q.n_factors:
+        raise ExponentError("p and q must have the same length")
     n = p.n_factors
     if not (p.in_banach_range() and q.in_banach_range()):
         raise ExponentError("condition predicates need exponents in [1, infinity]")
@@ -307,74 +301,47 @@ def check_conditions(criterion: str, p: ExponentTuple, q: ExponentTuple) -> Cond
     if criterion == "prop2-pattern":
         return _check_prop2_pattern(p, q)
 
-    rp = p.reciprocals()
-    rq = q.reciprocals()
-    den = 1
-    for v in itertools.chain(rp, rq):
-        den = den * v.denominator // math.gcd(den, v.denominator)
+    rp, rq = p.reciprocals(), q.reciprocals()
+    den = math.lcm(*(v.denominator for v in rp + rq))
     # common scale for every functional: pair means carry 1/(2 den), the
     # excess functionals 1/((n-1) den)
-    scale = 2 * (n - 1) * den if n >= 2 else 2 * den
-    np_ = _scaled_ints(rp, den)
-    nq_ = _scaled_ints(rq, den)
-    npc = [den - v for v in np_]
-    nqc = [den - v for v in nq_]
-
-    def excess(nums):  # value of the excess functional at the common scale
-        return 2 * (sum(nums) - den)
+    scale = 2 * max(n - 1, 1) * den
+    ip = [v.numerator * (den // v.denominator) for v in rp]
+    iq = [v.numerator * (den // v.denominator) for v in rq]
+    a, b, ia, ib = ("q", "p", iq, ip) if criterion == "twist" else ("p", "q", ip, iq)
+    ibc = [den - v for v in ib]
+    r_bc = 2 * (sum(ibc) - den)  # excess functionals at the common scale
+    r_a = 2 * (sum(ia) - den)
 
     def frac(x):
         return Fraction(x, scale)
 
-    detail: dict = {}
+    lhs = max(r_bc, 0)
+    detail = {f"R(1/{b}')": frac(r_bc), f"R(1/{a})": frac(r_a)}
     if criterion == "bilinear-base":
-        r_qc, r_p = excess(nqc), excess(np_)
-        lhs = max(r_qc, 0)
-        rhs = min(0, r_p)
-        detail = {"R(1/q')": frac(r_qc), "R(1/p)": frac(r_p)}
+        rhs = min(0, r_a)
     elif criterion == "cotowa-2.5":
-        r_qc, r_p = excess(nqc), excess(np_)
-        lhs = max(r_qc, 0)
-        entrywise = 2 * (n - 1) * min(min(np_), min(npc), min(nq_), min(nqc))
-        rhs = min(entrywise, r_p)
-        detail = {"R(1/q')": frac(r_qc), "R(1/p)": frac(r_p),
-                  "entrywise_min": frac(entrywise)}
-    elif criterion in ("prop-A", "thm-B"):
+        entrywise = 2 * (n - 1) * min(min(ip), min(iq), den - max(ip), den - max(iq))
+        rhs = min(entrywise, r_a)
+        detail["entrywise_min"] = frac(entrywise)
+    else:
         _require_odd(criterion, n)
-        r_qc, r_p = excess(nqc), excess(np_)
-        _, q_p, arg_p = _int_pair_min(np_, np_, n, n - 1, scale)
-        plain_qc, q_qc, arg_qc = _int_pair_min(nqc, nqc, n, n - 1, scale)
-        _, q_pq, arg_pq = _int_pair_min(np_, nq_, n, n - 1, scale)
-        lhs = max(r_qc, 0)
-        qc_term = q_qc if criterion == "prop-A" else plain_qc
-        rhs = min(q_p, qc_term, q_pq, r_p)
-        detail = {
-            "R(1/q')": frac(r_qc),
-            "R(1/p)": frac(r_p),
-            "Q(1/p)": frac(q_p),
-            "Q(1/q')": frac(q_qc),
-            "Q0(1/q')": frac(plain_qc),
+        _, q_a, arg_a = _int_pair_min(ia, ia, n, n - 1, scale)
+        plain_bc, q_bc, arg_bc = _int_pair_min(ibc, ibc, n, n - 1, scale)
+        _, q_pq, arg_pq = _int_pair_min(ip, iq, n, n - 1, scale)
+        rhs = min(q_a, q_bc if criterion == "prop-A" else plain_bc, q_pq, r_a)
+        detail.update({
+            f"Q(1/{a})": frac(q_a),
+            f"Q(1/{b}')": frac(q_bc),
+            f"Q0(1/{b}')": frac(plain_bc),
             "Q(1/p,1/q)": frac(q_pq),
-            "argmin(1/p)": arg_p,
-            "argmin(1/q')": arg_qc,
+            f"argmin(1/{a})": arg_a,
+            f"argmin(1/{b}')": arg_bc,
             "argmin(1/p,1/q)": arg_pq,
-        }
-    else:  # twist: p and q change roles
-        _require_odd(criterion, n)
-        r_pc, r_q = excess(npc), excess(nq_)
-        _, q_q, _ = _int_pair_min(nq_, nq_, n, n - 1, scale)
-        plain_pc, _, _ = _int_pair_min(npc, npc, n, n - 1, scale)
-        _, q_pq, arg_pq = _int_pair_min(np_, nq_, n, n - 1, scale)
-        lhs = max(r_pc, 0)
-        rhs = min(q_q, plain_pc, q_pq, r_q)
-        detail = {
-            "R(1/p')": frac(r_pc),
-            "R(1/q)": frac(r_q),
-            "Q(1/q)": frac(q_q),
-            "Q0(1/p')": frac(plain_pc),
-            "Q(1/p,1/q)": frac(q_pq),
-            "argmin(1/p,1/q)": arg_pq,
-        }
+        })
+        if criterion == "twist":  # the twist report keeps its six entries
+            for key in ("Q(1/p')", "argmin(1/q)", "argmin(1/p')"):
+                del detail[key]
 
     holds = lhs <= rhs  # exact integer comparison at the common scale
     return ConditionReport(criterion, bool(holds), float(frac(lhs)), float(frac(rhs)), detail)
@@ -522,101 +489,71 @@ def construct_interpolation(p: ExponentTuple, q: ExponentTuple) -> Interpolation
     """Search for interpolation parameters reproducing ``(p, q)``.
 
     Requires the ``prop-A`` condition to hold; raises :class:`ExponentError`
-    otherwise.  The returned certificate never claims feasibility unless the
-    mixing equations, the endpoint budget and the reciprocal ranges verify
-    exactly; when no admissible ``v`` exists the best violation found over
-    the search grid is reported instead.
+    otherwise.  With ``theta = 2 max(R(1/q'), 0)`` each branch picks the
+    candidates for ``1/v``, and one search solves the mixing equations for
+    ``1/r`` and ``1/s`` at each candidate in turn:
+
+    ``theta-zero``     ``theta = 0``: ``v = 2``, and then ``r = p``, ``s = q``;
+    ``delegated-2.5``  every reciprocal above ``theta/2`` and ``cotowa-2.5``
+                       holding: the self-conjugate ``v = 2`` verifies;
+    ``endpoint-mix``   otherwise: the proof's choice ``1/v = m / theta``, ``m`` the
+                       least reciprocal of ``p`` and ``q`` (kept when at most 1),
+                       then the fixed grid ``V_GRID``.
+
+    The returned certificate never claims feasibility unless the mixing
+    equations, the endpoint budget and the reciprocal ranges verify exactly;
+    when no candidate verifies, the branch reads ``infeasible`` and the best
+    violation found, with ``r`` and ``s`` clipped to ``[1, infinity]``, is
+    reported instead.
     """
-    precheck = check_conditions("prop-A", p, q)
-    if not precheck.holds:
+    if not check_conditions("prop-A", p, q).holds:
         raise ExponentError("rejected input: prop-A condition fails for (p, q)")
-    n = p.n_factors
-    rp = p.reciprocals()
-    rq = q.reciprocals()
+    rp, rq = p.reciprocals(), q.reciprocals()
     r_qc = holder_excess(conjugate_reciprocals(rq))
     theta = 2 * max(r_qc, Fraction(0))
+    min_recip = min(min(rp), min(rq))
 
     if theta == 0:
-        resid = _certificate_residual(p, q, theta, Fraction(1, 2), rp, rq)
-        return InterpolationCertificate(
-            theta=theta,
-            v=Exponent(Fraction(1, 2)),
-            r=p,
-            s=q,
-            feasible=resid == 0,
-            residual=float(resid),
-            branch="theta-zero",
-            detail={"R(1/q')": r_qc},
-        )
-
-    min_recip = min(min(rp), min(rq))
-    delegated = min_recip > theta / 2
-
-    if delegated:
-        # the entrywise regime: the fixed self-conjugate v always verifies
-        cotowa = check_conditions("cotowa-2.5", p, q)
-        v_recip = Fraction(1, 2)
-        r_recips = [_mix_target(x, theta, v_recip, j % 2 == 0) for j, x in enumerate(rp)]
-        s_recips = [_mix_target(x, theta, v_recip, j % 2 == 0) for j, x in enumerate(rq)]
-        resid = _certificate_residual(p, q, theta, v_recip, r_recips, s_recips)
-        feasible = resid == 0
-        return InterpolationCertificate(
-            theta=theta,
-            v=Exponent(v_recip),
-            r=ExponentTuple.from_reciprocals(r_recips),
-            s=ExponentTuple.from_reciprocals(s_recips),
-            feasible=feasible,
-            residual=float(resid),
-            branch="delegated-2.5",
-            detail={"cotowa-2.5": cotowa.holds, "min_reciprocal": min_recip},
-        )
-
-    # general case: scan v candidates; the proof's own choice first
-    candidates: list[Fraction] = []
-    if min_recip > 0:
-        natural = min_recip / theta  # 1/v from 1/p_0 = theta/v
-        if 0 <= natural <= 1:
-            candidates.append(natural)
+        branch, candidates, detail = "theta-zero", [Fraction(1, 2)], {"R(1/q')": r_qc}
+    elif min_recip > theta / 2 and check_conditions("cotowa-2.5", p, q).holds:
+        branch, candidates = "delegated-2.5", [Fraction(1, 2)]
+        detail = {"cotowa-2.5": True, "min_reciprocal": min_recip}
     else:
-        candidates.append(Fraction(0))  # v = infinity
-    for g in V_GRID:
-        v_recip = Fraction(1) / g if g > 0 else Fraction(0)
-        if v_recip not in candidates:
-            candidates.append(v_recip)
+        natural = min_recip / theta  # 1/v from 1/p_0 = theta/v; 0 is v = infinity
+        grid = [1 / g if g > 0 else g for g in V_GRID]
+        candidates = list(dict.fromkeys(([natural] if natural <= 1 else []) + grid))
+        branch = "endpoint-mix"
+        detail = {"candidates_tried": len(candidates), "min_reciprocal": min_recip}
 
-    best_resid = None
-    best = None
+    best_resid = best = None
     for v_recip in candidates:
         if theta == 1:
             # mixing weights collapse: p and q must equal the alternating
             # pattern themselves and the base tuples are unconstrained; the
             # all-ones choice satisfies the endpoint budget trivially
-            r_recips = [Fraction(1)] * (n + 1)
-            s_recips = [Fraction(1)] * (n + 1)
-            resid = _certificate_residual(p, q, theta, v_recip, r_recips, s_recips)
+            r_recips = s_recips = [Fraction(1)] * len(rp)
         else:
-            r_recips = [_mix_target(x, theta, v_recip, j % 2 == 0) for j, x in enumerate(rp)]
-            s_recips = [_mix_target(x, theta, v_recip, j % 2 == 0) for j, x in enumerate(rq)]
-            resid = _certificate_residual(p, q, theta, v_recip, r_recips, s_recips)
+            r_recips, s_recips = ([_mix_target(x, theta, v_recip, j % 2 == 0)
+                                   for j, x in enumerate(xs)] for xs in (rp, rq))
+        resid = _certificate_residual(p, q, theta, v_recip, r_recips, s_recips)
         if best_resid is None or resid < best_resid:
-            best_resid = resid
-            best = (v_recip, r_recips, s_recips)
+            best_resid, best = resid, (v_recip, r_recips, s_recips)
         if resid == 0:
             break
 
     v_recip, r_recips, s_recips = best
     feasible = best_resid == 0
+    if not feasible:
+        branch = "infeasible"
+        r_recips, s_recips = ([min(max(x, Fraction(0)), Fraction(1)) for x in xs]
+                              for xs in (r_recips, s_recips))
     return InterpolationCertificate(
         theta=theta,
         v=Exponent(v_recip),
-        r=ExponentTuple.from_reciprocals([min(max(x, Fraction(0)), Fraction(1)) for x in r_recips])
-        if not feasible
-        else ExponentTuple.from_reciprocals(r_recips),
-        s=ExponentTuple.from_reciprocals([min(max(x, Fraction(0)), Fraction(1)) for x in s_recips])
-        if not feasible
-        else ExponentTuple.from_reciprocals(s_recips),
+        r=ExponentTuple.from_reciprocals(r_recips),
+        s=ExponentTuple.from_reciprocals(s_recips),
         feasible=feasible,
         residual=float(best_resid),
-        branch="endpoint-mix" if feasible else "infeasible",
-        detail={"candidates_tried": len(candidates), "min_reciprocal": min_recip},
+        branch=branch,
+        detail=detail,
     )

@@ -30,7 +30,7 @@ from .grids import (
     PhaseGrid,
     gaussian_atom,
 )
-from .norms import MixedNormSpec, modulation_norm, stft_norms
+from .norms import MixedNormSpec, stft_norms
 from .stft import STFTTensor, symplectic_stft
 from .weights import WeightSpec
 from .weyl import pseudo_product, twisted_convolution, weyl_product
@@ -51,13 +51,10 @@ class EnsembleSpec:
     width_range: tuple[float, float] = (0.35, 0.5)
     center_radius: float = 1.5
     modulation_radius: float = 0.8
-    normalization: str = "none"  # or "unit-M2"
 
     def __post_init__(self):
         if self.count < 0 or self.atoms_per_symbol < 1:
             raise GridError("ensemble needs count >= 0 and at least one atom per symbol")
-        if self.normalization not in ("none", "unit-M2"):
-            raise GridError(f"unknown normalization {self.normalization!r}")
 
 
 def ensemble_generate(spec: EnsembleSpec, phase: PhaseGrid) -> list[GridFunction]:
@@ -83,12 +80,7 @@ def ensemble_generate(spec: EnsembleSpec, phase: PhaseGrid) -> list[GridFunction
             amp = rng.standard_normal() + 1j * rng.standard_normal()
             atom = gaussian_atom(phase, GaussianAtomSpec(tuple(center), tuple(modulation), width, amp))
             vals = atom.values if vals is None else vals + atom.values
-        f = GridFunction(phase.symbol_grid, vals)
-        if spec.normalization == "unit-M2":
-            window = default_window(phase)
-            norm = modulation_norm(f, window, MixedNormSpec(2, 2), "symplectic-M")
-            f = GridFunction(phase.symbol_grid, f.values / norm)
-        out.append(f)
+        out.append(GridFunction(phase.symbol_grid, vals))
     return out
 
 
@@ -97,22 +89,22 @@ def default_window(phase: PhaseGrid) -> GridFunction:
     return gaussian_atom(phase, GaussianAtomSpec((0.0,) * (2 * phase.d), (0.0,) * (2 * phase.d), 0.45))
 
 
-def nfold_product(symbols: Sequence[GridFunction], A, method: str = "fast") -> GridFunction:
+def nfold_product(symbols: Sequence[GridFunction], A) -> GridFunction:
     """Left fold of the quantized symbol product (associative up to roundoff)."""
     if not symbols:
         raise GridError("need at least one symbol")
     out = symbols[0]
     for s in symbols[1:]:
-        out = pseudo_product(out, s, A, method)
+        out = pseudo_product(out, s, A)
     return out
 
 
-def nfold_twisted(symbols: Sequence[GridFunction], method: str = "fast") -> GridFunction:
+def nfold_twisted(symbols: Sequence[GridFunction]) -> GridFunction:
     if not symbols:
         raise GridError("need at least one symbol")
     out = symbols[0]
     for s in symbols[1:]:
-        out = twisted_convolution(out, s, method)
+        out = twisted_convolution(out, s)
     return out
 
 
@@ -201,13 +193,12 @@ def paired_stft(a: GridFunction, window: GridFunction) -> STFTTensor:
     return STFTTensor(g, g, mat.reshape(g.shape + g.shape), "symplectic")
 
 
-def window_for_representation(phase: PhaseGrid, windows: Sequence[GridFunction],
-                              method: str = "fast") -> GridFunction:
+def window_for_representation(phase: PhaseGrid, windows: Sequence[GridFunction]) -> GridFunction:
     """Scaled window product entering the representation identity."""
     N = len(windows)
     out = windows[0]
     for w in windows[1:]:
-        out = weyl_product(out, w, method)
+        out = weyl_product(out, w)
     return GridFunction(out.grid, (math.pi ** ((N - 1) * phase.d)) * out.values)
 
 
@@ -293,7 +284,7 @@ def _thread_count() -> int:
 
 
 def _sample_ratios(configs: Sequence[RatioConfig], symbols: Sequence[GridFunction],
-                   phase: PhaseGrid, A, window: GridFunction, method: str) -> list:
+                   A, window: GridFunction) -> list:
     """Ratios of all configs on one symbol tuple.  Each tensor is built when due,
     gives every asking config its norm in one ``stft_norms`` call, and is dropped."""
     orders = ["modulation" if cfg.mode == "weyl" else "amalgam" for cfg in configs]
@@ -312,8 +303,7 @@ def _sample_ratios(configs: Sequence[RatioConfig], symbols: Sequence[GridFunctio
                   if cfg.mode == mode and 0.0 not in factor_norms[i]]
         if not asking:
             continue
-        product = (nfold_product(symbols, A, method) if mode == "weyl"
-                   else nfold_twisted(symbols, method))
+        product = nfold_product(symbols, A) if mode == "weyl" else nfold_twisted(symbols)
         specs = [MixedNormSpec(configs[i].p[0].conjugate(), configs[i].q[0].conjugate(), orders[i],
                                configs[i].weights[0].reciprocal(), configs[i].measure) for i in asking]
         numers.update(zip(asking, stft_norms(product, window, specs)))
@@ -322,12 +312,12 @@ def _sample_ratios(configs: Sequence[RatioConfig], symbols: Sequence[GridFunctio
 
 
 def ratio_experiment_multi(configs: Sequence[RatioConfig], ensemble: EnsembleSpec,
-                           phase: PhaseGrid, A=0.5, window: GridFunction | None = None,
-                           method: str = "fast") -> list[RatioReport]:
+                           phase: PhaseGrid) -> list[RatioReport]:
     """Run several ratio probes over one shared ensemble.
 
     Sample ``k`` consumes symbols ``[k*N, (k+1)*N)`` of the ensemble; the
-    expensive transforms are computed once per sample and shared across
+    expensive transforms (Weyl-quantized products, STFTs against
+    ``default_window``) are computed once per sample and shared across
     configs.  Samples may evaluate in parallel (thread count from the
     ``PHASELAB_THREADS`` environment variable); aggregation is ordered, so
     results are schedule-independent.
@@ -338,7 +328,7 @@ def ratio_experiment_multi(configs: Sequence[RatioConfig], ensemble: EnsembleSpe
     for cfg in configs:
         if cfg.p.n_factors != n_factors:
             raise GridError("all configs in one run must share N")
-    window = window if window is not None else default_window(phase)
+    window = default_window(phase)
     symbols = ensemble_generate(ensemble, phase)
     n_samples = len(symbols) // n_factors
     groups = [symbols[k * n_factors:(k + 1) * n_factors] for k in range(n_samples)]
@@ -346,9 +336,9 @@ def ratio_experiment_multi(configs: Sequence[RatioConfig], ensemble: EnsembleSpe
     if threads > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(
-                lambda grp: _sample_ratios(configs, grp, phase, A, window, method), groups))
+                lambda grp: _sample_ratios(configs, grp, 0.5, window), groups))
     else:
-        rows = [_sample_ratios(configs, grp, phase, A, window, method) for grp in groups]
+        rows = [_sample_ratios(configs, grp, 0.5, window) for grp in groups]
     reports = []
     for i, cfg in enumerate(configs):
         ratios = tuple(row[i] for row in rows)
@@ -380,11 +370,3 @@ def ratio_experiment_multi(configs: Sequence[RatioConfig], ensemble: EnsembleSpe
         ))
     return reports
 
-
-def norm_ratio_experiment(p: ExponentTuple, q: ExponentTuple, weights: Sequence[WeightSpec],
-                          ensemble: EnsembleSpec, phase: PhaseGrid, A=0.5,
-                          mode: str = "weyl", measure: str = "quadrature",
-                          window: GridFunction | None = None) -> RatioReport:
-    """Single-config convenience wrapper around :func:`ratio_experiment_multi`."""
-    cfg = RatioConfig(p, q, tuple(weights), mode, measure)
-    return ratio_experiment_multi([cfg], ensemble, phase, A, window)[0]

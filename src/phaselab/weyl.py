@@ -175,14 +175,14 @@ def _twisted_fast(a: GridFunction, b: GridFunction, phase: PhaseGrid) -> GridFun
     return GridFunction(g, out)
 
 
-def weyl_product(a: GridFunction, b: GridFunction, method: str = "fast") -> GridFunction:
+def weyl_product(a: GridFunction, b: GridFunction) -> GridFunction:
     """Symbol product of operator composition in the symmetric quantization.
 
     Computed as ``(2*pi)^{-d/2} * (a twisted-conv symplectic_fourier(b))``;
     the constant symbol 1 is the unit.
     """
     phase = _phase_of(a)
-    scaled = twisted_convolution(a, symplectic_fourier(b), method)
+    scaled = twisted_convolution(a, symplectic_fourier(b))
     return GridFunction(a.grid, (2 * math.pi) ** (-phase.d / 2) * scaled.values)
 
 
@@ -372,7 +372,7 @@ def calculi_transform(a: GridFunction, A1, A2) -> GridFunction:
     return GridFunction(g, vals)
 
 
-def pseudo_product(a: GridFunction, b: GridFunction, A, method: str = "fast") -> GridFunction:
+def pseudo_product(a: GridFunction, b: GridFunction, A) -> GridFunction:
     """Symbol product for the ``A``-quantization, by conjugation with the
     calculi transform around the symmetric product."""
     phase = _phase_of(a)
@@ -380,10 +380,10 @@ def pseudo_product(a: GridFunction, b: GridFunction, A, method: str = "fast") ->
     A = quantization_matrix(A, d)
     half = 0.5 * np.eye(d)
     if np.allclose(A, half, atol=0):
-        return weyl_product(a, b, method)
+        return weyl_product(a, b)
     ta = calculi_transform(a, A, half)
     tb = calculi_transform(b, A, half)
-    return calculi_transform(weyl_product(ta, tb, method), half, A)
+    return calculi_transform(weyl_product(ta, tb), half, A)
 
 
 # -- kernel composition -------------------------------------------------------

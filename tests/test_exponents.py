@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phaselab.exponents import (
@@ -197,23 +197,50 @@ def test_condition_dominance(r0, r1, r2, r3, s0, s1, s2, s3):
         assert check_conditions("prop-A", p, q).holds
 
 
-@given(st.lists(recips, min_size=4, max_size=4), st.lists(recips, min_size=4, max_size=4))
+def _pair_of_tuples(n):
+    vec = st.lists(recips, min_size=n + 1, max_size=n + 1)
+    return st.tuples(vec, vec)
+
+
+@given(st.sampled_from([3, 5]).flatmap(_pair_of_tuples))
+@example(([Fraction(1, 2), 0, Fraction(1, 2), Fraction(1, 2)],
+          [Fraction(1, 2), 1, Fraction(1, 2), Fraction(1, 2)]))  # the worked instance
 @settings(max_examples=150)
-def test_check_conditions_detail_matches_fraction_route(x, y):
-    """The scaled-integer evaluation must reproduce the Fraction functionals."""
+def test_check_conditions_detail_matches_fraction_route(pair):
+    """The scaled-integer table reproduces every criterion's Fraction functionals.
+
+    ``twist`` is ``thm-B`` with ``p`` and ``q`` exchanged, so its expected
+    values come from the same Fraction route on ``(q, p)``.
+    """
+    x, y = pair
     p = ExponentTuple.from_reciprocals(x)
     q = ExponentTuple.from_reciprocals(y)
-    r = check_conditions("thm-B", p, q)
-    xc = conjugate_reciprocals(y)
-    assert r.detail["R(1/q')"] == holder_excess(xc)
-    assert r.detail["R(1/p)"] == holder_excess(x)
-    assert r.detail["Q(1/p)"] == oddpair_minima(x)[1]
-    assert r.detail["Q0(1/q')"] == oddpair_minima(xc)[0]
-    assert r.detail["Q(1/p,1/q)"] == oddpair_minima(x, y)[1]
-    expected = max(holder_excess(xc), Fraction(0)) <= min(
-        oddpair_minima(x)[1], oddpair_minima(xc)[0], oddpair_minima(x, y)[1],
-        holder_excess(x))
-    assert r.holds == expected
+    for criterion in ("bilinear-base", "cotowa-2.5", "prop-A", "thm-B", "twist"):
+        a, b, na, nb = (y, x, "q", "p") if criterion == "twist" else (x, y, "p", "q")
+        bc = conjugate_reciprocals(b)
+        r_bc, r_a = holder_excess(bc), holder_excess(a)
+        want = {f"R(1/{nb}')": r_bc, f"R(1/{na})": r_a}
+        if criterion == "bilinear-base":
+            rhs = min(Fraction(0), r_a)
+        elif criterion == "cotowa-2.5":
+            want["entrywise_min"] = min(x + y + [1 - v for v in x + y])
+            rhs = min(want["entrywise_min"], r_a)
+        else:
+            _, q_a, arg_a = oddpair_minima(a)
+            q0_bc, q_bc, arg_bc = oddpair_minima(bc)
+            _, q_pq, arg_pq = oddpair_minima(x, y)
+            want.update({f"Q(1/{na})": q_a, f"Q0(1/{nb}')": q0_bc,
+                         "Q(1/p,1/q)": q_pq, "argmin(1/p,1/q)": arg_pq})
+            if criterion != "twist":
+                want.update({f"Q(1/{nb}')": q_bc, f"argmin(1/{na})": arg_a,
+                             f"argmin(1/{nb}')": arg_bc})
+            rhs = min(q_a, q_bc if criterion == "prop-A" else q0_bc, q_pq, r_a)
+        lhs = max(r_bc, Fraction(0))
+        r = check_conditions(criterion, p, q)
+        assert r.detail == want
+        assert (r.holds, r.lhs, r.rhs) == (lhs <= rhs, float(lhs), float(rhs))
+    tw, tb = check_conditions("twist", p, q), check_conditions("thm-B", q, p)
+    assert (tw.holds, tw.lhs, tw.rhs) == (tb.holds, tb.lhs, tb.rhs)
 
 
 def test_pattern_exponents_values():
@@ -288,6 +315,18 @@ class TestInterpolation:
         assert cert.feasible and cert.residual == 0.0
         assert cert.detail["cotowa-2.5"] is True
 
+    def test_delegated_branch_needs_entrywise_condition(self):
+        # every reciprocal exceeds theta/2 = 1/16, yet cotowa-2.5 fails
+        # (1/p_3 = 1); v = 2 leaves 1/r_3 = 15/14 > 1 here, so the search
+        # must go on to the scan, where v = 1 verifies
+        p = ExponentTuple.parse("8/3,8,2,1")
+        q = ExponentTuple.parse("8/7,8/5,8/7,2")
+        assert not check_conditions("cotowa-2.5", p, q).holds
+        cert = construct_interpolation(p, q)
+        assert cert.feasible and cert.residual == 0.0
+        assert cert.branch == "endpoint-mix"
+        assert cert.v.exact_value == 1
+
     def test_rejects_inadmissible_input(self):
         bad = ExponentTuple.parse("4,4,4,4")  # excess of 1/q' is 1, pair minima 1/4
         with pytest.raises(ExponentError):
@@ -302,6 +341,8 @@ class TestInterpolation:
         if not check_conditions("prop-A", p, q).holds:
             return
         cert = construct_interpolation(p, q)
+        if cert.branch == "delegated-2.5":
+            assert cert.feasible
         if cert.feasible:
             assert cert.residual == 0.0
             assert cert.r.in_banach_range() and cert.s.in_banach_range()

@@ -14,14 +14,13 @@ from phaselab.lab import (
     ensemble_generate,
     nfold_product,
     nfold_twisted,
-    norm_ratio_experiment,
     paired_stft,
     ratio_experiment_multi,
     stft_integral_representation,
     window_for_representation,
 )
 from phaselab.lab import _sample_ratios, _thread_count
-from phaselab.norms import MixedNormSpec, modulation_norm
+from phaselab.norms import MixedNormSpec
 from phaselab.stft import symplectic_stft
 from phaselab.weights import unit_weight
 from phaselab.weyl import operator_matrix, weyl_product
@@ -47,15 +46,6 @@ class TestEnsemble:
     def test_count_zero(self, pg8):
         spec = EnsembleSpec(seed=1, count=0, center_radius=0.5, modulation_radius=0.3)
         assert ensemble_generate(spec, pg8) == []
-
-    def test_unit_normalization(self, pg8, small_spec):
-        spec = EnsembleSpec(seed=3, count=3, atoms_per_symbol=2, width_range=(0.4, 0.5),
-                            center_radius=0.5, modulation_radius=0.4,
-                            normalization="unit-M2")
-        window = default_window(pg8)
-        for s in ensemble_generate(spec, pg8):
-            norm = modulation_norm(s, window, MixedNormSpec(2, 2), "symplectic-M")
-            assert norm == pytest.approx(1.0, abs=1e-10)
 
     def test_radius_guard(self, pg8):
         spec = EnsembleSpec(seed=1, count=1, center_radius=10.0, modulation_radius=0.0)
@@ -135,13 +125,19 @@ class TestRepresentation:
             stft_integral_representation([symplectic_stft(s, default_window(pg8))])
 
 
+def _one_config(p, q, ens, phase, mode="weyl"):
+    """Report of one unit-weight config with quadrature measure."""
+    cfg = RatioConfig(p, q, (unit_weight(),) * len(p), mode)
+    return ratio_experiment_multi([cfg], ens, phase)[0]
+
+
 class TestRatioExperiment:
     def test_deterministic_reports(self, pg8):
         all2 = ExponentTuple.parse("2,2,2,2")
         ens = EnsembleSpec(seed=21, count=9, atoms_per_symbol=2, width_range=(0.4, 0.5),
                            center_radius=0.5, modulation_radius=0.4)
-        r1 = norm_ratio_experiment(all2, all2, [unit_weight()] * 4, ens, pg8)
-        r2 = norm_ratio_experiment(all2, all2, [unit_weight()] * 4, ens, pg8)
+        r1 = _one_config(all2, all2, ens, pg8)
+        r2 = _one_config(all2, all2, ens, pg8)
         assert r1.as_dict() == r2.as_dict()
         assert r1.to_json() == r2.to_json()
 
@@ -152,14 +148,14 @@ class TestRatioExperiment:
         zero = GridFunction(pg8.symbol_grid, np.zeros(pg8.symbol_grid.shape))
         spec = EnsembleSpec(seed=2, count=3, center_radius=0.5, modulation_radius=0.3)
         symbols = ensemble_generate(spec, pg8)
-        ratios = _sample_ratios([cfg], [symbols[0], zero, symbols[1]], pg8, 0.5, window, "fast")
+        ratios = _sample_ratios([cfg], [symbols[0], zero, symbols[1]], 0.5, window)
         assert ratios == [None]
 
     def test_twist_mode_uses_twisted_products(self, pg8):
         all2 = ExponentTuple.parse("2,2,2,2")
         ens = EnsembleSpec(seed=23, count=6, atoms_per_symbol=2, width_range=(0.4, 0.5),
                            center_radius=0.5, modulation_radius=0.4)
-        rep = norm_ratio_experiment(all2, all2, [unit_weight()] * 4, ens, pg8, mode="twist")
+        rep = _one_config(all2, all2, ens, pg8, "twist")
         assert rep.mode == "twist" and rep.condition == "twist"
         assert all(r is not None and r > 0 for r in rep.ratios)
 
@@ -167,7 +163,7 @@ class TestRatioExperiment:
         all2 = ExponentTuple.parse("2,2,2,2")
         ens = EnsembleSpec(seed=24, count=6, atoms_per_symbol=2, width_range=(0.4, 0.5),
                            center_radius=0.5, modulation_radius=0.4)
-        rep = norm_ratio_experiment(all2, all2, [unit_weight()] * 4, ens, pg8)
+        rep = _one_config(all2, all2, ens, pg8)
         doc = rep.as_dict()
         assert doc["grid_n"] == 8 and doc["N"] == 3 and len(doc["ratios"]) == 2
         csv_text = rep.to_csv()
@@ -182,7 +178,7 @@ class TestRatioExperiment:
         p = ExponentTuple.parse("4,4,4,4")
         ens = EnsembleSpec(seed=25, count=3, atoms_per_symbol=2, width_range=(0.4, 0.5),
                            center_radius=0.5, modulation_radius=0.4)
-        rep = norm_ratio_experiment(p, p, [unit_weight()] * 4, ens, pg8)
+        rep = _one_config(p, p, ens, pg8)
         assert rep.condition_holds is False
         assert len(rep.ratios) == 1
 
@@ -193,7 +189,7 @@ class TestRatioExperiment:
         cfgs = [RatioConfig(all2, all2, (unit_weight(),) * 4, "weyl", "quadrature", "a"),
                 RatioConfig(all2, all2, (unit_weight(),) * 4, "weyl", "counting", "b")]
         reports = ratio_experiment_multi(cfgs, ens, pg8)
-        single = norm_ratio_experiment(all2, all2, [unit_weight()] * 4, ens, pg8)
+        single = _one_config(all2, all2, ens, pg8)
         assert reports[0].ratios == single.ratios
         assert reports[0].config_label == "a" and reports[1].config_label == "b"
 
@@ -201,9 +197,9 @@ class TestRatioExperiment:
         all2 = ExponentTuple.parse("2,2,2,2")
         ens = EnsembleSpec(seed=27, count=9, atoms_per_symbol=2, width_range=(0.4, 0.5),
                            center_radius=0.5, modulation_radius=0.4)
-        base = norm_ratio_experiment(all2, all2, [unit_weight()] * 4, ens, pg8)
+        base = _one_config(all2, all2, ens, pg8)
         monkeypatch.setenv("PHASELAB_THREADS", "3")
-        threaded = norm_ratio_experiment(all2, all2, [unit_weight()] * 4, ens, pg8)
+        threaded = _one_config(all2, all2, ens, pg8)
         assert base.ratios == threaded.ratios
 
     @pytest.mark.parametrize("value", ["two", "1.5", ""])
@@ -229,14 +225,14 @@ class TestRatioExperiment:
 
 # -- tensor-by-tensor norm walk ------------------------------------------------------
 
-def _config_by_config_ratios(configs, symbols, phase, A, window, method):
+def _config_by_config_ratios(configs, symbols, A, window):
     """The config-by-config ``_sample_ratios``: each config walks every tensor."""
     tensors = [symplectic_stft(s, window) for s in symbols]
     prod_tensor = {}
     if any(c.mode == "weyl" for c in configs):
-        prod_tensor["weyl"] = symplectic_stft(nfold_product(symbols, A, method), window)
+        prod_tensor["weyl"] = symplectic_stft(nfold_product(symbols, A), window)
     if any(c.mode == "twist" for c in configs):
-        prod_tensor["twist"] = symplectic_stft(nfold_twisted(symbols, method), window)
+        prod_tensor["twist"] = symplectic_stft(nfold_twisted(symbols), window)
     out = []
     for cfg in configs:
         order = "modulation" if cfg.mode == "weyl" else "amalgam"
@@ -289,9 +285,9 @@ class TestTensorWalk:
         window = default_window(pg16)
         for grp in groups:
             count_norms.clear()
-            want = _config_by_config_ratios(configs, grp, pg16, 0.5, window, "fast")
+            want = _config_by_config_ratios(configs, grp, 0.5, window)
             n_oracle = len(count_norms)
-            got = _sample_ratios(configs, grp, pg16, 0.5, window, "fast")
+            got = _sample_ratios(configs, grp, 0.5, window)
             assert got == want and None not in got
             assert n_oracle == 48 and len(count_norms) == 2 * n_oracle
 
@@ -301,16 +297,16 @@ class TestTensorWalk:
         window = default_window(pg16)
         symbols = list(groups[0])
         symbols[position] = GridFunction(pg16.symbol_grid, np.zeros(pg16.symbol_grid.shape))
-        want = _config_by_config_ratios(configs, symbols, pg16, 0.5, window, "fast")
+        want = _config_by_config_ratios(configs, symbols, 0.5, window)
         n_oracle = len(count_norms)
-        got = _sample_ratios(configs, symbols, pg16, 0.5, window, "fast")
+        got = _sample_ratios(configs, symbols, 0.5, window)
         assert got == want == [None] * len(configs)
         assert len(count_norms) == 2 * n_oracle == 2 * len(configs) * (position + 1)
 
     def test_threads_match_config_by_config(self, count_norms, monkeypatch):
         configs, ens, groups, pg16 = _drift_samples(9)
         window = default_window(pg16)
-        rows = [_config_by_config_ratios(configs, grp, pg16, 0.5, window, "fast")
+        rows = [_config_by_config_ratios(configs, grp, 0.5, window)
                 for grp in groups]
         n_oracle = len(count_norms)
         monkeypatch.setenv("PHASELAB_THREADS", "3")
@@ -329,9 +325,9 @@ class TestTensorWalk:
                            center_radius=1.0, modulation_radius=0.7)
         symbols = ensemble_generate(ens, pg)
         window = default_window(pg)
-        want = _sample_ratios(configs, symbols, pg, 0.5, window, "fast")
+        want = _sample_ratios(configs, symbols, 0.5, window)
         # four rows of the leading shift axis per block
         monkeypatch.setattr(phaselab.stft, "MATERIALIZE_LIMIT", 4 * n**3)
-        got = _sample_ratios(configs, symbols, pg, 0.5, window, "fast")
+        got = _sample_ratios(configs, symbols, 0.5, window)
         assert None not in want
         assert got == pytest.approx(want, rel=1e-12, abs=0)
