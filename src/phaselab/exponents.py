@@ -21,13 +21,6 @@ Scalar = Union[Fraction, int, float]
 
 CRITERIA = ("bilinear-base", "cotowa-2.5", "prop-A", "thm-B", "twist", "prop2-pattern")
 
-#: fixed rational search grid for the interpolation parameter ``v``
-V_GRID: tuple[Fraction, ...] = tuple(
-    [Fraction(64 + k, 64) for k in range(64)]
-    + [Fraction(64, k) for k in range(1, 65)]
-    + [Fraction(0)]  # stands for v = infinity (reciprocal 0)
-)
-
 
 def _coerce(x: Scalar) -> Fraction | float:
     """Return ``x`` as Fraction when exactly representable, else float."""
@@ -295,6 +288,8 @@ def check_conditions(criterion: str, p: ExponentTuple, q: ExponentTuple) -> Cond
     if p.n_factors != q.n_factors:
         raise ExponentError("p and q must have the same length")
     n = p.n_factors
+    if n < 2:
+        raise ExponentError(f"condition predicates need N >= 2, got N = {n}")
     if not (p.in_banach_range() and q.in_banach_range()):
         raise ExponentError("condition predicates need exponents in [1, infinity]")
 
@@ -305,7 +300,7 @@ def check_conditions(criterion: str, p: ExponentTuple, q: ExponentTuple) -> Cond
     den = math.lcm(*(v.denominator for v in rp + rq))
     # common scale for every functional: pair means carry 1/(2 den), the
     # excess functionals 1/((n-1) den)
-    scale = 2 * max(n - 1, 1) * den
+    scale = 2 * (n - 1) * den
     ip = [v.numerator * (den // v.denominator) for v in rp]
     iq = [v.numerator * (den // v.denominator) for v in rq]
     a, b, ia, ib = ("q", "p", iq, ip) if criterion == "twist" else ("p", "q", ip, iq)
@@ -388,17 +383,10 @@ def pattern_exponents(n_factors: int, p: Exponent, variant: int) -> ExponentTupl
     p = Exponent.from_value(p)
     conj = p.conjugate()
     clipped = Exponent(min(p.reciprocal, Fraction(1)))  # max(1, p) as an exponent
-    entries = []
-    for j in range(n_factors + 1):
-        if variant == 1:
-            if j in (0, n_factors):
-                entries.append(p)
-            elif j % 2 == 0:
-                entries.append(clipped)
-            else:
-                entries.append(conj)
-        else:
-            entries.append(p if j % 2 == 0 else conj)
+    even = clipped if variant == 1 else p
+    entries = [even if j % 2 == 0 else conj for j in range(n_factors + 1)]
+    if variant == 1:
+        entries[0] = entries[-1] = p
     return ExponentTuple(tuple(entries))
 
 
@@ -457,10 +445,26 @@ class InterpolationCertificate:
         }
 
 
-def _mix_target(recip: Fraction, theta: Fraction, v_recip: Fraction, even: bool):
-    """Solve (1-theta)/r + theta/u = recip for 1/r; u is v' on even, v on odd slots."""
-    u = (1 - v_recip) if even else v_recip
-    return (recip - theta * u) / (1 - theta)
+def _scaled_mix(recips, theta: Fraction, v_recip: Fraction) -> list[Fraction]:
+    """``(1-theta)/r_j`` solved from ``(1-theta)/r_j + theta u_j = recips_j``,
+    where ``u_j`` is ``1/v'`` on even and ``1/v`` on odd slots."""
+    return [x - theta * ((1 - v_recip) if j % 2 == 0 else v_recip) for j, x in enumerate(recips)]
+
+
+def _slacks(rp, rq, theta: Fraction, v_recip: Fraction) -> dict[str, Fraction]:
+    """Each certificate constraint at ``1/v = v_recip`` as a named slack, >= 0 when
+    it holds.  Ranges and budget are scaled by ``1 - theta``, so every slack is
+    affine in ``1/v`` and, at ``theta = 1``, the range slacks are the mixing
+    equations ``u_j = 1/p_j``, ``u_j = 1/q_j`` as two opposite half-lines."""
+    slack = {}
+    r, s = (_scaled_mix(recips, theta, v_recip) for recips in (rp, rq))
+    for name, scaled in (("r", r), ("s", s)):
+        for j, y in enumerate(scaled):
+            slack[f"1/{name}_{j} >= 0"] = y
+            slack[f"1/{name}_{j} <= 1"] = 1 - theta - y
+    slack["sum(1 - 1/s) <= 1"] = (1 - theta) - sum(1 - theta - y for y in s)
+    slack["sum(1/r) >= 1"] = sum(r) - (1 - theta)
+    return slack
 
 
 def _certificate_residual(
@@ -486,25 +490,19 @@ def _certificate_residual(
 
 
 def construct_interpolation(p: ExponentTuple, q: ExponentTuple) -> InterpolationCertificate:
-    """Search for interpolation parameters reproducing ``(p, q)``.
+    """Interpolation parameters reproducing ``(p, q)``, which must satisfy ``prop-A``.
 
-    Requires the ``prop-A`` condition to hold; raises :class:`ExponentError`
-    otherwise.  With ``theta = 2 max(R(1/q'), 0)`` each branch picks the
-    candidates for ``1/v``, and one search solves the mixing equations for
-    ``1/r`` and ``1/s`` at each candidate in turn:
-
-    ``theta-zero``     ``theta = 0``: ``v = 2``, and then ``r = p``, ``s = q``;
-    ``delegated-2.5``  every reciprocal above ``theta/2`` and ``cotowa-2.5``
-                       holding: the self-conjugate ``v = 2`` verifies;
-    ``endpoint-mix``   otherwise: the proof's choice ``1/v = m / theta``, ``m`` the
-                       least reciprocal of ``p`` and ``q`` (kept when at most 1),
-                       then the fixed grid ``V_GRID``.
-
-    The returned certificate never claims feasibility unless the mixing
-    equations, the endpoint budget and the reciprocal ranges verify exactly;
-    when no candidate verifies, the branch reads ``infeasible`` and the best
-    violation found, with ``r`` and ``s`` clipped to ``[1, infinity]``, is
-    reported instead.
+    At ``theta = 2 max(R(1/q'), 0)`` every constraint is affine in ``1/v``, so
+    the feasible ``1/v`` form one exact interval.  The branch names the
+    preferred ``1/v``, which is clamped into it: ``1/2`` for ``theta-zero``
+    (``theta = 0``, ``r = p``, ``s = q``) and ``delegated-2.5`` (every
+    reciprocal above ``theta/2`` and ``cotowa-2.5`` holding), else the proof's
+    ``m / theta`` for ``endpoint-mix``, ``m`` the least reciprocal of ``p`` and
+    ``q``.  Feasibility is claimed only when ``_certificate_residual`` is
+    exactly 0.  On an empty interval, or a failing constraint free of ``v``,
+    the branch reads ``infeasible``, ``detail`` names the constraints that set
+    the two ends (or the failing one), and the residual is the violation at
+    the preferred ``1/v`` clamped to ``[0, 1]``, with ``r``, ``s`` clipped.
     """
     if not check_conditions("prop-A", p, q).holds:
         raise ExponentError("rejected input: prop-A condition fails for (p, q)")
@@ -514,37 +512,38 @@ def construct_interpolation(p: ExponentTuple, q: ExponentTuple) -> Interpolation
     min_recip = min(min(rp), min(rq))
 
     if theta == 0:
-        branch, candidates, detail = "theta-zero", [Fraction(1, 2)], {"R(1/q')": r_qc}
+        branch, preferred, detail = "theta-zero", Fraction(1, 2), {"R(1/q')": r_qc}
     elif min_recip > theta / 2 and check_conditions("cotowa-2.5", p, q).holds:
-        branch, candidates = "delegated-2.5", [Fraction(1, 2)]
+        branch, preferred = "delegated-2.5", Fraction(1, 2)
         detail = {"cotowa-2.5": True, "min_reciprocal": min_recip}
     else:
-        natural = min_recip / theta  # 1/v from 1/p_0 = theta/v; 0 is v = infinity
-        grid = [1 / g if g > 0 else g for g in V_GRID]
-        candidates = list(dict.fromkeys(([natural] if natural <= 1 else []) + grid))
-        branch = "endpoint-mix"
-        detail = {"candidates_tried": len(candidates), "min_reciprocal": min_recip}
+        branch, preferred = "endpoint-mix", min_recip / theta  # from 1/p_0 = theta/v
+        detail = {"min_reciprocal": min_recip}
 
-    best_resid = best = None
-    for v_recip in candidates:
-        if theta == 1:
-            # mixing weights collapse: p and q must equal the alternating
-            # pattern themselves and the base tuples are unconstrained; the
-            # all-ones choice satisfies the endpoint budget trivially
-            r_recips = s_recips = [Fraction(1)] * len(rp)
+    # each slack is affine in 1/v: read it at 0 and 1, and a rising slack
+    # bounds 1/v from below at its root, a falling one from above
+    at0, at1 = _slacks(rp, rq, theta, Fraction(0)), _slacks(rp, rq, theta, Fraction(1))
+    lo, hi, violated = (Fraction(0), "1/v >= 0"), (Fraction(1), "1/v <= 1"), None
+    for name, g0 in at0.items():
+        g1 = at1[name]
+        if g0 == g1:
+            violated = violated or (name if g0 < 0 else None)
+        elif g1 > g0:
+            lo = max(lo, (g0 / (g0 - g1), name), key=lambda end: end[0])
         else:
-            r_recips, s_recips = ([_mix_target(x, theta, v_recip, j % 2 == 0)
-                                   for j, x in enumerate(xs)] for xs in (rp, rq))
-        resid = _certificate_residual(p, q, theta, v_recip, r_recips, s_recips)
-        if best_resid is None or resid < best_resid:
-            best_resid, best = resid, (v_recip, r_recips, s_recips)
-        if resid == 0:
-            break
-
-    v_recip, r_recips, s_recips = best
-    feasible = best_resid == 0
+            hi = min(hi, (g0 / (g0 - g1), name), key=lambda end: end[0])
+    nonempty = violated is None and lo[0] <= hi[0]
+    v_recip = min(max(preferred, lo[0] if nonempty else 0), hi[0] if nonempty else 1)
+    # at theta = 1 the slacks pin p and q to the alternating pattern, the base
+    # tuples are unconstrained, and all ones meet the endpoint budget
+    r_recips, s_recips = ([y / (1 - theta) if theta < 1 else Fraction(1)
+                           for y in _scaled_mix(xs, theta, v_recip)] for xs in (rp, rq))
+    residual = _certificate_residual(p, q, theta, v_recip, r_recips, s_recips)
+    feasible = nonempty and residual == 0
     if not feasible:
         branch = "infeasible"
+        detail.update({"violated": violated} if violated else
+                      {"lo": lo[0], "lo_set_by": lo[1], "hi": hi[0], "hi_set_by": hi[1]})
         r_recips, s_recips = ([min(max(x, Fraction(0)), Fraction(1)) for x in xs]
                               for xs in (r_recips, s_recips))
     return InterpolationCertificate(
@@ -553,7 +552,7 @@ def construct_interpolation(p: ExponentTuple, q: ExponentTuple) -> Interpolation
         r=ExponentTuple.from_reciprocals(r_recips),
         s=ExponentTuple.from_reciprocals(s_recips),
         feasible=feasible,
-        residual=float(best_resid),
+        residual=float(residual),
         branch=branch,
         detail=detail,
     )

@@ -49,6 +49,12 @@ def test_exponents_mismatched_tuples_exit_two(capsys):
     assert code == 2
 
 
+def test_exponents_one_factor_exits_two(capsys):
+    code, out, err = run(capsys, "exponents", "--p", "2,2", "--q", "2,2",
+                         "--criterion", "cotowa-2.5")
+    assert code == 2 and "N >= 2" in err
+
+
 def test_unknown_flag_exits_two(capsys):
     code, out, err = run(capsys, "exponents", "--p", "2,2,2,2", "--q", "2,2,2,2",
                          "--frobnicate")
@@ -61,6 +67,16 @@ def test_interpolate_reports_certificate(capsys):
     cert = doc["certificate"]
     assert cert["branch"] == "endpoint-mix" and cert["feasible"] is True
     assert cert["theta"] == "1" and cert["v"] == "2"
+
+
+def test_interpolate_infeasible_names_the_interval(capsys):
+    code, doc = run_json(capsys, "interpolate", "--p", "2,inf,2,2", "--q", "2,1,2,2")
+    assert code == 0
+    cert = doc["certificate"]
+    assert cert["branch"] == "infeasible" and cert["residual"] > 0
+    detail = cert["detail"]
+    assert (detail["lo"], detail["lo_set_by"]) == ("1", "1/s_1 <= 1")
+    assert (detail["hi"], detail["hi_set_by"]) == ("0", "1/r_1 >= 0")
 
 
 def test_interpolate_rejected_input_exits_two(capsys):

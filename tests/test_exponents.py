@@ -8,11 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phaselab.exponents import (
+    CRITERIA,
     Exponent,
     ExponentError,
     ExponentTuple,
     check_conditions,
     conjugate_reciprocals,
+    _certificate_residual,
     construct_interpolation,
     holder_excess,
     implication_chain,
@@ -22,6 +24,7 @@ from phaselab.exponents import (
 )
 
 recips = st.fractions(min_value=0, max_value=1, max_denominator=32)
+eighths = st.integers(0, 8).map(lambda k: Fraction(k, 8))
 
 
 def test_conjugate_branches():
@@ -197,12 +200,12 @@ def test_condition_dominance(r0, r1, r2, r3, s0, s1, s2, s3):
         assert check_conditions("prop-A", p, q).holds
 
 
-def _pair_of_tuples(n):
-    vec = st.lists(recips, min_size=n + 1, max_size=n + 1)
+def _pair_of_tuples(n, elements=recips):
+    vec = st.lists(elements, min_size=n + 1, max_size=n + 1)
     return st.tuples(vec, vec)
 
 
-@given(st.sampled_from([3, 5]).flatmap(_pair_of_tuples))
+@given(st.sampled_from([2, 3, 5]).flatmap(_pair_of_tuples))
 @example(([Fraction(1, 2), 0, Fraction(1, 2), Fraction(1, 2)],
           [Fraction(1, 2), 1, Fraction(1, 2), Fraction(1, 2)]))  # the worked instance
 @settings(max_examples=150)
@@ -210,12 +213,15 @@ def test_check_conditions_detail_matches_fraction_route(pair):
     """The scaled-integer table reproduces every criterion's Fraction functionals.
 
     ``twist`` is ``thm-B`` with ``p`` and ``q`` exchanged, so its expected
-    values come from the same Fraction route on ``(q, p)``.
+    values come from the same Fraction route on ``(q, p)``.  At even N only
+    the two criteria without pair minima apply.
     """
     x, y = pair
     p = ExponentTuple.from_reciprocals(x)
     q = ExponentTuple.from_reciprocals(y)
-    for criterion in ("bilinear-base", "cotowa-2.5", "prop-A", "thm-B", "twist"):
+    odd = p.n_factors % 2 == 1
+    paired = ("prop-A", "thm-B", "twist") if odd else ()
+    for criterion in ("bilinear-base", "cotowa-2.5") + paired:
         a, b, na, nb = (y, x, "q", "p") if criterion == "twist" else (x, y, "p", "q")
         bc = conjugate_reciprocals(b)
         r_bc, r_a = holder_excess(bc), holder_excess(a)
@@ -239,8 +245,18 @@ def test_check_conditions_detail_matches_fraction_route(pair):
         r = check_conditions(criterion, p, q)
         assert r.detail == want
         assert (r.holds, r.lhs, r.rhs) == (lhs <= rhs, float(lhs), float(rhs))
-    tw, tb = check_conditions("twist", p, q), check_conditions("thm-B", q, p)
-    assert (tw.holds, tw.lhs, tw.rhs) == (tb.holds, tb.lhs, tb.rhs)
+    if odd:
+        tw, tb = check_conditions("twist", p, q), check_conditions("thm-B", q, p)
+        assert (tw.holds, tw.lhs, tw.rhs) == (tb.holds, tb.lhs, tb.rhs)
+
+
+def test_check_conditions_refuses_one_factor():
+    # with N = 1 the excess functionals divide by N - 1 = 0 (holder_excess
+    # refuses them too), so no criterion has a value to report
+    t = ExponentTuple.parse("2,2")
+    for criterion in CRITERIA:
+        with pytest.raises(ExponentError, match="N >= 2"):
+            check_conditions(criterion, t, t)
 
 
 def test_pattern_exponents_values():
@@ -282,6 +298,20 @@ def test_conjugate_reciprocals_rejects_quasi():
         conjugate_reciprocals([Fraction(3, 2)])
 
 
+@st.composite
+def _certificate_pairs(draw):
+    """Reciprocal pairs at N = 3 or 5, mixed as the proof does:
+    ``(1 - theta) * base + theta * alternating`` on the 1/8 grid, with the base
+    ``1/s`` in ``[1/2, 1]``.  Prop-A holds for about a third of them at N = 5,
+    against 1 in 170 plain grid pairs."""
+    n = draw(st.sampled_from([3, 5]))
+    r = draw(st.lists(eighths, min_size=n + 1, max_size=n + 1))
+    s = draw(st.lists(eighths.map(lambda x: (1 + x) / 2), min_size=n + 1, max_size=n + 1))
+    theta, t = draw(eighths), draw(eighths)
+    u = [(1 - t) if j % 2 == 0 else t for j in range(n + 1)]
+    return tuple([(1 - theta) * a + theta * b for a, b in zip(xs, u)] for xs in (r, s))
+
+
 class TestInterpolation:
     def test_all_two_endpoint(self):
         t = ExponentTuple.parse("2,2,2,2")
@@ -303,10 +333,27 @@ class TestInterpolation:
         q = ExponentTuple.parse("2,1,2,2")
         cert = construct_interpolation(p, q)
         assert cert.theta == Fraction(1, 2)
-        # no admissible v exists for this tuple; the solver must say so
+        # no admissible v exists for this tuple; the solver must say so, and
+        # name the two constraints that empty the interval: at theta = 1/2,
+        # 1/r_1 = -1/v needs 1/v <= 0 while 1/s_1 = 2 - 1/v needs 1/v >= 1
         assert not cert.feasible
         assert cert.branch == "infeasible"
         assert cert.residual > 0
+        assert cert.detail["lo"] == 1 and cert.detail["lo_set_by"] == "1/s_1 <= 1"
+        assert cert.detail["hi"] == 0 and cert.detail["hi_set_by"] == "1/r_1 >= 0"
+
+    def test_single_point_interval_off_the_scan_grid(self):
+        # at theta = 3/8 only 1/v = 1/3 meets every constraint; 1/3 is not
+        # a dyadic grid point, and the proof's choice 4/3 lies above 1
+        p = ExponentTuple.parse("2,4/3,4/3,4/3")
+        q = ExponentTuple.parse("2,4/3,8/7,2")
+        cert = construct_interpolation(p, q)
+        assert cert.theta == Fraction(3, 8)
+        assert cert.feasible and cert.residual == 0.0
+        assert cert.branch == "endpoint-mix"
+        assert cert.v.exact_value == 3
+        for t in (Fraction(1, 3) - Fraction(1, 96), Fraction(1, 3) + Fraction(1, 96)):
+            assert _certificate_residual(p, q, cert.theta, t, *_mixed(p, q, cert.theta, t)) > 0
 
     def test_delegated_branch(self):
         t = ExponentTuple.from_reciprocals([Fraction(3, 5)] * 4)
@@ -317,8 +364,8 @@ class TestInterpolation:
 
     def test_delegated_branch_needs_entrywise_condition(self):
         # every reciprocal exceeds theta/2 = 1/16, yet cotowa-2.5 fails
-        # (1/p_3 = 1); v = 2 leaves 1/r_3 = 15/14 > 1 here, so the search
-        # must go on to the scan, where v = 1 verifies
+        # (1/p_3 = 1); v = 2 leaves 1/r_3 = 15/14 > 1 here, while the
+        # proof's choice v = 1 verifies
         p = ExponentTuple.parse("8/3,8,2,1")
         q = ExponentTuple.parse("8/7,8/5,8/7,2")
         assert not check_conditions("cotowa-2.5", p, q).holds
@@ -332,30 +379,53 @@ class TestInterpolation:
         with pytest.raises(ExponentError):
             construct_interpolation(bad, bad)
 
-    @given(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=8),
-                    min_size=8, max_size=8))
-    @settings(max_examples=200, deadline=None)
-    def test_feasible_certificates_verify(self, r):
-        p = ExponentTuple.from_reciprocals(r[:4])
-        q = ExponentTuple.from_reciprocals(r[4:])
+    @given(_certificate_pairs())
+    @example(([Fraction(1, 2), Fraction(3, 4), Fraction(3, 4), Fraction(3, 4)],
+              [Fraction(1, 2), Fraction(3, 4), Fraction(7, 8), Fraction(1, 2)]))  # off the grid
+    @example(([Fraction(1, 2), 0, Fraction(1, 2), Fraction(1, 2)],
+              [Fraction(1, 2), 1, Fraction(1, 2), Fraction(1, 2)]))  # the worked instance
+    @settings(max_examples=300, deadline=None)
+    def test_feasible_certificates_verify(self, pair):
+        """Oracle: a scan over the proof's choice of 1/v and t = k/16.
+
+        Every pair the scan certifies, the interval certifies too, and every
+        interval certificate re-verifies exactly and independently.
+        """
+        p, q = (ExponentTuple.from_reciprocals(x) for x in pair)
         if not check_conditions("prop-A", p, q).holds:
             return
+        n = p.n_factors
         cert = construct_interpolation(p, q)
+        theta = cert.theta
+        scan = [Fraction(k, 16) for k in range(17)]
+        if theta > 0 and min(p.reciprocals() + q.reciprocals()) <= theta:
+            scan.insert(0, min(p.reciprocals() + q.reciprocals()) / theta)
+        if any(_certificate_residual(p, q, theta, t, *_mixed(p, q, theta, t)) == 0 for t in scan):
+            assert cert.feasible
         if cert.branch == "delegated-2.5":
             assert cert.feasible
-        if cert.feasible:
-            assert cert.residual == 0.0
-            assert cert.r.in_banach_range() and cert.s.in_banach_range()
-            # re-verify the mixing equations independently
-            theta, vr = cert.theta, cert.v.reciprocal
-            if theta < 1:
-                for j in range(4):
-                    u = (1 - vr) if j % 2 == 0 else vr
-                    lhs = (1 - theta) * cert.r[j].reciprocal + theta * u
-                    assert lhs == p[j].reciprocal
-                    lhs = (1 - theta) * cert.s[j].reciprocal + theta * u
-                    assert lhs == q[j].reciprocal
-            assert sum(1 - e.reciprocal for e in cert.s.entries) <= 1
-            assert sum(e.reciprocal for e in cert.r.entries) >= 1
-        else:
+        if not cert.feasible:
             assert cert.residual > 0
+            assert "violated" in cert.detail or cert.detail["lo"] > cert.detail["hi"]
+            return
+        vr = cert.v.reciprocal
+        r, s = [e.reciprocal for e in cert.r.entries], [e.reciprocal for e in cert.s.entries]
+        assert cert.residual == 0.0 and _certificate_residual(p, q, theta, vr, r, s) == 0
+        assert cert.r.in_banach_range() and cert.s.in_banach_range()
+        # re-verify the mixing equations and the budget by hand
+        if theta < 1:
+            for j in range(n + 1):
+                u = (1 - vr) if j % 2 == 0 else vr
+                assert (1 - theta) * r[j] + theta * u == p[j].reciprocal
+                assert (1 - theta) * s[j] + theta * u == q[j].reciprocal
+        assert sum(1 - x for x in s) <= 1
+        assert sum(r) >= 1
+
+
+def _mixed(p, q, theta, t):
+    """1/r and 1/s solving the mixing equations at 1/v = t (all ones at theta = 1)."""
+    if theta == 1:
+        return [Fraction(1)] * len(p), [Fraction(1)] * len(q)
+    u = [(1 - t) if j % 2 == 0 else t for j in range(len(p))]
+    return tuple([(x.reciprocal - theta * uj) / (1 - theta) for x, uj in zip(xs.entries, u)]
+                 for xs in (p, q))
