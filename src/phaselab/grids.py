@@ -8,6 +8,13 @@ approximation.  The companion grid for functions on ``R^d`` halves the point
 count and doubles the spacing, which makes it self-dual for the ordinary
 Fourier transform (``spacing^2 = 2*pi/count``) while keeping the half-sum
 coordinate shear of the operator calculus grid-aligned.
+
+Every transform reduces to :func:`centered_character_sum`, which brackets
+its FFTs with two elementwise passes: a ``+-1`` sign table before them, and
+one table of the trailing signs, the factors ``n`` and any scale after.
+``+-1`` and powers of two commute exactly with FFTs along other axes, so the
+bits are those of the per-axis route; an ``n`` that is not a power of two
+stays right after its inverse FFT, since deferring it would round.
 """
 
 from __future__ import annotations
@@ -23,14 +30,25 @@ class GridError(ValueError):
     """Raised on malformed grids or grid mismatches."""
 
 
-def _axis_signs(n: int) -> np.ndarray:
-    s = np.ones(n)
-    s[1::2] = -1.0
-    return s
+def _sign_table(shape: Sequence[int], axes: Sequence[int], sign: int = 0,
+                scale: float | np.ndarray = 1.0) -> np.ndarray:
+    """``scale`` times one ``+-1`` table per axis in ``axes``, multiplied out.
+
+    ``sign`` 0 gives ``(-1)^j``, what a centered sum multiplies its input by;
+    otherwise it is the sum's trailing table, ``(-1)^(k + n/2)`` per axis,
+    times ``n`` for ``sign > 0`` when ``n`` is a power of two."""
+    table = np.asarray(scale, dtype=float)
+    for ax in axes:
+        n = shape[ax]
+        fill = (-1) ** (n // 2) * (n if sign > 0 and not n & (n - 1) else 1) if sign else 1
+        table = table * np.where(np.arange(n) % 2, -fill, fill).reshape(
+            [-1 if i == ax else 1 for i in range(len(shape))])
+    return table
 
 
 def centered_character_sum(values: np.ndarray, axes: Sequence[int], sign: int,
-                           out: np.ndarray | None = None) -> np.ndarray:
+                           out: np.ndarray | None = None, *, _signed: bool = False,
+                           _scale: float | np.ndarray | None = 1.0) -> np.ndarray:
     """Per-axis sums ``sum_j f_j exp(sign * 2*pi*1j * (j-n/2)(k-n/2) / n)``.
 
     This is the index-space core shared by every transform in the package;
@@ -38,42 +56,36 @@ def centered_character_sum(values: np.ndarray, axes: Sequence[int], sign: int,
     ``spacing * dual_spacing * n = 2*pi``, which holds for all grid pairs
     used here.  Each axis length must be even.
 
+    Per axis the sum is ``sgn * (-1)^(n/2) * fft(sgn * f)`` with
+    ``sgn = (-1)^j`` (``ifft(...) * n`` for ``sign > 0``), bit for bit but
+    for the sign of an exact zero; all axes share the two table passes.
+
     As with ``np.fft.fft``, the result goes to ``out`` when given (a complex
     array of the input's shape, which may be ``values`` itself); otherwise
-    the first sign multiply allocates it with the memory layout of
-    ``values``, which is then never written.  Every later pass runs in place
-    on the result.  Per axis the result equals that of
-    ``sgn * (-1)^(n/2) * fft(sgn * f)`` (``ifft(...) * n`` for ``sign > 0``)
-    bit for bit, except that an exact zero may change sign: the trailing
-    sign, parity and ``n`` factors are one table, which is exact because
-    multiplying by ``+-1`` and by ``n`` commute.
+    the sign multiply allocates it with the memory layout of ``values``,
+    which is then never written.  With ``_signed`` the caller has already
+    multiplied ``values`` (complex, then written in place) by the sign
+    table; ``_scale`` (a scalar or a table) is multiplied into the trailing
+    table, and None leaves that table to the caller.
     """
-    res = np.asarray(values)
-    owned = False
+    res, axes = np.asarray(values), tuple(axes)
+    for ax in axes:
+        if res.shape[ax] % 2:
+            raise GridError(f"centered transform needs an even axis, got {res.shape[ax]}")
+    if not _signed:
+        res = np.multiply(res, _sign_table(res.shape, axes),
+                          out=np.empty_like(res, dtype=complex) if out is None else out)
     for ax in axes:
         n = res.shape[ax]
-        if n % 2:
-            raise GridError(f"centered transform needs an even axis, got {n}")
-        shape = [1] * res.ndim
-        shape[ax] = n
-        sgn = _axis_signs(n).reshape(shape)
-        if owned:
-            res *= sgn
-        else:
-            res = np.multiply(res, sgn, out=out, dtype=complex)
-            owned = True
         if sign < 0:
             np.fft.fft(res, axis=ax, out=res)
-            res *= sgn * ((-1) ** (n // 2))
         else:
             np.fft.ifft(res, axis=ax, out=res)
-            res *= sgn * ((-1) ** (n // 2) * n)
-    if owned:
-        return res
-    if out is None:
-        return res.astype(complex, copy=False)
-    np.copyto(out, res)
-    return out
+            if n & (n - 1):
+                res *= n
+    if _scale is not None:
+        res *= _sign_table(res.shape, axes, sign, _scale)
+    return res
 
 
 @dataclass(frozen=True)
@@ -237,7 +249,7 @@ def fourier(f: GridFunction, inverse: bool = False) -> GridFunction:
     if not g.is_self_dual:
         raise GridError("fourier requires a self-dual base grid")
     coeff = ((2 * math.pi) ** (-g.dim / 2)) * g.quadrature_weight
-    out = coeff * centered_character_sum(f.values, range(g.dim), +1 if inverse else -1)
+    out = centered_character_sum(f.values, range(g.dim), +1 if inverse else -1, _scale=coeff)
     return GridFunction(g, out)
 
 
@@ -249,22 +261,24 @@ def symplectic_fourier(a: GridFunction) -> GridFunction:
     g = a.grid
     if not g.is_symplectic:
         raise GridError("symplectic transform requires a symplectically self-dual grid")
-    return GridFunction(g, _symplectic_transform(a.values, g))
+    signed = np.multiply(a.values, _sign_table(g.shape, range(g.dim)), dtype=complex)
+    return GridFunction(g, _symplectic_transform(signed, g))
 
 
-def _symplectic_transform(values: np.ndarray, g: Grid, lead: int = 0,
-                          out: np.ndarray | None = None) -> np.ndarray:
-    """The symplectic Fourier transform over the ``2d`` axes of ``values`` after ``lead``.
+def _symplectic_transform(signed: np.ndarray, g: Grid, lead: int = 0) -> np.ndarray:
+    """The symplectic Fourier transform over the ``2d`` axes of ``signed`` after ``lead``.
 
-    ``out`` is as in :func:`centered_character_sum`; the scale runs in place
-    on the result of the sums, and a ``moveaxis`` view of it is returned."""
+    ``signed`` is complex and already multiplied by the ``_sign_table`` of
+    those axes; it is transformed in place and a ``moveaxis`` view returned.
+    The first sum's trailing table rides on the second's, with the scale."""
     d = g.dim // 2
+    first, second = list(range(lead, lead + d)), list(range(lead + d, lead + 2 * d))
     # 2*sigma(Y, Z) = sum_i 2*h^2 [ (j_z_i - c)(k_eta_i - c) - (k_y_i - c)(j_zeta_i - c) ]
-    res = centered_character_sum(values, range(lead, lead + d), +1, out=out)
-    centered_character_sum(res, range(lead + d, lead + 2 * d), -1, out=res)
-    res *= math.pi ** (-d) * g.quadrature_weight
+    centered_character_sum(signed, first, +1, _signed=True, _scale=None)
+    tail = _sign_table(signed.shape, first, +1, math.pi ** (-d) * g.quadrature_weight)
+    centered_character_sum(signed, second, -1, _signed=True, _scale=tail)
     # first block now pairs with eta (second output block), second with y
-    return np.moveaxis(res, list(range(lead, lead + d)), list(range(lead + d, lead + 2 * d)))
+    return np.moveaxis(signed, first, second)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,10 @@ blocks of whole rows of the leading shift axis, each of at most ``2^20``
 entries (``MATERIALIZE_LIMIT``); ``stft`` and ``symplectic_stft`` are its
 one-block case and refuse tensors past that size.
 
+A block costs two elementwise passes besides its FFTs: the shift stack is
+built from samples already multiplied by the sums' sign table, and one table
+after the last FFT holds every trailing factor and the scale.
+
 Every builder takes a private ``_scratch`` dict (``norms.stft_norms`` passes
 its per-thread arena): the shift stack is then written into the buffer kept
 there for its layout instead of a fresh array, so the returned values alias
@@ -27,6 +31,7 @@ from .grids import (
     Grid,
     GridError,
     GridFunction,
+    _sign_table,
     _symplectic_transform,
     centered_character_sum,
     require_same_grid,
@@ -94,14 +99,14 @@ def _reuse(scratch: dict | None, slot, ufunc, *operands: np.ndarray) -> np.ndarr
     return ufunc(*operands, out=scratch[key])
 
 
-def _shift_stack(f: GridFunction, phi: GridFunction, rows: slice = slice(None),
+def _shift_stack(values: np.ndarray, phi: GridFunction, rows: slice = slice(None),
                  scratch: dict | None = None) -> np.ndarray:
-    """Windowed copies ``f(y) * conj(phi(y - x))`` stacked over the shifts x in ``rows``.
+    """Windowed copies ``values(y) * conj(phi(y - x))`` stacked over the shifts x in ``rows``.
 
     ``rows`` selects along the leading shift axis; every other axis is whole.
     """
     return _reuse(scratch, "block", np.multiply,
-                  f.values[(np.newaxis,) * f.grid.dim + (Ellipsis,)], _shifted_windows(phi)[rows])
+                  values[(np.newaxis,) * values.ndim + (Ellipsis,)], _shifted_windows(phi)[rows])
 
 
 def stft(f: GridFunction, phi: GridFunction, *, _scratch: dict | None = None) -> STFTTensor:
@@ -157,12 +162,13 @@ def stft_blocks(a: GridFunction, Phi: GridFunction, symplectic: bool, *,
     step = MATERIALIZE_LIMIT * n // (n**m) ** 2
     if step < 1:
         raise GridError(f"one shift row of {n ** (2 * m - 1)} entries exceeds the materialization limit")
+    # the sums' sign table goes into the n^m samples instead of the block
+    signed = a.values * _sign_table(g.shape, range(m))
     for start in range(0, n, step):
         rows = slice(start, min(start + step, n))
-        block = _shift_stack(a, Phi, rows, _scratch)
+        block = _shift_stack(signed, Phi, rows, _scratch)
         if symplectic:
-            yield rows, _symplectic_transform(block, g, m, out=block)
+            yield rows, _symplectic_transform(block, g, m)
         else:
-            centered_character_sum(block, range(m, 2 * m), -1, out=block)
-            block *= (2 * math.pi) ** (-m / 2) * g.quadrature_weight
-            yield rows, block
+            yield rows, centered_character_sum(block, range(m, 2 * m), -1, _signed=True,
+                                               _scale=(2 * math.pi) ** (-m / 2) * g.quadrature_weight)

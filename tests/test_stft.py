@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import phaselab.grids
 import phaselab.stft
 from phaselab.grids import (
     GaussianAtomSpec,
@@ -17,7 +18,8 @@ from phaselab.grids import (
     make_grid,
     symplectic_fourier,
 )
-from phaselab.stft import _shift_stack, stft, stft_blocks, symplectic_stft
+from phaselab.norms import MixedNormSpec, stft_norms
+from phaselab.stft import _shift_stack, _shifted_windows, stft, stft_blocks, symplectic_stft
 
 RNG = np.random.default_rng(1)
 
@@ -196,9 +198,9 @@ def _gathered_stack(f, phi):
 
 def test_shift_stack_equals_direct_gather(base_setup, phase_setup):
     g, f, phi = base_setup
-    assert np.array_equal(_shift_stack(f, phi), _gathered_stack(f, phi))
+    assert np.array_equal(_shift_stack(f.values, phi), _gathered_stack(f, phi))
     pg, a, Phi = phase_setup
-    assert np.array_equal(_shift_stack(a, Phi), _gathered_stack(a, Phi))
+    assert np.array_equal(_shift_stack(a.values, Phi), _gathered_stack(a, Phi))
 
 
 def test_stft_memory_layout(phase_setup):
@@ -215,3 +217,111 @@ def test_materialization_guard():
     a = gaussian_atom(pg, GaussianAtomSpec((0, 0), (0, 0), 1.0))
     with pytest.raises(GridError):
         symplectic_stft(a, a)
+
+
+# -- bitwise oracle: per axis sign -> FFT -> trailing table, then the scale ------
+
+def _per_axis_sums(res, axes, sign):
+    """In place on ``res``: per axis a sign pass, the FFT, and a sign, parity and ``n`` pass."""
+    for ax in axes:
+        n = res.shape[ax]
+        sgn = np.where(np.arange(n) % 2, -1.0, 1.0).reshape(
+            [-1 if i == ax else 1 for i in range(res.ndim)])
+        res *= sgn
+        if sign < 0:
+            np.fft.fft(res, axis=ax, out=res)
+            res *= sgn * (-1) ** (n // 2)
+        else:
+            np.fft.ifft(res, axis=ax, out=res)
+            res *= sgn * ((-1) ** (n // 2) * n)
+    return res
+
+
+def _per_axis_symplectic(res, g, lead):
+    d = g.dim // 2
+    first, second = list(range(lead, lead + d)), list(range(lead + d, lead + 2 * d))
+    _per_axis_sums(res, first, +1)
+    _per_axis_sums(res, second, -1)
+    res *= math.pi ** (-d) * g.quadrature_weight
+    return np.moveaxis(res, first, second)
+
+
+def _oracle_block(a, Phi, symplectic, rows=slice(None)):
+    """The STFT rows ``rows`` by the per-axis route, on a shift stack of the same layout."""
+    g, m = a.grid, a.grid.dim
+    block = a.values[(np.newaxis,) * m + (Ellipsis,)] * _shifted_windows(Phi)[rows]
+    if symplectic:
+        return _per_axis_symplectic(block, g, m)
+    _per_axis_sums(block, range(m, 2 * m), -1)
+    block *= (2 * math.pi) ** (-m / 2) * g.quadrature_weight
+    return block
+
+
+def _random(g):
+    return GridFunction(g, RNG.standard_normal(g.shape) + 1j * RNG.standard_normal(g.shape))
+
+
+def _same(got, want):
+    return np.array_equal(got, want) and got.strides == want.strides
+
+
+# n = 12 and 24 are not powers of two: their inverse FFTs' factor n is inexact
+@pytest.mark.parametrize("d, n", [(1, 16), (1, 32), (1, 12), (1, 24), (2, 4), (2, 8)])
+def test_transforms_equal_per_axis_route_bitwise(d, n):
+    pg = make_grid(d, n)
+    g = pg.symbol_grid
+    a, Phi = _random(g), _random(g)
+    want = _per_axis_symplectic(a.values.astype(complex), g, 0)
+    assert _same(symplectic_fourier(a).values, GridFunction(g, want).values)
+    if d == 1 or n == 4:  # d = 2, n = 8 is past the materialization limit
+        assert _same(symplectic_stft(a, Phi).values, _oracle_block(a, Phi, True))
+        assert _same(stft(a, Phi).values, _oracle_block(a, Phi, False))
+    if n % 4 == 0:
+        b = pg.base_grid
+        f, phi = _random(b), _random(b)
+        assert _same(stft(f, phi).values, _oracle_block(f, phi, False))
+        for sign, inverse in ((-1, False), (+1, True)):
+            want = _per_axis_sums(f.values.astype(complex), range(b.dim), sign)
+            want *= (2 * math.pi) ** (-b.dim / 2) * b.quadrature_weight
+            assert _same(fourier(f, inverse).values, GridFunction(b, want).values)
+
+
+def test_block_walk_equals_per_axis_route_bitwise(monkeypatch):
+    n = 64
+    pg = make_grid(1, n)
+    a, Phi = _random(pg.symbol_grid), _random(pg.symbol_grid)
+    monkeypatch.setattr(phaselab.stft, "MATERIALIZE_LIMIT", 3 * n**3)
+    for symplectic in (True, False):
+        blocks = 0
+        for rows, block in stft_blocks(a, Phi, symplectic):
+            assert _same(block, _oracle_block(a, Phi, symplectic, rows))
+            blocks += 1
+        assert blocks == 22  # 21 blocks of three rows and a last one of one
+
+
+def test_each_transform_makes_two_character_sums(monkeypatch):
+    # the benchmark's trace pins these counts per pass
+    calls = []
+    real = phaselab.grids.centered_character_sum
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    for module in (phaselab.grids, phaselab.stft):
+        monkeypatch.setattr(module, "centered_character_sum", counted)
+    pg = make_grid(1, 32)
+    a, Phi = _random(pg.symbol_grid), _random(pg.symbol_grid)
+    symplectic_stft(a, Phi)
+    assert calls == [+1, -1]
+    calls.clear()
+    symplectic_fourier(a)
+    assert calls == [+1, -1]
+    calls.clear()
+    stft(a, Phi)
+    assert calls == [-1]
+    calls.clear()
+    # n = 64: 16 blocks of four shift rows each
+    pg = make_grid(1, 64)
+    stft_norms(_random(pg.symbol_grid), _random(pg.symbol_grid), [MixedNormSpec(2, 2)])
+    assert calls == [+1, -1] * 16

@@ -259,7 +259,7 @@ class TestKernelMaps:
         window the base-lattice sampling can represent.
         """
         from phaselab.grids import Grid
-        from phaselab.stft import _symplectic_transform, stft
+        from phaselab.stft import stft
 
         pg = make_grid(1, 64)
         base = pg.base_grid
@@ -290,7 +290,7 @@ class TestKernelMaps:
         for s in np.unique(flat):
             s1, s2 = divmod(int(s), n)
             windowed = a.values * np.conj(np.roll(Psi.values, (s1 - cn, s2 - cn), axis=(0, 1)))
-            cache[int(s)] = _symplectic_transform(windowed, g, 0)
+            cache[int(s)] = symplectic_fourier(GridFunction(g, windowed)).values
         it = np.nditer(flat, flags=["multi_index"])
         for val in it:
             mi = it.multi_index
