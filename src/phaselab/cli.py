@@ -74,16 +74,12 @@ def _run(args) -> int:
     return 0 if all(c.passed for c in checks) else 1
 
 
-def _parse_pair(args) -> list[ExponentTuple]:
-    """``--p`` and ``--q``, each with ``--n`` factors (default: as many as p)."""
-    pair, n = [], args.n
-    for text in (args.p, args.q):
-        tup = ExponentTuple.parse(text)
-        if n is not None and tup.n_factors != n:
-            raise ConfigError(f"tuple {text!r} has N = {tup.n_factors}, expected N = {n}")
-        pair.append(tup)
-        n = tup.n_factors
-    return pair
+def _parse_pair(args) -> tuple[ExponentTuple, ExponentTuple]:
+    """``--p`` and ``--q``; q must have as many factors as p."""
+    p, q = ExponentTuple.parse(args.p), ExponentTuple.parse(args.q)
+    if q.n_factors != p.n_factors:
+        raise ConfigError(f"tuple {args.q!r} has N = {q.n_factors}, expected N = {p.n_factors}")
+    return p, q
 
 
 def _cmd_exponents(args):
@@ -196,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=_at_least(0), default=0)
 
     sp = sub.add_parser("exponents", help="evaluate a boundedness condition")
-    sp.add_argument("--n", type=int, default=None, help="number of factors N")
     sp.add_argument("--p", required=True, help="comma-separated exponents, e.g. 2,inf,2,2")
     sp.add_argument("--q", required=True)
     sp.add_argument("--criterion", choices=CRITERIA, default="thm-B")
@@ -204,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_exponents)
 
     sp = sub.add_parser("interpolate", help="construct an interpolation certificate")
-    sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--p", required=True)
     sp.add_argument("--q", required=True)
     sp.add_argument("--tolerance", type=float, default=1e-12)
@@ -222,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_representation)
 
     sp = sub.add_parser("ratio", help="norm-ratio experiment")
-    sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--p", required=True)
     sp.add_argument("--q", required=True)
     sp.add_argument("--weights", help="comma-separated weight literals (one per slot)")

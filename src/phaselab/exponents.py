@@ -75,10 +75,6 @@ class Exponent:
         return float("inf") if self.is_infinite else float(1 / self.reciprocal)
 
     @property
-    def exact_value(self) -> Fraction | None:
-        return None if self.is_infinite else 1 / self.reciprocal
-
-    @property
     def in_banach_range(self) -> bool:
         return 0 <= self.reciprocal <= 1
 

@@ -170,13 +170,6 @@ def make_grid(d: int, n: int) -> PhaseGrid:
     return PhaseGrid(d, n)
 
 
-def make_base_grid(d: int, n: int) -> Grid:
-    """Standalone self-dual grid for functions on ``R^d`` (spacing ``sqrt(2*pi/n)``)."""
-    if n < 4 or n % 2:
-        raise GridError(f"samples per axis must be even and >= 4, got {n}")
-    return Grid(d, n, math.sqrt(2 * math.pi / n))
-
-
 @dataclass(frozen=True)
 class GridFunction:
     """Complex samples over a grid, immutable once constructed."""
@@ -309,8 +302,8 @@ def gaussian_atom(phase: PhaseGrid, spec: GaussianAtomSpec) -> GridFunction:
     if len(spec.center) != g.dim or len(spec.modulation) != g.dim:
         raise GridError("atom center/modulation dimension mismatch")
     L = g.extent
-    reach = max(max(abs(c) for c in spec.center), max(abs(m) for m in spec.modulation))
-    if max(abs(c) for c in spec.center) + max(abs(m) for m in spec.modulation) > L / 4 + 1e-12:
+    reach = max(abs(c) for c in spec.center) + max(abs(m) for m in spec.modulation)
+    if reach > L / 4 + 1e-12:
         raise GridError(
             f"atom at reach {reach:.3g} violates truncation safety (extent {L:.3g})"
         )

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -263,9 +262,6 @@ class RatioReport:
             "quantiles": self.quantiles,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
@@ -277,10 +273,14 @@ class RatioReport:
 
 
 def _thread_count() -> int:
+    value = os.environ.get(THREAD_ENV, "1")
     try:
-        return max(1, int(os.environ.get(THREAD_ENV, "1")))
-    except ValueError as exc:
-        raise GridError(f"{THREAD_ENV} must be an integer ({exc})") from None
+        threads = int(value)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise GridError(f"{THREAD_ENV} must be a positive integer, got {value!r}")
+    return threads
 
 
 def _sample_ratios(configs: Sequence[RatioConfig], symbols: Sequence[GridFunction],

@@ -9,14 +9,15 @@ the reverse for amalgam-type norms), two measures:
   (embedding monotonicity, Frobenius-type submultiplicativity) exact.
 
 Quasi-Banach exponents below 1 are allowed; infinite exponents take sups.
-When the two exponents coincide the norm collapses to the flat vector norm
-and is computed by exactly that code path (bitwise identical).
+When the two exponents coincide the norm collapses to the flat vector norm:
+one power sum over every entry, whatever the order.
 
 A norm reduces in two steps shared by every caller: ``_partial`` sums p-th
 powers (or takes maxima) over the shift axes of a block of magnitudes and
 ``_finish`` turns the accumulated sums into the norm.  ``stft_norms`` takes
-the norms of one symbol's STFT: a tensor within ``MATERIALIZE_LIMIT`` is one
-block and goes through ``mixed_norm``; a larger one is walked once in blocks.
+the norms of one symbol's symplectic STFT: a tensor within
+``MATERIALIZE_LIMIT`` is one block and goes through ``mixed_norm``; a larger
+one is walked once in blocks.
 
 ``mixed_norm`` memoises each (p, q, order if p != q, weight if not unit,
 measure) on the read-only tensor and returns the first float on a repeat;
@@ -30,8 +31,8 @@ The buffers stay: ``stft_norms`` writes the STFT block, ``|V|`` and each
 arena, at most one set per block layout (about 32 MiB at n = 32), so the next
 tensor reuses the pages instead of faulting in fresh ones.  Each buffer is a
 first fresh result, so reuses have its strides and the bits do not change.
-No arena buffer outlives its ``stft_norms`` call in a returned value, and the
-public functions called without ``_scratch`` allocate as before.
+No arena buffer outlives its ``stft_norms`` call in a returned value, and a
+tensor built without ``_scratch`` keeps its own magnitudes.
 """
 
 from __future__ import annotations
@@ -43,10 +44,8 @@ import numpy as np
 
 from .exponents import Exponent
 from .grids import Grid, GridError, GridFunction
-from .stft import STFTTensor, _fits, _reuse, stft, stft_blocks, symplectic_stft
+from .stft import STFTTensor, _fits, _reuse, stft_blocks, symplectic_stft
 from .weights import WeightSpec
-
-FLAVORS = ("M", "W", "symplectic-M", "symplectic-W")
 
 _ARENA = threading.local()
 
@@ -86,11 +85,6 @@ class MixedNormSpec:
         _exponent_value(self.q)
 
 
-def flat_norm(values: np.ndarray, p: float, cell: float = 1.0) -> float:
-    """Plain l^p (quasi-)norm of all entries with one quadrature cell volume."""
-    return float(_axes_norm(np.abs(values), None, p, cell))
-
-
 def _power_sum(x: np.ndarray, axes: tuple[int, ...] | None, p: float) -> np.ndarray:
     """Sum of ``x**p`` over ``axes`` (all entries when None); the maximum for ``p = inf``."""
     if math.isinf(p):
@@ -103,8 +97,8 @@ def _root(acc: np.ndarray, p: float, cell: float) -> np.ndarray:
     return acc if math.isinf(p) else (acc * cell) ** (1.0 / p)
 
 
-def _axes_norm(mags: np.ndarray, axes: tuple[int, ...] | None, p: float, cell: float) -> np.ndarray:
-    """Norm over ``axes`` (all entries when None) of non-negative magnitudes."""
+def _axes_norm(mags: np.ndarray, axes: tuple[int, ...], p: float, cell: float) -> np.ndarray:
+    """Norm over ``axes`` of non-negative magnitudes."""
     return _root(_power_sum(mags, axes, p), p, cell)
 
 
@@ -181,9 +175,8 @@ def mixed_norm(F: STFTTensor, spec: MixedNormSpec) -> float:
     return F._norms[key]
 
 
-def stft_norms(a: GridFunction, window: GridFunction, specs: list[MixedNormSpec],
-               symplectic: bool = True) -> list[float]:
-    """Mixed norms of the (symplectic) STFT of ``a`` against ``window``, one per spec.
+def stft_norms(a: GridFunction, window: GridFunction, specs: list[MixedNormSpec]) -> list[float]:
+    """Mixed norms of the symplectic STFT of ``a`` against ``window``, one per spec.
 
     A tensor within ``MATERIALIZE_LIMIT`` is built once and every spec goes
     through :func:`mixed_norm`.  A larger one is walked once in blocks: per
@@ -194,34 +187,19 @@ def stft_norms(a: GridFunction, window: GridFunction, specs: list[MixedNormSpec]
     g = a.grid
     scratch = _arena()
     if _fits(g):
-        build = symplectic_stft if symplectic else stft
-        F = build(a, window, _scratch=scratch)
+        F = symplectic_stft(a, window, _scratch=scratch)
         return [mixed_norm(F, spec) for spec in specs]
-    freq_grid = g if symplectic else g.dual()
     keys = [_norm_key(spec) for spec in specs]
-    cells = {key: _cells(key[4], g, freq_grid) for key in keys}
+    cells = {key: _cells(key[4], g, g) for key in keys}
     weights = dict.fromkeys(key[3] for key in keys if key[3] is not None)
     acc = {}
-    for rows, block in stft_blocks(a, window, symplectic, _scratch=scratch):
+    for rows, block in stft_blocks(a, window, True, _scratch=scratch):
         mags = {None: _reuse(scratch, "abs", np.abs, block)}
         for slot, weight in enumerate(weights, start=1):
-            w = _weight_tensor(weight, g, freq_grid, rows)
+            w = _weight_tensor(weight, g, g, rows)
             mags[weight] = _reuse(scratch, slot, np.multiply, mags[None], w)
         for key in cells:
             combine = np.maximum if math.isinf(key[0]) else np.add
             acc[key] = combine(acc.get(key, 0.0), _partial(mags[key[3]], key, cells[key]))
     return [_finish(acc[key], key, cells[key]) for key in keys]
 
-
-def modulation_norm(a: GridFunction, window: GridFunction, spec: MixedNormSpec,
-                    flavor: str = "symplectic-M") -> float:
-    """Mixed norm of the STFT selected by ``flavor``.
-
-    Modulation-type flavors iterate inner-shift/outer-frequency, amalgam-type
-    the reverse; the flavor overrides ``spec.order`` accordingly.
-    """
-    if flavor not in FLAVORS:
-        raise GridError(f"unknown flavor {flavor!r}")
-    order = "modulation" if flavor.endswith("M") else "amalgam"
-    spec = MixedNormSpec(spec.p, spec.q, order, spec.weight, spec.measure)
-    return stft_norms(a, window, [spec], flavor.startswith("symplectic"))[0]

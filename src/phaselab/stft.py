@@ -11,11 +11,12 @@ A block costs two elementwise passes besides its FFTs: the shift stack is
 built from samples already multiplied by the sums' sign table, and one table
 after the last FFT holds every trailing factor and the scale.
 
-Every builder takes a private ``_scratch`` dict (``norms.stft_norms`` passes
-its per-thread arena): the shift stack is then written into the buffer kept
-there for its layout instead of a fresh array, so the returned values alias
-that buffer until the next STFT built with the same scratch.  Without it
-every call allocates its own tensor.
+``symplectic_stft`` and ``stft_blocks`` take a private ``_scratch`` dict
+(``norms.stft_norms`` passes its per-thread arena): the shift stack is then
+written into the buffer kept there for its layout instead of a fresh array,
+so the returned values alias that buffer until the next STFT built with the
+same scratch.  Without it every call allocates its own tensor; ``stft``
+always does.
 """
 
 from __future__ import annotations
@@ -109,14 +110,13 @@ def _shift_stack(values: np.ndarray, phi: GridFunction, rows: slice = slice(None
                   values[(np.newaxis,) * values.ndim + (Ellipsis,)], _shifted_windows(phi)[rows])
 
 
-def stft(f: GridFunction, phi: GridFunction, *, _scratch: dict | None = None) -> STFTTensor:
+def stft(f: GridFunction, phi: GridFunction) -> STFTTensor:
     """Windowed unitary Fourier transform ``V_phi f``.
 
     ``V_phi f(x, xi) = (2*pi)^{-d/2} * s^d * sum_y f(y) conj(phi(y-x)) e^{-i<y, xi>}``
     with the frequency variable on the dual grid.
     """
-    return STFTTensor(f.grid, f.grid.dual(), _one_block(f, phi, False, _scratch), "ordinary",
-                     _scratch=_scratch)
+    return STFTTensor(f.grid, f.grid.dual(), _one_block(f, phi, False, None), "ordinary")
 
 
 def symplectic_stft(a: GridFunction, Phi: GridFunction, *,

@@ -81,18 +81,6 @@ class WeightSpec:
             out = out * w.evaluate_grid(coords)
         return out
 
-    def moderator(self) -> "WeightSpec":
-        """A submultiplicative weight moderating this one."""
-        if self.kind == "unit":
-            return unit_weight()
-        if self.kind == "poly":
-            return WeightSpec("poly", abs(self.param))
-        if self.kind == "exp":
-            return WeightSpec("exp", abs(self.param))
-        if self.kind == "split":
-            return WeightSpec("split", 0.0, (self.inner[0].moderator(),), self.block)
-        return WeightSpec("product", 0.0, tuple(w.moderator() for w in self.inner))
-
     def reciprocal(self) -> "WeightSpec":
         if self.kind == "unit":
             return unit_weight()
@@ -160,19 +148,6 @@ def parse_weight_list(text: str, expected: int | None = None) -> tuple[WeightSpe
     if expected is not None and len(parts) != expected:
         raise WeightError(f"expected {expected} weights, got {len(parts)}")
     return tuple(parts)
-
-
-def verify_moderate(w: WeightSpec, v: WeightSpec, samples: np.ndarray) -> tuple[bool, float]:
-    """Check ``w(x + y) <= C * w(x) v(y)`` over sample pairs.
-
-    ``samples`` has shape ``(count, 2, dim)``; returns ``(ok, worst_ratio)``
-    where ``worst_ratio`` is the smallest admissible ``C`` on the samples and
-    ``ok`` flags it as finite.
-    """
-    x, y = samples[:, 0].T, samples[:, 1].T
-    ratios = w.evaluate_grid(x + y) / (w.evaluate_grid(x) * v.evaluate_grid(y))
-    worst = float(np.max(ratios, initial=0.0))
-    return bool(np.isfinite(worst)), worst
 
 
 def _tuple_arguments(kind: str, points: np.ndarray, A: np.ndarray | None, d: int) -> np.ndarray:

@@ -272,12 +272,6 @@ class OperatorMatrix:
     base: Grid
     matrix: np.ndarray
 
-    def apply(self, f: GridFunction) -> GridFunction:
-        if f.grid != self.base:
-            raise GridError("operator/argument grid mismatch")
-        out = self.matrix @ f.values.ravel()
-        return GridFunction(self.base, out.reshape(self.base.shape))
-
     def compose(self, other: "OperatorMatrix") -> "OperatorMatrix":
         if other.base != self.base:
             raise GridError("operator grid mismatch")
@@ -318,10 +312,6 @@ def matrix_to_kernel(M: OperatorMatrix, phase: PhaseGrid, A, offset: int = 0,
 def operator_matrix(a: GridFunction, A, offset: int = 0) -> OperatorMatrix:
     """Quadrature matrix of the quantized operator of a symbol."""
     return materialize_matrix(symbol_to_kernel(a, A), offset)
-
-
-def symbol_of_matrix(M: OperatorMatrix, phase: PhaseGrid, A) -> GridFunction:
-    return kernel_to_symbol(matrix_to_kernel(M, phase, A))
 
 
 def compose_via_matrices(a: GridFunction, b: GridFunction, A) -> GridFunction:

@@ -24,7 +24,7 @@ def run_json(capsys, *argv):
 
 
 def test_exponents_worked_instance(capsys):
-    code, doc = run_json(capsys, "exponents", "--n", "3", "--p", "2,inf,2,2",
+    code, doc = run_json(capsys, "exponents", "--p", "2,inf,2,2",
                          "--q", "2,1,2,2", "--criterion", "thm-B")
     assert code == 0
     assert doc["checks"][0]["pass"] is True
@@ -40,7 +40,7 @@ def test_exponents_failing_condition_exits_one(capsys):
 
 
 def test_exponents_length_mismatch_exits_two(capsys):
-    code, out, err = run(capsys, "exponents", "--n", "3", "--p", "2", "--q", "2,1,2")
+    code, out, err = run(capsys, "exponents", "--p", "2", "--q", "2,1,2")
     assert code == 2 and "error" in err
 
 
@@ -59,6 +59,12 @@ def test_unknown_flag_exits_two(capsys):
     code, out, err = run(capsys, "exponents", "--p", "2,2,2,2", "--q", "2,2,2,2",
                          "--frobnicate")
     assert code == 2
+
+
+def test_n_flag_is_gone(capsys):
+    # N is the length of --p, so the old --n flag is an unrecognised argument
+    code, out, err = run(capsys, "exponents", "--n", "3", "--p", "2,inf,2,2", "--q", "2,1,2,2")
+    assert code == 2 and "unrecognized arguments: --n 3" in err
 
 
 def test_interpolate_reports_certificate(capsys):

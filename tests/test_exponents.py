@@ -29,9 +29,9 @@ eighths = st.integers(0, 8).map(lambda k: Fraction(k, 8))
 
 def test_conjugate_branches():
     assert Exponent.from_value(1).conjugate().is_infinite
-    assert Exponent.from_value(2).conjugate().exact_value == 2
-    assert Exponent.from_value(Fraction(4, 3)).conjugate().exact_value == 4
-    assert parse_exponent("inf").conjugate().exact_value == 1
+    assert Exponent.from_value(2).conjugate().reciprocal == Fraction(1, 2)
+    assert Exponent.from_value(Fraction(4, 3)).conjugate().reciprocal == Fraction(1, 4)
+    assert parse_exponent("inf").conjugate().reciprocal == 1
     # quasi-range: p in (0, 1] maps to infinity
     assert Exponent.from_value(Fraction(1, 2)).conjugate().is_infinite
 
@@ -318,7 +318,7 @@ class TestInterpolation:
         cert = construct_interpolation(t, t)
         assert cert.branch == "endpoint-mix"
         assert cert.theta == 1
-        assert cert.v.exact_value == 2
+        assert cert.v.reciprocal == Fraction(1, 2)
         assert cert.feasible and cert.residual == 0.0
 
     def test_theta_zero(self):
@@ -351,7 +351,7 @@ class TestInterpolation:
         assert cert.theta == Fraction(3, 8)
         assert cert.feasible and cert.residual == 0.0
         assert cert.branch == "endpoint-mix"
-        assert cert.v.exact_value == 3
+        assert cert.v.reciprocal == Fraction(1, 3)
         for t in (Fraction(1, 3) - Fraction(1, 96), Fraction(1, 3) + Fraction(1, 96)):
             assert _certificate_residual(p, q, cert.theta, t, *_mixed(p, q, cert.theta, t)) > 0
 
@@ -372,7 +372,7 @@ class TestInterpolation:
         cert = construct_interpolation(p, q)
         assert cert.feasible and cert.residual == 0.0
         assert cert.branch == "endpoint-mix"
-        assert cert.v.exact_value == 1
+        assert cert.v.reciprocal == 1
 
     def test_rejects_inadmissible_input(self):
         bad = ExponentTuple.parse("4,4,4,4")  # excess of 1/q' is 1, pair minima 1/4

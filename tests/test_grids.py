@@ -16,7 +16,6 @@ from phaselab.grids import (
     centered_character_sum,
     fourier,
     gaussian_atom,
-    make_base_grid,
     make_grid,
     sigma,
     symplectic_fourier,
@@ -141,7 +140,7 @@ def test_sigma_antisymmetry(x, y):
 
 
 def test_fourier_gaussian_self_dual():
-    g = make_base_grid(1, 64)
+    g = make_grid(1, 128).base_grid
     f = base_gaussian(g, width=1.0)
     fh = fourier(f)
     rel = np.max(np.abs(fh.values - f.values)) / np.max(np.abs(f.values))
@@ -149,7 +148,7 @@ def test_fourier_gaussian_self_dual():
 
 
 def test_fourier_round_trip_and_parseval():
-    g = make_base_grid(1, 64)
+    g = make_grid(1, 128).base_grid
     f = GridFunction(g, RNG.standard_normal(g.shape) + 1j * RNG.standard_normal(g.shape))
     back = fourier(fourier(f), inverse=True)
     assert np.max(np.abs(back.values - f.values)) < 1e-13
@@ -224,6 +223,12 @@ class TestGaussianAtom:
         far = pg.extent / 2
         with pytest.raises(GridError):
             gaussian_atom(pg, GaussianAtomSpec((far, 0), (0, 0), 1.0))
+
+    def test_truncation_refusal_names_the_tested_reach(self):
+        # the bound is on |center| + |modulation|: 1.2 + 1.2 against a limit of 1.77
+        pg = make_grid(1, 16)
+        with pytest.raises(GridError, match=r"reach 2\.4 "):
+            gaussian_atom(pg, GaussianAtomSpec((1.2, 0), (1.2, 0), 1.0))
 
     def test_grid_step_shift_is_cyclic(self):
         pg = make_grid(1, 32)

@@ -139,7 +139,6 @@ class TestRatioExperiment:
         r1 = _one_config(all2, all2, ens, pg8)
         r2 = _one_config(all2, all2, ens, pg8)
         assert r1.as_dict() == r2.as_dict()
-        assert r1.to_json() == r2.to_json()
 
     def test_degenerate_symbol_records_null(self, pg8):
         all2 = ExponentTuple.parse("2,2,2,2")
@@ -202,7 +201,7 @@ class TestRatioExperiment:
         threaded = _one_config(all2, all2, ens, pg8)
         assert base.ratios == threaded.ratios
 
-    @pytest.mark.parametrize("value", ["two", "1.5", ""])
+    @pytest.mark.parametrize("value", ["two", "1.5", "", "0", "-3"])
     def test_bad_thread_env_is_an_error(self, monkeypatch, value):
         monkeypatch.setenv("PHASELAB_THREADS", value)
         with pytest.raises(GridError, match="PHASELAB_THREADS"):

@@ -14,8 +14,8 @@ from phaselab.grids import (
     make_grid,
     symplectic_fourier,
 )
-from phaselab.norms import MixedNormSpec, flat_norm, mixed_norm, modulation_norm, stft_norms
-from phaselab.stft import STFTTensor, stft, stft_blocks, symplectic_stft
+from phaselab.norms import MixedNormSpec, mixed_norm, stft_norms
+from phaselab.stft import STFTTensor, stft_blocks, symplectic_stft
 from phaselab.weights import poly_weight, split_weight, unit_weight
 
 RNG = np.random.default_rng(2)
@@ -49,7 +49,7 @@ def test_equal_exponents_collapse_bitwise(setup):
         cell = g.quadrature_weight**2 if measure == "quadrature" else 1.0
         for order in ("modulation", "amalgam"):
             spec = MixedNormSpec(1.5, 1.5, order, None, measure)
-            assert mixed_norm(W, spec) == flat_norm(W.values, 1.5, cell)
+            assert mixed_norm(W, spec) == (cell * np.sum(np.abs(W.values) ** 1.5)) ** (1 / 1.5)
 
 
 def test_counting_monotonicity(setup):
@@ -84,7 +84,7 @@ def test_homogeneity_and_triangle(setup):
 def test_moyal_constant_symplectic(setup):
     # measured once against the direct-sum oracle: the constant is 1 exactly
     pg, a, Phi, W = setup
-    got = modulation_norm(a, Phi, MixedNormSpec(2, 2), "symplectic-M")
+    got = stft_norms(a, Phi, [MixedNormSpec(2, 2)])[0]
     assert got == pytest.approx(a.norm2() * Phi.norm2(), rel=1e-8)
 
 
@@ -98,7 +98,7 @@ def test_window_robustness(setup):
         rng = np.random.default_rng(seed)
         sym = gaussian_atom(pg, GaussianAtomSpec(
             tuple(rng.uniform(-1, 1, 2)), tuple(rng.uniform(-0.5, 0.5, 2)), 0.5))
-        ratios.append(modulation_norm(sym, w1, spec) / modulation_norm(sym, w2, spec))
+        ratios.append(stft_norms(sym, w1, [spec])[0] / stft_norms(sym, w2, [spec])[0])
     # equivalent norms: the two-window ratio stays in a fixed band
     assert max(ratios) / min(ratios) < 1.5
     assert all(0.25 < r < 4.0 for r in ratios)
@@ -111,8 +111,8 @@ def test_transform_exchange_of_norms(setup):
     w0 = split_weight(poly_weight(1.0), "X")
     fa, fPhi = symplectic_fourier(a), symplectic_fourier(Phi)
     for (p, q) in [(1, 2), (2, 4), (3, 1.5), (float("inf"), 2)]:
-        lhs = modulation_norm(a, Phi, MixedNormSpec(p, q, "modulation", w), "symplectic-M")
-        rhs = modulation_norm(fa, fPhi, MixedNormSpec(q, p, "amalgam", w0), "symplectic-W")
+        lhs = stft_norms(a, Phi, [MixedNormSpec(p, q, "modulation", w)])[0]
+        rhs = stft_norms(fa, fPhi, [MixedNormSpec(q, p, "amalgam", w0)])[0]
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
@@ -127,41 +127,33 @@ def test_duality_lower_bound():
         for (p, q) in [(1.0, 2.0), (2.0, 3.0), (4.0, 1.0)]:
             pc = Exponent.from_value(p).conjugate().value
             qc = Exponent.from_value(q).conjugate().value
-            na = modulation_norm(a, Phi, MixedNormSpec(p, q, "modulation", w), "symplectic-M")
-            nb = modulation_norm(b, Phi, MixedNormSpec(pc, qc, "modulation", w.reciprocal()),
-                                 "symplectic-M")
+            na = stft_norms(a, Phi, [MixedNormSpec(p, q, "modulation", w)])[0]
+            nb = stft_norms(b, Phi, [MixedNormSpec(pc, qc, "modulation", w.reciprocal())])[0]
             assert abs(a.inner(b)) <= na * nb / Phi.norm2() ** 2 * (1 + 1e-8)
 
 
 def test_multi_block_matches_one_block(monkeypatch):
-    # every drift spec, in both orders and with both measures, plus the
-    # flavors of modulation_norm (the ordinary STFT included)
+    # every drift spec, in both orders and with both measures, plus weighted and
+    # infinite-exponent cases
     w = split_weight(poly_weight(1.0), "Y")
     specs = _drift_specs()
     specs += [MixedNormSpec(s.p, s.q, s.order, s.weight, "counting") for s in specs]
-    cases = [
-        (MixedNormSpec(1.5, 2.5, "modulation", w), "symplectic-M"),
-        (MixedNormSpec(float("inf"), 2, "amalgam", w), "symplectic-W"),
-        (MixedNormSpec(2, float("inf"), "modulation", None), "symplectic-M"),
-        (MixedNormSpec(3, 1, "amalgam", None), "M"),
-        (MixedNormSpec(2, 1, "amalgam", w, "counting"), "W"),
+    specs += [
+        MixedNormSpec(1.5, 2.5, "modulation", w),
+        MixedNormSpec(float("inf"), 2, "amalgam", w),
+        MixedNormSpec(2, float("inf"), "modulation", None),
         # weights on the shift block see which rows a block holds
-        (MixedNormSpec(1.5, 3, "modulation", split_weight(poly_weight(1.0), "X")), "symplectic-M"),
-        (MixedNormSpec(3, 1.5, "amalgam", poly_weight(0.5)), "W"),
+        MixedNormSpec(1.5, 3, "modulation", split_weight(poly_weight(1.0), "X")),
+        MixedNormSpec(3, 1.5, "amalgam", poly_weight(0.5)),
     ]
     for n in (16, 32):
         pg = make_grid(1, n)
         a = gaussian_atom(pg, GaussianAtomSpec((0.4, -0.2), (2 * pg.h, -pg.h), 0.45))
         Phi = gaussian_atom(pg, GaussianAtomSpec((0, 0), (0, 0), 0.45))
-        want = [stft_norms(a, Phi, specs, symplectic) for symplectic in (True, False)]
-        want_flavors = [modulation_norm(a, Phi, spec, flavor) for spec, flavor in cases]
+        want = stft_norms(a, Phi, specs)
         for rows in (1, 4):
             monkeypatch.setattr(phaselab.stft, "MATERIALIZE_LIMIT", rows * n**3)
-            for symplectic, values in zip((True, False), want):
-                got = stft_norms(a, Phi, specs, symplectic)
-                assert got == pytest.approx(values, rel=1e-12, abs=0)
-            got = [modulation_norm(a, Phi, spec, flavor) for spec, flavor in cases]
-            assert got == pytest.approx(want_flavors, rel=1e-12, abs=0)
+            assert stft_norms(a, Phi, specs) == pytest.approx(want, rel=1e-12, abs=0)
         monkeypatch.undo()
 
 
@@ -376,18 +368,16 @@ def _arena_specs():
                              MixedNormSpec(float("inf"), 2, "modulation", wx)]
 
 
-@pytest.mark.parametrize("symplectic", [True, False])
 @pytest.mark.parametrize("d, n", [(1, 16), (1, 32), (2, 4)])
-def test_arena_norms_equal_fresh_tensor_bitwise(d, n, symplectic):
+def test_arena_norms_equal_fresh_tensor_bitwise(d, n):
     # a stale block or magnitude buffer would give the previous symbol's norms
     pg = make_grid(d, n)
     Phi = _window(pg)
     specs = _arena_specs()
-    build = symplectic_stft if symplectic else stft
     keys = None
     for a in _symbols(pg, 3):
-        got = stft_norms(a, Phi, specs, symplectic)
-        fresh = build(a, Phi)
+        got = stft_norms(a, Phi, specs)
+        fresh = symplectic_stft(a, Phi)
         assert got == [mixed_norm(fresh, spec) for spec in specs]
         # one set of buffers per layout: later symbols add none
         keys = keys or set(phaselab.norms._arena())
@@ -420,33 +410,30 @@ def test_arena_buffers_have_fresh_strides(monkeypatch):
     Phi = _window(pg)
     a, b = _symbols(pg, 2)
     specs = _arena_specs()
-    for build in (symplectic_stft, stft):
-        scratch = {}
-        first = build(a, Phi, _scratch=scratch)
-        for spec in specs:
-            mixed_norm(first, spec)
-        reused = build(b, Phi, _scratch=scratch)
-        for spec in specs:
-            mixed_norm(reused, spec)
-        fresh = build(b, Phi)
-        for spec in specs:
-            mixed_norm(fresh, spec)
-        assert np.shares_memory(reused.values, first.values)
-        assert reused.values.strides == fresh.values.strides
-        assert set(reused._mags) == set(fresh._mags)
-        for k, mags in fresh._mags.items():
-            assert np.shares_memory(reused._mags[k], first._mags[k])
-            assert reused._mags[k].strides == mags.strides
+    scratch = {}
+    first = symplectic_stft(a, Phi, _scratch=scratch)
+    for spec in specs:
+        mixed_norm(first, spec)
+    reused = symplectic_stft(b, Phi, _scratch=scratch)
+    for spec in specs:
+        mixed_norm(reused, spec)
+    fresh = symplectic_stft(b, Phi)
+    for spec in specs:
+        mixed_norm(fresh, spec)
+    assert np.shares_memory(reused.values, first.values)
+    assert reused.values.strides == fresh.values.strides
+    assert set(reused._mags) == set(fresh._mags)
+    for k, mags in fresh._mags.items():
+        assert np.shares_memory(reused._mags[k], first._mags[k])
+        assert reused._mags[k].strides == mags.strides
     # blocks of a walk: every block goes into one buffer with the fresh block's strides
     monkeypatch.setattr(phaselab.stft, "MATERIALIZE_LIMIT", 4 * 16**3)
-    for symplectic in (True, False):
-        want = [(rows, block.strides) for rows, block in stft_blocks(a, Phi, symplectic)]
-        scratch = {}
-        for f in (a, b):
-            got = [(rows, block.strides)
-                   for rows, block in stft_blocks(f, Phi, symplectic, _scratch=scratch)]
-            assert got == want and len(want) == 4
-        assert len(scratch) == 1
+    want = [(rows, block.strides) for rows, block in stft_blocks(a, Phi, True)]
+    scratch = {}
+    for f in (a, b):
+        got = [(rows, block.strides) for rows, block in stft_blocks(f, Phi, True, _scratch=scratch)]
+        assert got == want and len(want) == 4
+    assert len(scratch) == 1
 
 
 def test_public_tensors_never_alias_the_arena():
@@ -456,16 +443,14 @@ def test_public_tensors_never_alias_the_arena():
     specs = _arena_specs()
     stft_norms(a, Phi, specs)
     T = symplectic_stft(b, Phi)
-    V = stft(b, Phi)
     for spec in specs:
         mixed_norm(T, spec)
-    before = T.values.copy(), V.values.copy()
-    for symplectic in (True, False):
-        stft_norms(c, Phi, specs, symplectic)
+    before = T.values.copy()
+    stft_norms(c, Phi, specs)
     arena = list(phaselab.norms._arena().values())
-    for arr in (T.values, V.values, *T._mags.values()):
+    for arr in (T.values, *T._mags.values()):
         assert not any(np.shares_memory(arr, buf) for buf in arena)
-    assert T.values.tobytes() == before[0].tobytes() and V.values.tobytes() == before[1].tobytes()
+    assert T.values.tobytes() == before.tobytes()
 
 
 def test_thread_workers_hold_distinct_arenas(monkeypatch):

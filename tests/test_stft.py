@@ -14,7 +14,6 @@ from phaselab.grids import (
     base_gaussian,
     fourier,
     gaussian_atom,
-    make_base_grid,
     make_grid,
     symplectic_fourier,
 )
@@ -26,7 +25,7 @@ RNG = np.random.default_rng(1)
 
 @pytest.fixture
 def base_setup():
-    g = make_base_grid(1, 32)
+    g = make_grid(1, 64).base_grid
     phi = base_gaussian(g, width=0.8)
     f = base_gaussian(g, center=0.7, width=1.1, frequency=1.3)
     return g, f, phi
@@ -79,7 +78,7 @@ def test_stft_linearity(base_setup):
 
 def test_moyal_energy_identity_ordinary():
     # direct-sum oracle at n = 16: quadrature norm of V equals ||f|| ||phi||
-    g = make_base_grid(1, 16)
+    g = make_grid(1, 32).base_grid
     f = GridFunction(g, RNG.standard_normal(g.shape) + 1j * RNG.standard_normal(g.shape))
     phi = base_gaussian(g, width=0.7)
     V = stft(f, phi)

@@ -1,4 +1,4 @@
-"""Weight functions, moderateness, multilinear weight conditions."""
+"""Weight functions, literals, multilinear weight conditions."""
 
 import math
 
@@ -14,7 +14,6 @@ from phaselab.weights import (
     product_weight_condition,
     split_weight,
     unit_weight,
-    verify_moderate,
 )
 from phaselab.weights import _escape_tuples, _tuple_arguments
 
@@ -63,24 +62,6 @@ def test_reciprocal_and_moderator():
     w = split_weight(poly_weight(2.0), "Y")
     pt = (1.0, 2.0, 3.0, 4.0)
     assert w.reciprocal()(pt) == pytest.approx(1.0 / w(pt))
-    samples4 = RNG.uniform(-5, 5, size=(300, 2, 4))
-    samples2 = samples4[:, :, :2]
-    for spec in (unit_weight(), poly_weight(1.5), poly_weight(-2.0), exp_weight(0.5), w,
-                 parse_weight("poly:s=1*exp:c=0.1")):
-        pts = samples4 if spec is w else samples2
-        ok, worst = verify_moderate(spec, spec.moderator(), pts)
-        assert ok and worst < 16.0
-
-
-def test_verify_moderate_examples():
-    samples = RNG.uniform(-5, 5, size=(500, 2, 2))
-    ok, worst = verify_moderate(exp_weight(1.0), exp_weight(1.0), samples)
-    assert ok and worst <= 1 + 1e-12  # triangle inequality makes the ratio at most 1
-    for s in (1.0, -1.0, 2.0):
-        ok, worst = verify_moderate(poly_weight(s), poly_weight(abs(s)), samples)
-        assert ok and worst <= 2 ** (abs(s) / 2) + 1e-9  # Peetre bound oracle
-    ok, worst = verify_moderate(unit_weight(), unit_weight(), samples)
-    assert worst == 1.0
 
 
 def test_unit_weight_conditions_exact():
@@ -221,17 +202,6 @@ def test_tuple_arguments_match_scalar_loop(kind, A, d):
     args = _tuple_arguments(kind, pts, A, d)
     for tup, rows in zip(pts, args):
         assert np.allclose(rows, _scalar_arguments(kind, tup, A, d), rtol=1e-14, atol=1e-14)
-
-
-def test_verify_moderate_matches_scalar_loop():
-    samples = RNG.uniform(-5, 5, size=(200, 2, 4))
-    for w in (unit_weight(), poly_weight(1.5), poly_weight(-2.0), exp_weight(0.5),
-              split_weight(poly_weight(2.0), "Y"), *MIXED):
-        v = w.moderator()
-        _, worst = verify_moderate(w, v, samples)
-        want = max(_scalar_weight(w, x + y) / (_scalar_weight(w, x) * _scalar_weight(v, y))
-                   for x, y in samples)
-        assert worst == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_call_matches_scalar_weight():
