@@ -2,6 +2,7 @@
 
 Subcommands
 -----------
+``drift``           run the drift check's ratio probes over a grid ladder
 ``exponents``       evaluate one boundedness condition on an exponent pair
 ``identities``      run the transform/product identity suite
 ``interpolate``     construct an interpolation certificate for a tuple pair
@@ -33,7 +34,7 @@ from .exponents import (
     construct_interpolation,
 )
 from .grids import GridError, make_grid
-from .lab import EnsembleSpec, RatioConfig, ratio_experiment_multi
+from .lab import EnsembleSpec, RatioConfig, RatioReport, ratio_experiment_multi
 from .weights import WeightError, parse_weight_list, unit_weight
 from . import suites
 
@@ -139,7 +140,16 @@ def _cmd_ratio(args):
         "samples": args.samples, "atoms": args.atoms,
     }
     check = suites.Check("ratios-finite", 0.0 if finite else 1.0, None, bool(finite))
-    return config, [check], {"ratio_report": rep.as_dict()}, rep.to_csv()
+    return config, [check], {"ratio_report": rep.as_dict()}, RatioReport.to_csv([rep])
+
+
+def _cmd_drift(args):
+    checks, *ladder = suites.drift_ratio_checks(seed=args.seed, samples=args.samples,
+                                                grids=args.grids)
+    reports = [rep for grid_reports in ladder for rep in grid_reports]
+    config = {"grids": list(args.grids), "samples": args.samples, "seed": args.seed}
+    return (config, checks, {"ratio_reports": [rep.as_dict() for rep in reports]},
+            RatioReport.to_csv(reports))
 
 
 def _cmd_sweep(args):
@@ -175,6 +185,11 @@ def _at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
         return value
     return integer
+
+
+def _grid_ladder(text: str) -> tuple[int, ...]:
+    """argparse type for comma-separated grid sizes, each under ``ratio --grid``'s rule."""
+    return tuple(map(_at_least(16), text.split(",")))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,6 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--atoms", type=_at_least(1), default=2)
     common(sp, emits=("json", "csv"))
     sp.set_defaults(func=_cmd_ratio)
+
+    sp = sub.add_parser("drift", help="drift check's ratio probes over a grid ladder")
+    sp.add_argument("--grids", type=_grid_ladder, default=(16, 32))
+    sp.add_argument("--samples", type=_at_least(1), default=100)
+    common(sp, emits=("json", "csv"))
+    sp.set_defaults(func=_cmd_drift)
 
     sp = sub.add_parser("sweep", help="exponent combinatorics sweeps")
     sp.add_argument("--trials", type=_at_least(1), default=20000)

@@ -88,13 +88,13 @@ def default_window(phase: PhaseGrid) -> GridFunction:
     return gaussian_atom(phase, GaussianAtomSpec((0.0,) * (2 * phase.d), (0.0,) * (2 * phase.d), 0.45))
 
 
-def nfold_product(symbols: Sequence[GridFunction], A) -> GridFunction:
-    """Left fold of the quantized symbol product (associative up to roundoff)."""
+def nfold_product(symbols: Sequence[GridFunction]) -> GridFunction:
+    """Left fold of the Weyl product (associative up to roundoff)."""
     if not symbols:
         raise GridError("need at least one symbol")
     out = symbols[0]
     for s in symbols[1:]:
-        out = pseudo_product(out, s, A)
+        out = pseudo_product(out, s, 0.5)  # A = 1/2: perfbench counts these calls
     return out
 
 
@@ -262,13 +262,16 @@ class RatioReport:
             "quantiles": self.quantiles,
         }
 
-    def to_csv(self) -> str:
+    @staticmethod
+    def to_csv(reports: Sequence[RatioReport]) -> str:
+        """One header, then one row per sample of each report in turn."""
         buf = io.StringIO()
         writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
         writer.writerow(["sample", "ratio", "label", "mode", "p", "q", "grid_n", "seed"])
-        for k, r in enumerate(self.ratios):
-            writer.writerow([k, "" if r is None else repr(float(r)), self.config_label,
-                             self.mode, self.p, self.q, self.grid_n, self.seed])
+        for rep in reports:
+            for k, r in enumerate(rep.ratios):
+                writer.writerow([k, "" if r is None else repr(float(r)), rep.config_label,
+                                 rep.mode, rep.p, rep.q, rep.grid_n, rep.seed])
         return buf.getvalue()
 
 
@@ -284,7 +287,7 @@ def _thread_count() -> int:
 
 
 def _sample_ratios(configs: Sequence[RatioConfig], symbols: Sequence[GridFunction],
-                   A, window: GridFunction) -> list:
+                   window: GridFunction) -> list:
     """Ratios of all configs on one symbol tuple.  Each tensor is built when due,
     gives every asking config its norm in one ``stft_norms`` call, and is dropped."""
     orders = ["modulation" if cfg.mode == "weyl" else "amalgam" for cfg in configs]
@@ -303,7 +306,7 @@ def _sample_ratios(configs: Sequence[RatioConfig], symbols: Sequence[GridFunctio
                   if cfg.mode == mode and 0.0 not in factor_norms[i]]
         if not asking:
             continue
-        product = nfold_product(symbols, A) if mode == "weyl" else nfold_twisted(symbols)
+        product = nfold_product(symbols) if mode == "weyl" else nfold_twisted(symbols)
         specs = [MixedNormSpec(configs[i].p[0].conjugate(), configs[i].q[0].conjugate(), orders[i],
                                configs[i].weights[0].reciprocal(), configs[i].measure) for i in asking]
         numers.update(zip(asking, stft_norms(product, window, specs)))
@@ -322,6 +325,7 @@ def ratio_experiment_multi(configs: Sequence[RatioConfig], ensemble: EnsembleSpe
     ``PHASELAB_THREADS`` environment variable); aggregation is ordered, so
     results are schedule-independent.
     """
+    threads = _thread_count()
     if not configs:
         return []
     n_factors = configs[0].p.n_factors
@@ -332,13 +336,12 @@ def ratio_experiment_multi(configs: Sequence[RatioConfig], ensemble: EnsembleSpe
     symbols = ensemble_generate(ensemble, phase)
     n_samples = len(symbols) // n_factors
     groups = [symbols[k * n_factors:(k + 1) * n_factors] for k in range(n_samples)]
-    threads = _thread_count()
     if threads > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(
-                lambda grp: _sample_ratios(configs, grp, 0.5, window), groups))
+                lambda grp: _sample_ratios(configs, grp, window), groups))
     else:
-        rows = [_sample_ratios(configs, grp, 0.5, window) for grp in groups]
+        rows = [_sample_ratios(configs, grp, window) for grp in groups]
     reports = []
     for i, cfg in enumerate(configs):
         ratios = tuple(row[i] for row in rows)

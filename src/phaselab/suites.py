@@ -412,24 +412,25 @@ def drift_configs() -> list[RatioConfig]:
     return configs
 
 
-def drift_ratio_checks(seed: int = 9, samples: int = 200
-                       ) -> tuple[list[Check], list[RatioReport], list[RatioReport]]:
-    """Ratio stability between n = 16 and n = 32 for admissible tuples,
-    unit and split-polynomial weight chains, both product modes.
+def drift_ratio_checks(seed: int = 9, samples: int = 200, grids: tuple[int, ...] = (16, 32)
+                       ) -> tuple[list[Check] | list[RatioReport], ...]:
+    """Ratio stability over a grid ladder (default n = 16, 32) for admissible
+    tuples, unit and split-polynomial weight chains, both product modes.
 
-    Returns ``(checks, reports16, reports32)``: one drift check per config and
-    the per-config ratio reports on each grid, in config order.
+    Returns ``(checks, *reports)``: one drift check per config, then the
+    per-config ratio reports of each grid in ladder order.  A config's drift
+    is max / min of its ``max_ratio`` over the ladder.
     """
     configs = drift_configs()
     ens = EnsembleSpec(seed=seed, count=3 * samples, atoms_per_symbol=2,
                        width_range=(0.35, 0.5), center_radius=1.0, modulation_radius=0.7)
-    reports16 = ratio_experiment_multi(configs, ens, make_grid(1, 16))
-    reports32 = ratio_experiment_multi(configs, ens, make_grid(1, 32))
+    ladder = [ratio_experiment_multi(configs, ens, make_grid(1, n)) for n in grids]
     checks = []
-    for r16, r32 in zip(reports16, reports32):
-        lo, hi = sorted((r16.max_ratio, r32.max_ratio))
+    for reports in zip(*ladder):
+        maxima = [rep.max_ratio for rep in reports]
+        lo, hi = min(maxima), max(maxima)
         # max_ratio is 0 when every sample on a grid is degenerate: no drift is defined
         drift = hi / lo if lo > 0.0 else math.inf
-        checks.append(Check(f"ratio-drift[{r16.config_label}]", float(drift), 2.0,
-                            bool(drift <= 2.0 and r16.condition_holds)))
-    return checks, reports16, reports32
+        checks.append(Check(f"ratio-drift[{reports[0].config_label}]", float(drift), 2.0,
+                            bool(drift <= 2.0 and reports[0].condition_holds)))
+    return (checks, *ladder)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import phaselab.lab
 import phaselab.norms
 import phaselab.stft
 from phaselab.exponents import ExponentTuple
@@ -10,6 +11,7 @@ from phaselab.grids import GridError, GridFunction, make_grid
 from phaselab.lab import (
     EnsembleSpec,
     RatioConfig,
+    RatioReport,
     default_window,
     ensemble_generate,
     nfold_product,
@@ -64,7 +66,7 @@ class TestEnsemble:
 class TestNfoldProduct:
     def test_single_factor_unchanged(self, pg8, small_spec):
         s = ensemble_generate(small_spec, pg8)[0]
-        out = nfold_product([s], 0.5)
+        out = nfold_product([s])
         assert np.array_equal(out.values, s.values)
 
     def test_bracketing_invariance(self, pg8, small_spec):
@@ -73,7 +75,7 @@ class TestNfoldProduct:
         right = weyl_product(a, weyl_product(b, c))
         rel = np.max(np.abs(left.values - right.values)) / np.max(np.abs(left.values))
         assert rel < 1e-10
-        fold = nfold_product([a, b, c], 0.5)
+        fold = nfold_product([a, b, c])
         assert np.array_equal(fold.values, left.values)
 
     def test_three_fold_matrix_oracle(self):
@@ -81,7 +83,7 @@ class TestNfoldProduct:
         spec = EnsembleSpec(seed=5, count=3, atoms_per_symbol=2, width_range=(0.9, 1.1),
                             center_radius=1.5, modulation_radius=0.8)
         a, b, c = ensemble_generate(spec, pg)
-        prod = nfold_product([a, b, c], 0.5)
+        prod = nfold_product([a, b, c])
         M = operator_matrix(a, 0.5).compose(operator_matrix(b, 0.5)).compose(
             operator_matrix(c, 0.5))
         Mp = operator_matrix(prod, 0.5)
@@ -147,7 +149,7 @@ class TestRatioExperiment:
         zero = GridFunction(pg8.symbol_grid, np.zeros(pg8.symbol_grid.shape))
         spec = EnsembleSpec(seed=2, count=3, center_radius=0.5, modulation_radius=0.3)
         symbols = ensemble_generate(spec, pg8)
-        ratios = _sample_ratios([cfg], [symbols[0], zero, symbols[1]], 0.5, window)
+        ratios = _sample_ratios([cfg], [symbols[0], zero, symbols[1]], window)
         assert ratios == [None]
 
     def test_twist_mode_uses_twisted_products(self, pg8):
@@ -165,12 +167,13 @@ class TestRatioExperiment:
         rep = _one_config(all2, all2, ens, pg8)
         doc = rep.as_dict()
         assert doc["grid_n"] == 8 and doc["N"] == 3 and len(doc["ratios"]) == 2
-        csv_text = rep.to_csv()
-        lines = csv_text.strip().split("\n")
+        lines = RatioReport.to_csv([rep]).strip().split("\n")
         assert lines[0].startswith("sample,ratio")
         assert len(lines) == 3
         # tuple literals contain commas and must be quoted (RFC 4180)
         assert '"2,2,2,2"' in lines[1]
+        # several reports share one header
+        assert RatioReport.to_csv([rep, rep]).strip().split("\n") == lines + lines[1:]
 
     def test_condition_recorded_but_not_gating(self, pg8):
         # a tuple violating the condition still runs; the verdict is recorded
@@ -207,6 +210,21 @@ class TestRatioExperiment:
         with pytest.raises(GridError, match="PHASELAB_THREADS"):
             _thread_count()
 
+    def test_bad_thread_env_refused_before_the_ensemble(self, pg8, monkeypatch):
+        built = []
+
+        def recorder(spec, phase):
+            built.append(spec)
+            return []
+
+        monkeypatch.setenv("PHASELAB_THREADS", "0")
+        monkeypatch.setattr(phaselab.lab, "ensemble_generate", recorder)
+        all2 = ExponentTuple.parse("2,2,2,2")
+        ens = EnsembleSpec(seed=1, count=3, center_radius=0.5, modulation_radius=0.3)
+        with pytest.raises(GridError, match="PHASELAB_THREADS"):
+            _one_config(all2, all2, ens, pg8)
+        assert built == []
+
     def test_shared_norms_match_lone_configs_bitwise(self):
         # run together, the drift configs reuse factor norms through the
         # per-tensor memo; a lone config takes one norm per tensor and never hits it
@@ -224,12 +242,12 @@ class TestRatioExperiment:
 
 # -- tensor-by-tensor norm walk ------------------------------------------------------
 
-def _config_by_config_ratios(configs, symbols, A, window):
+def _config_by_config_ratios(configs, symbols, window):
     """The config-by-config ``_sample_ratios``: each config walks every tensor."""
     tensors = [symplectic_stft(s, window) for s in symbols]
     prod_tensor = {}
     if any(c.mode == "weyl" for c in configs):
-        prod_tensor["weyl"] = symplectic_stft(nfold_product(symbols, A), window)
+        prod_tensor["weyl"] = symplectic_stft(nfold_product(symbols), window)
     if any(c.mode == "twist" for c in configs):
         prod_tensor["twist"] = symplectic_stft(nfold_twisted(symbols), window)
     out = []
@@ -284,9 +302,9 @@ class TestTensorWalk:
         window = default_window(pg16)
         for grp in groups:
             count_norms.clear()
-            want = _config_by_config_ratios(configs, grp, 0.5, window)
+            want = _config_by_config_ratios(configs, grp, window)
             n_oracle = len(count_norms)
-            got = _sample_ratios(configs, grp, 0.5, window)
+            got = _sample_ratios(configs, grp, window)
             assert got == want and None not in got
             assert n_oracle == 48 and len(count_norms) == 2 * n_oracle
 
@@ -296,16 +314,16 @@ class TestTensorWalk:
         window = default_window(pg16)
         symbols = list(groups[0])
         symbols[position] = GridFunction(pg16.symbol_grid, np.zeros(pg16.symbol_grid.shape))
-        want = _config_by_config_ratios(configs, symbols, 0.5, window)
+        want = _config_by_config_ratios(configs, symbols, window)
         n_oracle = len(count_norms)
-        got = _sample_ratios(configs, symbols, 0.5, window)
+        got = _sample_ratios(configs, symbols, window)
         assert got == want == [None] * len(configs)
         assert len(count_norms) == 2 * n_oracle == 2 * len(configs) * (position + 1)
 
     def test_threads_match_config_by_config(self, count_norms, monkeypatch):
         configs, ens, groups, pg16 = _drift_samples(9)
         window = default_window(pg16)
-        rows = [_config_by_config_ratios(configs, grp, 0.5, window)
+        rows = [_config_by_config_ratios(configs, grp, window)
                 for grp in groups]
         n_oracle = len(count_norms)
         monkeypatch.setenv("PHASELAB_THREADS", "3")
@@ -324,9 +342,9 @@ class TestTensorWalk:
                            center_radius=1.0, modulation_radius=0.7)
         symbols = ensemble_generate(ens, pg)
         window = default_window(pg)
-        want = _sample_ratios(configs, symbols, 0.5, window)
+        want = _sample_ratios(configs, symbols, window)
         # four rows of the leading shift axis per block
         monkeypatch.setattr(phaselab.stft, "MATERIALIZE_LIMIT", 4 * n**3)
-        got = _sample_ratios(configs, symbols, 0.5, window)
+        got = _sample_ratios(configs, symbols, window)
         assert None not in want
         assert got == pytest.approx(want, rel=1e-12, abs=0)

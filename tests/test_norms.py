@@ -339,7 +339,7 @@ def test_sample_ratios_releases_magnitudes(monkeypatch):
     symbols = ensemble_generate(ens, pg)
     zero = GridFunction(pg.symbol_grid, np.zeros(pg.symbol_grid.shape))
     for grp in (symbols, [symbols[0], zero, symbols[2]]):
-        _sample_ratios(drift_configs(), grp, 0.5, default_window(pg))
+        _sample_ratios(drift_configs(), grp, default_window(pg))
     # 3 factors and 2 products; then 2 factors, after which every config is degenerate
     assert len(made) == 7 and all(ref() is None for ref in made)
 

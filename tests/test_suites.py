@@ -33,3 +33,14 @@ def test_drift_equal_max_ratio_passes(monkeypatch):
     monkeypatch.setattr(suites, "ratio_experiment_multi", _fake_experiment({16: 1.5, 32: 1.5}))
     checks, _, _ = suites.drift_ratio_checks(samples=1)
     assert all(c.passed and c.value == 1.0 for c in checks)
+
+
+@pytest.mark.parametrize("maxima, drift", [((1.0, 1.5, 1.2), 1.5), ((1.5, 0.0, 1.5), float("inf"))])
+def test_drift_is_max_over_min_on_a_ladder(monkeypatch, maxima, drift):
+    ladder = (16, 32, 64)
+    monkeypatch.setattr(suites, "ratio_experiment_multi",
+                        _fake_experiment(dict(zip(ladder, maxima))))
+    checks, *reports = suites.drift_ratio_checks(samples=1, grids=ladder)
+    assert [[rep.grid_n for rep in reps] for reps in reports] == \
+        [[n] * len(suites.drift_configs()) for n in ladder]
+    assert all(c.value == drift and c.passed == (drift <= 2.0) for c in checks)
