@@ -166,10 +166,11 @@ def _with_config(argv: list[str], config: dict) -> list[str]:
 
     ``{"cert_trials": 5}`` becomes ``--cert-trials=5``, so the parser checks
     each value, the required flags and the key names as it does command-line
-    text, and a flag given explicitly later on the line wins.  A ``null``
-    value leaves the flag at its default.
+    text, and a flag given explicitly later on the line wins.  A list is
+    joined with commas (``--grids=16,32``), so a report's own ``config``
+    replays it.  A ``null`` value leaves the flag at its default.
     """
-    flags = [f"--{key.replace('_', '-')}={value}"
+    flags = [f"--{key.replace('_', '-')}={','.join(map(str, value)) if isinstance(value, list) else value}"
              for key, value in config.items() if value is not None]
     i = 0
     while i < len(argv) and argv[i].startswith("-"):

@@ -26,13 +26,12 @@ miss it reduces magnitudes shared through a second per-tensor cache: ``|V|``
 is built once per tensor and ``|V| * w`` once per (tensor, weight); both
 caches go with the tensor, which ``stft_norms`` drops once its norms are taken.
 
-The buffers stay: ``stft_norms`` writes the STFT block, ``|V|`` and each
-``|V| * w`` (one slot per distinct weight of a tensor) into a per-thread
-arena, at most one set per block layout (about 32 MiB at n = 32), so the next
-tensor reuses the pages instead of faulting in fresh ones.  Each buffer is a
-first fresh result, so reuses have its strides and the bits do not change.
-No arena buffer outlives its ``stft_norms`` call in a returned value, and a
-tensor built without ``_scratch`` keeps its own magnitudes.
+``stft_norms`` keeps the STFT block and ``|V|`` in a per-thread arena, one
+pair per layout within ``MATERIALIZE_LIMIT`` (24 MiB at n = 32, 1.5 MiB at
+n = 16); a block walk's buffers live only for the walk.  Once ``|V|`` is
+taken, the spent block's float64 halves hold ``|V| * w`` (one weight at a
+time) and every full-size power, each laid out as the fresh array it
+replaces, so the bits do not change.  No returned value aliases the arena.
 """
 
 from __future__ import annotations
@@ -85,21 +84,37 @@ class MixedNormSpec:
         _exponent_value(self.q)
 
 
-def _power_sum(x: np.ndarray, axes: tuple[int, ...] | None, p: float) -> np.ndarray:
-    """Sum of ``x**p`` over ``axes`` (all entries when None); the maximum for ``p = inf``."""
+def _laid_out(flat: np.ndarray, shape: tuple[int, ...], strides: tuple[int, ...]) -> np.ndarray:
+    """``flat`` as ``shape``, its axes nested in the fresh order of ``strides`` (largest outermost)."""
+    order = sorted(range(len(shape)), key=lambda i: -strides[i])
+    return flat.reshape([shape[i] for i in order]).transpose(np.argsort(order))
+
+
+def _halves(values: np.ndarray) -> np.ndarray:
+    """The complex buffer behind the spent ``values`` as two float64 halves, rows of one array."""
+    return np.ravel(values.base, "K").view(np.float64).reshape(2, -1)
+
+
+def _weighted(mags: np.ndarray, w: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """``mags * w`` in ``flat``, laid out as the fresh product of the 2-per-axis corners."""
+    corner = (slice(2),) * mags.ndim
+    strides = np.multiply(mags[corner], w[corner]).strides
+    return np.multiply(mags, w, out=_laid_out(flat, mags.shape, strides))
+
+
+def _power_sum(x: np.ndarray, axes: tuple[int, ...] | None, p: float,
+               flat: np.ndarray | None = None) -> np.ndarray:
+    """Sum of ``x**p`` over ``axes`` (all entries when None); the maximum for ``p = inf``.
+    The powers go into ``flat`` (if given) in ``x``'s layout, bitwise the fresh ``x**p``."""
     if math.isinf(p):
         return np.max(x, axis=axes, initial=0.0)
-    return np.sum(x**p, axis=axes)
+    power = x**p if flat is None else np.power(x, p, out=_laid_out(flat, x.shape, x.strides))
+    return np.sum(power, axis=axes)
 
 
 def _root(acc: np.ndarray, p: float, cell: float) -> np.ndarray:
     """Norm from a power sum (or maximum) and the cell volume it was summed over."""
     return acc if math.isinf(p) else (acc * cell) ** (1.0 / p)
-
-
-def _axes_norm(mags: np.ndarray, axes: tuple[int, ...], p: float, cell: float) -> np.ndarray:
-    """Norm over ``axes`` of non-negative magnitudes."""
-    return _root(_power_sum(mags, axes, p), p, cell)
 
 
 def _norm_key(spec: MixedNormSpec) -> tuple:
@@ -116,13 +131,15 @@ def _cells(measure: str, shift_grid: Grid, freq_grid: Grid) -> tuple[float, floa
     return 1.0, 1.0
 
 
-def _partial(mags: np.ndarray, key: tuple, cells: tuple[float, float]) -> np.ndarray:
+def _partial(mags: np.ndarray, key: tuple, cells: tuple[float, float],
+             flat: np.ndarray | None = None) -> np.ndarray:
     """Power sums (maxima) over the shift axes, the leading half, of a block of magnitudes."""
     p, q, order = key[:3]
     kx = mags.ndim // 2
-    if order == "amalgam":
-        mags = _axes_norm(mags, tuple(range(kx, 2 * kx)), q, cells[1])
-    return _power_sum(mags, None if order is None else tuple(range(kx)), p)
+    if order == "amalgam":  # the outer sum is over the small inner norms
+        inner = _root(_power_sum(mags, tuple(range(kx, 2 * kx)), q, flat), q, cells[1])
+        return _power_sum(inner, tuple(range(kx)), p)
+    return _power_sum(mags, None if order is None else tuple(range(kx)), p, flat)
 
 
 def _finish(acc: np.ndarray, key: tuple, cells: tuple[float, float]) -> float:
@@ -133,7 +150,7 @@ def _finish(acc: np.ndarray, key: tuple, cells: tuple[float, float]) -> float:
         return float(_root(acc, p, cell_shift * cell_freq))
     inner = _root(acc, p, cell_shift)
     if order == "modulation":
-        inner = _axes_norm(inner, tuple(range(inner.ndim)), q, cell_freq)
+        inner = _root(_power_sum(inner, tuple(range(inner.ndim)), q), q, cell_freq)
     return float(inner)
 
 
@@ -150,16 +167,20 @@ def _weight_tensor(weight: WeightSpec | None, shift_grid: Grid, freq_grid: Grid,
 def _magnitudes(F: STFTTensor, weight: WeightSpec | None, w: np.ndarray | None) -> np.ndarray:
     """``|F|`` (``w`` None) or ``|F| * w``, each built once per tensor and weight.
 
-    A tensor built on an arena (``F._scratch``) keeps them there too: ``|F|``
-    in the ``"abs"`` buffer and the k-th distinct weight's in slot k.
+    A tensor built on an arena (``F._scratch``) keeps ``|F|`` in its ``"abs"``
+    buffer and one weight's ``|F| * w`` at a time in its spent block.
     """
     cache = F._mags
     if None not in cache:
         cache[None] = _reuse(F._scratch, "abs", np.abs, F.values)
     if w is None:
         return cache[None]
-    if weight not in cache:
-        cache[weight] = _reuse(F._scratch, len(cache), np.multiply, cache[None], w)
+    if weight not in cache and F._scratch is None:
+        cache[weight] = np.multiply(cache[None], w)
+    elif weight not in cache:
+        for old in set(cache) - {None}:
+            del cache[old]
+        cache[weight] = _weighted(cache[None], w, _halves(F.values)[0])
     return cache[weight]
 
 
@@ -171,35 +192,37 @@ def mixed_norm(F: STFTTensor, spec: MixedNormSpec) -> float:
         return F._norms[key]
     cells = _cells(spec.measure, F.shift_grid, F.freq_grid)
     mags = _magnitudes(F, spec.weight, w)
-    F._norms[key] = _finish(_partial(mags, key, cells), key, cells)
+    flat = None if F._scratch is None else _halves(F.values)[1]
+    F._norms[key] = _finish(_partial(mags, key, cells, flat), key, cells)
     return F._norms[key]
 
 
 def stft_norms(a: GridFunction, window: GridFunction, specs: list[MixedNormSpec]) -> list[float]:
     """Mixed norms of the symplectic STFT of ``a`` against ``window``, one per spec.
 
-    A tensor within ``MATERIALIZE_LIMIT`` is built once and every spec goes
-    through :func:`mixed_norm`.  A larger one is walked once in blocks: per
-    block ``|V|`` is taken once and ``|V| * w`` once per distinct weight, and
-    each distinct norm adds its block's partial sums (or maxima).  Either way
-    the tensor and its magnitudes live in this thread's arena buffers.
+    The specs are taken grouped by weight (first appearance first), so each
+    ``|V| * w`` is written once.  A tensor within ``MATERIALIZE_LIMIT`` is
+    built once in this thread's arena and every spec goes through
+    :func:`mixed_norm`.  A larger one is walked once in blocks: per block
+    ``|V|`` is taken once, ``|V| * w`` once per weight, and each distinct norm
+    adds its block's partial sums (or maxima).
     """
     g = a.grid
-    scratch = _arena()
-    if _fits(g):
-        F = symplectic_stft(a, window, _scratch=scratch)
-        return [mixed_norm(F, spec) for spec in specs]
     keys = [_norm_key(spec) for spec in specs]
+    weights = list(dict.fromkeys(key[3] for key in keys))
+    if _fits(g):
+        F = symplectic_stft(a, window, _scratch=_arena())
+        norms = {i: mixed_norm(F, specs[i])
+                 for i in sorted(range(len(specs)), key=lambda i: weights.index(keys[i][3]))}
+        return [norms[i] for i in range(len(specs))]
     cells = {key: _cells(key[4], g, g) for key in keys}
-    weights = dict.fromkeys(key[3] for key in keys if key[3] is not None)
-    acc = {}
+    acc, scratch = {}, {}
     for rows, block in stft_blocks(a, window, True, _scratch=scratch):
-        mags = {None: _reuse(scratch, "abs", np.abs, block)}
-        for slot, weight in enumerate(weights, start=1):
-            w = _weight_tensor(weight, g, g, rows)
-            mags[weight] = _reuse(scratch, slot, np.multiply, mags[None], w)
-        for key in cells:
-            combine = np.maximum if math.isinf(key[0]) else np.add
-            acc[key] = combine(acc.get(key, 0.0), _partial(mags[key[3]], key, cells[key]))
+        mags = _reuse(scratch, "abs", np.abs, block)
+        half_a, half_b = _halves(block)
+        for weight in weights:
+            x = mags if weight is None else _weighted(mags, _weight_tensor(weight, g, g, rows), half_a)
+            for key in [k for k in cells if k[3] == weight]:
+                combine = np.maximum if math.isinf(key[0]) else np.add
+                acc[key] = combine(acc.get(key, 0.0), _partial(x, key, cells[key], half_b))
     return [_finish(acc[key], key, cells[key]) for key in keys]
-

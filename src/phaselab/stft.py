@@ -12,11 +12,11 @@ built from samples already multiplied by the sums' sign table, and one table
 after the last FFT holds every trailing factor and the scale.
 
 ``symplectic_stft`` and ``stft_blocks`` take a private ``_scratch`` dict
-(``norms.stft_norms`` passes its per-thread arena): the shift stack is then
-written into the buffer kept there for its layout instead of a fresh array,
-so the returned values alias that buffer until the next STFT built with the
-same scratch.  Without it every call allocates its own tensor; ``stft``
-always does.
+(``norms.stft_norms`` passes its per-thread arena, or a block walk's own):
+the shift stack is then written into the buffer kept there for its layout,
+so the returned values alias that buffer, and the norms reuse it as scratch
+once ``|V|`` is taken.  Without it every call allocates its own tensor;
+``stft`` always does.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class STFTTensor:
     _norms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     #: ``|values|`` (key None) and ``|values| * w`` (key: weight) shared by ``norms.mixed_norm``
     _mags: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    #: the arena ``values`` were built in, which ``_mags`` then uses too (None: own arrays)
+    #: the arena ``values`` were built in; the norms overwrite them after ``|values|`` (None: own)
     _scratch: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):

@@ -267,6 +267,20 @@ def test_explicit_flag_overrides_config(capsys, tmp_path):
     assert doc["config"]["criterion"] == "thm-B" and doc["config"]["p"] == "2,inf,2,2"
 
 
+@pytest.mark.parametrize("args", [
+    ("drift", "--samples", "1", "--grids", "16,32"),
+    ("ratio", "--p", "2,inf,2,2", "--q", "2,1,2,2", "--samples", "1",
+     "--weights", "split:poly:s=-1@Y,split:poly:s=1@Y,split:poly:s=1@Y,split:poly:s=1@Y"),
+])
+def test_report_config_replays_the_report(capsys, tmp_path, args):
+    # list values (drift's grids, ratio's weights) included
+    code, doc = run_json(capsys, *args)
+    code2, again = run_json(capsys, "--config", _config(tmp_path, doc["config"]), args[0])
+    assert code == code2 == 0
+    assert json.dumps(_strip_timing(again), sort_keys=True) == \
+        json.dumps(_strip_timing(doc), sort_keys=True)
+
+
 def test_config_unknown_key_exits_two(capsys, tmp_path):
     cfg = _config(tmp_path, {"sampels": 3})
     code, out, err = run(capsys, "--config", cfg, "ratio", "--p", "2,2,2,2", "--q", "2,2,2,2",

@@ -16,7 +16,7 @@ from phaselab.grids import (
 )
 from phaselab.norms import MixedNormSpec, mixed_norm, stft_norms
 from phaselab.stft import STFTTensor, stft_blocks, symplectic_stft
-from phaselab.weights import poly_weight, split_weight, unit_weight
+from phaselab.weights import parse_weight, poly_weight, split_weight, unit_weight
 
 RNG = np.random.default_rng(2)
 
@@ -406,6 +406,7 @@ def test_block_walk_equals_itself_without_the_arena(monkeypatch):
 
 
 def test_arena_buffers_have_fresh_strides(monkeypatch):
+    # the arena keeps the block and |V|; |V| * w and the powers reuse the spent block
     pg = make_grid(1, 16)
     Phi = _window(pg)
     a, b = _symbols(pg, 2)
@@ -422,10 +423,15 @@ def test_arena_buffers_have_fresh_strides(monkeypatch):
         mixed_norm(fresh, spec)
     assert np.shares_memory(reused.values, first.values)
     assert reused.values.strides == fresh.values.strides
-    assert set(reused._mags) == set(fresh._mags)
-    for k, mags in fresh._mags.items():
-        assert np.shares_memory(reused._mags[k], first._mags[k])
-        assert reused._mags[k].strides == mags.strides
+    assert sorted(key[0] for key in scratch) == ["abs", "block"]
+    # the spent block holds one weight's product at a time: the last spec's
+    last = specs[-1].weight
+    assert set(reused._mags) == {None, last}
+    assert np.shares_memory(reused._mags[None], first._mags[None])
+    assert np.shares_memory(reused._mags[last], reused.values)
+    for k, mags in reused._mags.items():
+        assert mags.strides == fresh._mags[k].strides
+        assert np.array_equal(mags.view(np.int64), fresh._mags[k].view(np.int64))
     # blocks of a walk: every block goes into one buffer with the fresh block's strides
     monkeypatch.setattr(phaselab.stft, "MATERIALIZE_LIMIT", 4 * 16**3)
     want = [(rows, block.strides) for rows, block in stft_blocks(a, Phi, True)]
@@ -434,6 +440,112 @@ def test_arena_buffers_have_fresh_strides(monkeypatch):
         got = [(rows, block.strides) for rows, block in stft_blocks(f, Phi, True, _scratch=scratch)]
         assert got == want and len(want) == 4
     assert len(scratch) == 1
+
+
+@pytest.mark.parametrize("d, n", [(1, 16), (1, 32), (2, 4), (1, 64)])
+def test_spent_block_halves_have_fresh_layouts(d, n):
+    # |V| * w goes into the first half in a fresh product's layout (C order for a Y
+    # weight, |V|'s permuted order for an X weight), each power into the second in
+    # its base's layout; at n = 64 on the first block of the walk
+    pg = make_grid(d, n)
+    a = _symbols(pg, 1)[0]
+    g = a.grid
+    rows, block = next(stft_blocks(a, _window(pg), True))
+    mags = np.abs(block)
+    half_a, half_b = phaselab.norms._halves(block)
+    assert half_a.size == half_b.size == mags.size and not np.shares_memory(half_a, half_b)
+    weights = [split_weight(poly_weight(1.0), "X"), split_weight(poly_weight(-1.0), "Y"),
+               poly_weight(0.5), parse_weight("split:poly:s=1@X*split:poly:s=2@Y")]
+    for weight in weights:
+        w = phaselab.norms._weight_tensor(weight, g, g, rows)
+        want = np.multiply(mags, w)
+        got = phaselab.norms._weighted(mags, w, half_a)
+        assert np.shares_memory(got, half_a) and got.strides == want.strides, weight
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for x in (mags, got):
+            for p in (1 / 2, 1, 4 / 3, 2, 3, 4):
+                power = np.power(x, p, out=phaselab.norms._laid_out(half_b, x.shape, x.strides))
+                fresh = x**p
+                assert power.strides == fresh.strides
+                assert np.array_equal(power.view(np.int64), fresh.view(np.int64)), (weight, p)
+
+
+def test_warm_norms_allocate_no_tensor():
+    # after a warm-up the arena holds the block and |V| (24 MiB at n = 32), and a
+    # tensor's norms write |V| * w and the powers into its spent block
+    import tracemalloc
+
+    pg = make_grid(1, 32)
+    Phi = _window(pg)
+    a, b = _symbols(pg, 2)
+    w = split_weight(poly_weight(1.0), "Y")
+    specs = [MixedNormSpec(4 / 3, 2, "modulation", w), MixedNormSpec(2, 4 / 3, "amalgam", w),
+             MixedNormSpec(2, 1)]
+    phaselab.norms._arena().clear()
+    stft_norms(a, Phi, specs)
+    tracemalloc.start()
+    try:
+        got = stft_norms(b, Phi, specs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert sum(buf.nbytes for buf in phaselab.norms._arena().values()) == 24 * 2**20
+    fresh = symplectic_stft(b, Phi)
+    assert got == [mixed_norm(fresh, spec) for spec in specs]
+
+
+@pytest.mark.parametrize("rows", [None, 4])
+def test_each_weights_product_written_once_per_block(monkeypatch, rows):
+    # interleaved weights are taken grouped: one |V| * w per weight and block, and
+    # the norms come back in spec order
+    pg = make_grid(1, 16)
+    Phi = _window(pg)
+    a = _symbols(pg, 1)[0]
+    wy, wx = split_weight(poly_weight(1.0), "Y"), split_weight(poly_weight(1.0), "X")
+    specs = [MixedNormSpec(2, 1, "modulation", wy), MixedNormSpec(2, 1, "modulation", wx),
+             MixedNormSpec(3, 3), MixedNormSpec(1, 2, "amalgam", wy),
+             MixedNormSpec(4 / 3, 3, "modulation", wx, "counting")]
+    fresh = symplectic_stft(a, Phi)
+    want = [mixed_norm(fresh, spec) for spec in specs]
+    products = []
+    real = phaselab.norms._weighted
+
+    def counting(mags, w, flat):
+        products.append(flat is not None)
+        return real(mags, w, flat)
+
+    monkeypatch.setattr(phaselab.norms, "_weighted", counting)
+    blocks = 1
+    if rows:
+        monkeypatch.setattr(phaselab.stft, "MATERIALIZE_LIMIT", rows * 16**3)
+        blocks = 16 // rows
+    got = stft_norms(a, Phi, specs)
+    assert products == [True] * 2 * blocks
+    if rows:
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+    else:
+        assert got == want
+
+
+def test_block_walk_buffers_are_dropped_after_the_walk():
+    # only layouts within MATERIALIZE_LIMIT stay in the arena between calls
+    from phaselab.suites import drift_ratio_checks
+
+    arena = phaselab.norms._arena()
+    pg = make_grid(1, 16)
+    stft_norms(_symbols(pg, 1)[0], _window(pg), _arena_specs())
+    keys = set(arena)
+    pg = make_grid(1, 64)
+    specs = [MixedNormSpec(2, 1, "modulation", split_weight(poly_weight(1.0), "Y")), MixedNormSpec(3, 3)]
+    stft_norms(_symbols(pg, 1)[0], _window(pg), specs)
+    assert set(arena) == keys
+    assert not any(64 in buf.shape for buf in arena.values())
+    # drift alternates n = 16 and 32: a second pass adds no buffer
+    drift_ratio_checks(seed=0, samples=1)
+    keys = set(arena)
+    drift_ratio_checks(seed=1, samples=1)
+    assert set(arena) == keys
 
 
 def test_public_tensors_never_alias_the_arena():
