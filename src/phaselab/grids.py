@@ -11,10 +11,12 @@ coordinate shear of the operator calculus grid-aligned.
 
 Every transform reduces to :func:`centered_character_sum`, which brackets
 its FFTs with two elementwise passes: a ``+-1`` sign table before them, and
-one table of the trailing signs, the factors ``n`` and any scale after.
-``+-1`` and powers of two commute exactly with FFTs along other axes, so the
-bits are those of the per-axis route; an ``n`` that is not a power of two
-stays right after its inverse FFT, since deferring it would round.
+one table of the trailing signs and any scale after.  ``+-1`` commutes
+exactly with FFTs along other axes, so the bits are those of the per-axis
+route.  An inverse sum over a power-of-two axis is the unscaled
+``ifft(..., norm="forward")``, bitwise ``ifft(...) * n``; any other ``n``
+stays right after its ``ifft``, since ``norm="forward"`` would round
+differently.
 """
 
 from __future__ import annotations
@@ -35,12 +37,11 @@ def _sign_table(shape: Sequence[int], axes: Sequence[int], sign: int = 0,
     """``scale`` times one ``+-1`` table per axis in ``axes``, multiplied out.
 
     ``sign`` 0 gives ``(-1)^j``, what a centered sum multiplies its input by;
-    otherwise it is the sum's trailing table, ``(-1)^(k + n/2)`` per axis,
-    times ``n`` for ``sign > 0`` when ``n`` is a power of two."""
+    otherwise it is the sum's trailing table, ``(-1)^(k + n/2)`` per axis."""
     table = np.asarray(scale, dtype=float)
     for ax in axes:
         n = shape[ax]
-        fill = (-1) ** (n // 2) * (n if sign > 0 and not n & (n - 1) else 1) if sign else 1
+        fill = (-1) ** (n // 2) if sign else 1
         table = table * np.where(np.arange(n) % 2, -fill, fill).reshape(
             [-1 if i == ax else 1 for i in range(len(shape))])
     return table
@@ -79,10 +80,11 @@ def centered_character_sum(values: np.ndarray, axes: Sequence[int], sign: int,
         n = res.shape[ax]
         if sign < 0:
             np.fft.fft(res, axis=ax, out=res)
-        else:
+        elif n & (n - 1):
             np.fft.ifft(res, axis=ax, out=res)
-            if n & (n - 1):
-                res *= n
+            res *= n
+        else:
+            np.fft.ifft(res, axis=ax, out=res, norm="forward")
     if _scale is not None:
         res *= _sign_table(res.shape, axes, sign, _scale)
     return res

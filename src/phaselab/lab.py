@@ -332,6 +332,9 @@ def ratio_experiment_multi(configs: Sequence[RatioConfig], ensemble: EnsembleSpe
     for cfg in configs:
         if cfg.p.n_factors != n_factors:
             raise GridError("all configs in one run must share N")
+    # a config with no verdict (an even N, a quasi-Banach tuple) fails before any sampling
+    criteria = ["thm-B" if cfg.mode == "weyl" else "twist" for cfg in configs]
+    verdicts = [check_conditions(c, cfg.p, cfg.q) for c, cfg in zip(criteria, configs)]
     window = default_window(phase)
     symbols = ensemble_generate(ensemble, phase)
     n_samples = len(symbols) // n_factors
@@ -346,8 +349,6 @@ def ratio_experiment_multi(configs: Sequence[RatioConfig], ensemble: EnsembleSpe
     for i, cfg in enumerate(configs):
         ratios = tuple(row[i] for row in rows)
         finite = [r for r in ratios if r is not None]
-        criterion = "thm-B" if cfg.mode == "weyl" else "twist"
-        verdict = check_conditions(criterion, cfg.p, cfg.q)
         if finite:
             arr = np.asarray(finite)
             qs = {f"q{int(100 * t)}": float(np.quantile(arr, t)) for t in (0.5, 0.9, 1.0)}
@@ -364,8 +365,8 @@ def ratio_experiment_multi(configs: Sequence[RatioConfig], ensemble: EnsembleSpe
             n_factors=n_factors,
             grid_n=phase.n,
             seed=ensemble.seed,
-            condition=criterion,
-            condition_holds=verdict.holds,
+            condition=criteria[i],
+            condition_holds=verdicts[i].holds,
             ratios=ratios,
             max_ratio=mx,
             mean_ratio=mean,

@@ -26,12 +26,16 @@ miss it reduces magnitudes shared through a second per-tensor cache: ``|V|``
 is built once per tensor and ``|V| * w`` once per (tensor, weight); both
 caches go with the tensor, which ``stft_norms`` drops once its norms are taken.
 
-``stft_norms`` keeps the STFT block and ``|V|`` in a per-thread arena, one
-pair per layout within ``MATERIALIZE_LIMIT`` (24 MiB at n = 32, 1.5 MiB at
-n = 16); a block walk's buffers live only for the walk.  Once ``|V|`` is
-taken, the spent block's float64 halves hold ``|V| * w`` (one weight at a
-time) and every full-size power, each laid out as the fresh array it
-replaces, so the bits do not change.  No returned value aliases the arena.
+``stft_norms`` keeps only the STFT block in a per-thread arena, one buffer
+per layout within ``MATERIALIZE_LIMIT`` (16 MiB at n = 32, 1 MiB at n = 16);
+a block walk's buffer lives only for the walk.  Once the block is spent,
+``|V|`` is written over its first float64 half and ``|V| * w`` (one weight
+at a time) into its second.  The powers of unit-weight norms go into the
+second half; once the last weight has its product ``|V|`` is dead and its
+half takes that weight's powers.  A tensor with two or more weights keeps
+``|V|``, so the powers of every weight but its last are fresh arrays.  Each
+buffer is laid out as the fresh array it replaces, so the bits do not
+change.  No returned value aliases the arena.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import numpy as np
 
 from .exponents import Exponent
 from .grids import Grid, GridError, GridFunction
-from .stft import STFTTensor, _fits, _reuse, stft_blocks, symplectic_stft
+from .stft import STFTTensor, _fits, stft_blocks, symplectic_stft
 from .weights import WeightSpec
 
 _ARENA = threading.local()
@@ -93,6 +97,27 @@ def _laid_out(flat: np.ndarray, shape: tuple[int, ...], strides: tuple[int, ...]
 def _halves(values: np.ndarray) -> np.ndarray:
     """The complex buffer behind the spent ``values`` as two float64 halves, rows of one array."""
     return np.ravel(values.base, "K").view(np.float64).reshape(2, -1)
+
+
+def _abs_over(values: np.ndarray) -> np.ndarray:
+    """``np.abs(values)`` written over the first float64 half of the buffer behind them.
+
+    The entries go in doubling chunks of memory order: entries ``[a, 2a)``
+    write floats ``[a, 2a)`` and read floats ``[2a, 4a)``, so nothing is
+    overwritten before it is read and numpy makes no overlap copy.  The
+    result is laid out as ``values``, as a fresh ``np.abs`` is.  A buffer
+    that is not one dense block behind ``values`` gets a fresh ``np.abs``.
+    """
+    flat = np.ravel(values.base, "K")
+    if flat.size != values.size or not np.may_share_memory(flat, values):
+        return np.abs(values)
+    out = flat.view(np.float64)[:flat.size]
+    np.abs(flat[:1], out=out[:1])  # the one entry that overlaps its own output
+    a = 1
+    while a < flat.size:
+        np.abs(flat[a:2 * a], out=out[a:2 * a])
+        a *= 2
+    return _laid_out(out, values.shape, values.strides)
 
 
 def _weighted(mags: np.ndarray, w: np.ndarray, flat: np.ndarray) -> np.ndarray:
@@ -164,15 +189,17 @@ def _weight_tensor(weight: WeightSpec | None, shift_grid: Grid, freq_grid: Grid,
     return weight.evaluate_grid(np.ix_(*axes))
 
 
-def _magnitudes(F: STFTTensor, weight: WeightSpec | None, w: np.ndarray | None) -> np.ndarray:
+def _magnitudes(F: STFTTensor, weight: WeightSpec | None, w: np.ndarray | None,
+                spend: bool) -> np.ndarray:
     """``|F|`` (``w`` None) or ``|F| * w``, each built once per tensor and weight.
 
-    A tensor built on an arena (``F._scratch``) keeps ``|F|`` in its ``"abs"``
-    buffer and one weight's ``|F| * w`` at a time in its spent block.
+    A tensor built on an arena (``F._scratch``) writes ``|F|`` over the first
+    half of its spent block and one weight's ``|F| * w`` at a time into the
+    second; with ``spend`` it drops ``|F|`` once the product is taken.
     """
     cache = F._mags
-    if None not in cache:
-        cache[None] = _reuse(F._scratch, "abs", np.abs, F.values)
+    if None not in cache and (w is None or weight not in cache):
+        cache[None] = np.abs(F.values) if F._scratch is None else _abs_over(F.values)
     if w is None:
         return cache[None]
     if weight not in cache and F._scratch is None:
@@ -180,49 +207,70 @@ def _magnitudes(F: STFTTensor, weight: WeightSpec | None, w: np.ndarray | None) 
     elif weight not in cache:
         for old in set(cache) - {None}:
             del cache[old]
-        cache[weight] = _weighted(cache[None], w, _halves(F.values)[0])
+        cache[weight] = _weighted(cache[None], w, _halves(F.values)[1])
+    if spend:
+        cache.pop(None, None)
     return cache[weight]
 
 
-def mixed_norm(F: STFTTensor, spec: MixedNormSpec) -> float:
-    """Iterated (quasi-)norm of ``|F * weight|`` in the declared order."""
+def _free_half(F: STFTTensor) -> np.ndarray | None:
+    """A half of an arena tensor's spent block that holds no cached magnitudes, else None."""
+    if F._scratch is None:
+        return None
+    for half in _halves(F.values):
+        if not any(np.may_share_memory(half, mags) for mags in F._mags.values()):
+            return half
+    return None
+
+
+def mixed_norm(F: STFTTensor, spec: MixedNormSpec, *, _spend: bool = False) -> float:
+    """Iterated (quasi-)norm of ``|F * weight|`` in the declared order.
+
+    ``_spend`` (for ``stft_norms``) says that no later norm of an arena
+    tensor needs ``|F|``: once this spec's ``|F| * w`` is taken, the half
+    ``|F|`` was written over takes the powers.
+    """
     w = _weight_tensor(spec.weight, F.shift_grid, F.freq_grid)
     key = _norm_key(spec)
     if key in F._norms:
         return F._norms[key]
     cells = _cells(spec.measure, F.shift_grid, F.freq_grid)
-    mags = _magnitudes(F, spec.weight, w)
-    flat = None if F._scratch is None else _halves(F.values)[1]
-    F._norms[key] = _finish(_partial(mags, key, cells, flat), key, cells)
+    mags = _magnitudes(F, spec.weight, w, _spend)
+    F._norms[key] = _finish(_partial(mags, key, cells, _free_half(F)), key, cells)
     return F._norms[key]
 
 
 def stft_norms(a: GridFunction, window: GridFunction, specs: list[MixedNormSpec]) -> list[float]:
     """Mixed norms of the symplectic STFT of ``a`` against ``window``, one per spec.
 
-    The specs are taken grouped by weight (first appearance first), so each
-    ``|V| * w`` is written once.  A tensor within ``MATERIALIZE_LIMIT`` is
-    built once in this thread's arena and every spec goes through
-    :func:`mixed_norm`.  A larger one is walked once in blocks: per block
-    ``|V|`` is taken once, ``|V| * w`` once per weight, and each distinct norm
-    adds its block's partial sums (or maxima).
+    The specs are taken grouped by weight, unit weights first and then in
+    first-appearance order, so each ``|V| * w`` is written once and ``|V|``
+    is dead once the last weight has its product.  A tensor within
+    ``MATERIALIZE_LIMIT`` is built once in this thread's arena and every
+    spec goes through :func:`mixed_norm`.  A larger one is walked once in
+    blocks: per block ``|V|`` is taken once, ``|V| * w`` once per weight, and
+    each distinct norm adds its block's partial sums (or maxima).
     """
     g = a.grid
     keys = [_norm_key(spec) for spec in specs]
-    weights = list(dict.fromkeys(key[3] for key in keys))
+    weights = sorted(dict.fromkeys(key[3] for key in keys), key=lambda weight: weight is not None)
+    last = weights[-1] if weights else None
     if _fits(g):
         F = symplectic_stft(a, window, _scratch=_arena())
-        norms = {i: mixed_norm(F, specs[i])
+        norms = {i: mixed_norm(F, specs[i], _spend=keys[i][3] is not None and keys[i][3] == last)
                  for i in sorted(range(len(specs)), key=lambda i: weights.index(keys[i][3]))}
         return [norms[i] for i in range(len(specs))]
     cells = {key: _cells(key[4], g, g) for key in keys}
     acc, scratch = {}, {}
     for rows, block in stft_blocks(a, window, True, _scratch=scratch):
-        mags = _reuse(scratch, "abs", np.abs, block)
+        mags = _abs_over(block)
         half_a, half_b = _halves(block)
         for weight in weights:
-            x = mags if weight is None else _weighted(mags, _weight_tensor(weight, g, g, rows), half_a)
+            x, flat = mags, half_b
+            if weight is not None:
+                x = _weighted(mags, _weight_tensor(weight, g, g, rows), half_b)
+                flat = half_a if weight == last else None
             for key in [k for k in cells if k[3] == weight]:
                 combine = np.maximum if math.isinf(key[0]) else np.add
-                acc[key] = combine(acc.get(key, 0.0), _partial(x, key, cells[key], half_b))
+                acc[key] = combine(acc.get(key, 0.0), _partial(x, key, cells[key], flat))
     return [_finish(acc[key], key, cells[key]) for key in keys]

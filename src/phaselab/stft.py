@@ -14,9 +14,10 @@ after the last FFT holds every trailing factor and the scale.
 ``symplectic_stft`` and ``stft_blocks`` take a private ``_scratch`` dict
 (``norms.stft_norms`` passes its per-thread arena, or a block walk's own):
 the shift stack is then written into the buffer kept there for its layout,
-so the returned values alias that buffer, and the norms reuse it as scratch
-once ``|V|`` is taken.  Without it every call allocates its own tensor;
-``stft`` always does.
+so the returned values alias that buffer.  Once the block is spent the
+norms write ``|V|`` over its first float64 half and use the second as
+scratch.  Without it every call allocates its own tensor; ``stft`` always
+does.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class STFTTensor:
     _norms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     #: ``|values|`` (key None) and ``|values| * w`` (key: weight) shared by ``norms.mixed_norm``
     _mags: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    #: the arena ``values`` were built in; the norms overwrite them after ``|values|`` (None: own)
+    #: the arena ``values`` were built in; the norms write ``|values|`` over them (None: own)
     _scratch: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):

@@ -6,7 +6,7 @@ import pytest
 import phaselab.lab
 import phaselab.norms
 import phaselab.stft
-from phaselab.exponents import ExponentTuple
+from phaselab.exponents import ExponentError, ExponentTuple
 from phaselab.grids import GridError, GridFunction, make_grid
 from phaselab.lab import (
     EnsembleSpec,
@@ -225,6 +225,23 @@ class TestRatioExperiment:
             _one_config(all2, all2, ens, pg8)
         assert built == []
 
+    @pytest.mark.parametrize("p, q, message", [
+        ("2,2,2", "2,2,2", "odd N"),  # N = 2
+        ("1/2,2,2,2", "2,2,2,2", r"\[1, infinity\]"),  # quasi-Banach
+    ])
+    def test_bad_tuples_refused_before_the_ensemble(self, pg8, monkeypatch, p, q, message):
+        built = []
+
+        def recorder(spec, phase):
+            built.append(spec)
+            return []
+
+        monkeypatch.setattr(phaselab.lab, "ensemble_generate", recorder)
+        ens = EnsembleSpec(seed=1, count=3, center_radius=0.5, modulation_radius=0.3)
+        with pytest.raises(ExponentError, match=message):
+            _one_config(ExponentTuple.parse(p), ExponentTuple.parse(q), ens, pg8)
+        assert built == []
+
     def test_shared_norms_match_lone_configs_bitwise(self):
         # run together, the drift configs reuse factor norms through the
         # per-tensor memo; a lone config takes one norm per tensor and never hits it
@@ -277,9 +294,9 @@ def count_norms(monkeypatch):
     calls = []
     real = phaselab.norms.mixed_norm
 
-    def counting(F, spec):
+    def counting(F, spec, **private):
         calls.append(spec)
-        return real(F, spec)
+        return real(F, spec, **private)
 
     monkeypatch.setattr(phaselab.norms, "mixed_norm", counting)
     return calls

@@ -384,29 +384,42 @@ def test_arena_norms_equal_fresh_tensor_bitwise(d, n):
         assert set(phaselab.norms._arena()) == keys
 
 
-def test_block_walk_equals_itself_without_the_arena(monkeypatch):
+def _fresh_walk(a, window, specs):
+    """The block walk of ``stft_norms`` with a fresh ``np.abs``, ``np.multiply`` and ``x**p`` per block."""
+    norms = phaselab.norms
+    g = a.grid
+    keys = [norms._norm_key(spec) for spec in specs]
+    cells = {key: norms._cells(key[4], g, g) for key in keys}
+    acc = {}
+    for rows, block in stft_blocks(a, window, True):
+        mags = np.abs(block)
+        for key in cells:
+            w = norms._weight_tensor(key[3], g, g, rows)
+            x = mags if w is None else np.multiply(mags, w)
+            combine = np.maximum if np.isinf(key[0]) else np.add
+            acc[key] = combine(acc.get(key, 0.0), norms._partial(x, key, cells[key]))
+    return [norms._finish(acc[key], key, cells[key]) for key in keys]
+
+
+def test_block_walk_equals_itself_without_the_arena():
+    # the walk writes |V| over each spent block and |V| * w and the powers into its
+    # halves; a walk with fresh arrays per block gives the same bits, with one weight
+    # (its powers go over |V|) and with two (the first weight's powers are fresh)
     pg = make_grid(1, 64)
     Phi = _window(pg)
-    w = split_weight(poly_weight(1.0), "Y")
-    specs = [MixedNormSpec(2, 1, "modulation", w), MixedNormSpec(1, 2, "amalgam", w, "counting"),
-             MixedNormSpec(float("inf"), 2, "modulation", split_weight(poly_weight(1.0), "X")),
-             MixedNormSpec(3, 3)]
+    wy, wx = split_weight(poly_weight(1.0), "Y"), split_weight(poly_weight(1.0), "X")
+    one = [MixedNormSpec(2, 1, "modulation", wy), MixedNormSpec(1, 2, "amalgam", wy, "counting"),
+           MixedNormSpec(3, 3)]
+    two = one + [MixedNormSpec(float("inf"), 2, "modulation", wx),
+                 MixedNormSpec(4 / 3, 2, "modulation", wx)]
     a, b = _symbols(pg, 2)
-    stft_norms(a, Phi, specs)
-    warm = stft_norms(b, Phi, specs)
-    phaselab.norms._arena().clear()
-    assert stft_norms(b, Phi, specs) == warm
-    # and with no buffer kept at all, not even from block to block within the walk
-    def fresh(scratch, slot, ufunc, *operands):
-        return ufunc(*operands)
-
-    monkeypatch.setattr(phaselab.stft, "_reuse", fresh)
-    monkeypatch.setattr(phaselab.norms, "_reuse", fresh)
-    assert stft_norms(b, Phi, specs) == warm
+    for specs in (one, two):
+        stft_norms(a, Phi, specs)
+        assert stft_norms(b, Phi, specs) == _fresh_walk(b, Phi, specs)
 
 
 def test_arena_buffers_have_fresh_strides(monkeypatch):
-    # the arena keeps the block and |V|; |V| * w and the powers reuse the spent block
+    # the arena keeps the block only; |V|, |V| * w and the powers reuse the spent block
     pg = make_grid(1, 16)
     Phi = _window(pg)
     a, b = _symbols(pg, 2)
@@ -423,7 +436,7 @@ def test_arena_buffers_have_fresh_strides(monkeypatch):
         mixed_norm(fresh, spec)
     assert np.shares_memory(reused.values, first.values)
     assert reused.values.strides == fresh.values.strides
-    assert sorted(key[0] for key in scratch) == ["abs", "block"]
+    assert sorted(key[0] for key in scratch) == ["block"]
     # the spent block holds one weight's product at a time: the last spec's
     last = specs[-1].weight
     assert set(reused._mags) == {None, last}
@@ -444,8 +457,8 @@ def test_arena_buffers_have_fresh_strides(monkeypatch):
 
 @pytest.mark.parametrize("d, n", [(1, 16), (1, 32), (2, 4), (1, 64)])
 def test_spent_block_halves_have_fresh_layouts(d, n):
-    # |V| * w goes into the first half in a fresh product's layout (C order for a Y
-    # weight, |V|'s permuted order for an X weight), each power into the second in
+    # |V| * w goes into the second half in a fresh product's layout (C order for a Y
+    # weight, |V|'s permuted order for an X weight), each power into the first in
     # its base's layout; at n = 64 on the first block of the walk
     pg = make_grid(d, n)
     a = _symbols(pg, 1)[0]
@@ -459,20 +472,76 @@ def test_spent_block_halves_have_fresh_layouts(d, n):
     for weight in weights:
         w = phaselab.norms._weight_tensor(weight, g, g, rows)
         want = np.multiply(mags, w)
-        got = phaselab.norms._weighted(mags, w, half_a)
-        assert np.shares_memory(got, half_a) and got.strides == want.strides, weight
+        got = phaselab.norms._weighted(mags, w, half_b)
+        assert np.shares_memory(got, half_b) and got.strides == want.strides, weight
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         for x in (mags, got):
             for p in (1 / 2, 1, 4 / 3, 2, 3, 4):
-                power = np.power(x, p, out=phaselab.norms._laid_out(half_b, x.shape, x.strides))
+                power = np.power(x, p, out=phaselab.norms._laid_out(half_a, x.shape, x.strides))
                 fresh = x**p
                 assert power.strides == fresh.strides
                 assert np.array_equal(power.view(np.int64), fresh.view(np.int64)), (weight, p)
 
 
+@pytest.mark.parametrize("d, n", [(1, 16), (1, 24), (1, 32), (2, 4), (1, 64)])
+def test_abs_written_over_the_spent_block_equals_fresh_abs(d, n):
+    # |V| goes over the first float64 half of the spent block, in doubling chunks of
+    # memory order, laid out as a fresh np.abs; at n = 64 on every block of the walk
+    pg = make_grid(d, n)
+    a = _symbols(pg, 1)[0]
+    Phi = _window(pg)
+    scratch = {}
+    blocks = 0
+    for (rows, fresh), (_, block) in zip(stft_blocks(a, Phi, True),
+                                         stft_blocks(a, Phi, True, _scratch=scratch), strict=True):
+        want = np.abs(fresh)
+        got = phaselab.norms._abs_over(block)
+        assert np.shares_memory(got, phaselab.norms._halves(block)[0])
+        assert got.strides == want.strides
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), rows
+        blocks += 1
+    assert blocks == (16 if n == 64 else 1)
+    # a view that is not the whole dense block gets a fresh np.abs and leaves it be
+    block = next(stft_blocks(a, Phi, True))[1]
+    before = block.copy()
+    part = block[:, ::2]
+    got = phaselab.norms._abs_over(part)
+    assert not np.shares_memory(got, block)
+    assert np.array_equal(got, np.abs(part)) and np.array_equal(block, before)
+
+
+def test_two_weights_keep_abs_and_match_a_fresh_tensor_bitwise(monkeypatch):
+    # |V| outlives the first weight's product, so that weight's powers are fresh
+    # arrays; unit-weight powers go into the second half, the last weight's over |V|
+    pg = make_grid(1, 32)
+    Phi = _window(pg)
+    a, b = _symbols(pg, 2)
+    wy, wx = split_weight(poly_weight(1.0), "Y"), split_weight(poly_weight(-1.0), "X")
+    specs = [MixedNormSpec(2, 1, "modulation", wy), MixedNormSpec(1, 2, "amalgam", wx),
+             MixedNormSpec(3, 3), MixedNormSpec(4 / 3, 2, "modulation", wy),
+             MixedNormSpec(2, 4 / 3, "amalgam", wx, "counting")]
+    phaselab.norms._arena().clear()
+    stft_norms(a, Phi, specs)
+    (buf,) = phaselab.norms._arena().values()
+    half_a, half_b = phaselab.norms._halves(buf[...])
+    where = []
+    real = phaselab.norms._partial
+
+    def recording(mags, key, cells, flat=None):
+        where.append((key[3], None if flat is None else "a" if np.shares_memory(flat, half_a)
+                      else "b" if np.shares_memory(flat, half_b) else "elsewhere"))
+        return real(mags, key, cells, flat)
+
+    monkeypatch.setattr(phaselab.norms, "_partial", recording)
+    got = stft_norms(b, Phi, specs)
+    assert where == [(None, "b"), (wy, None), (wy, None), (wx, "a"), (wx, "a")]
+    fresh = symplectic_stft(b, Phi)
+    assert got == [mixed_norm(fresh, spec) for spec in specs]
+
+
 def test_warm_norms_allocate_no_tensor():
-    # after a warm-up the arena holds the block and |V| (24 MiB at n = 32), and a
-    # tensor's norms write |V| * w and the powers into its spent block
+    # after a warm-up the arena holds the block alone (16 MiB at n = 32), and a
+    # tensor's norms write |V|, |V| * w and the powers into its spent block
     import tracemalloc
 
     pg = make_grid(1, 32)
@@ -490,7 +559,7 @@ def test_warm_norms_allocate_no_tensor():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert sum(buf.nbytes for buf in phaselab.norms._arena().values()) == 24 * 2**20
+    assert sum(buf.nbytes for buf in phaselab.norms._arena().values()) == 16 * 2**20
     fresh = symplectic_stft(b, Phi)
     assert got == [mixed_norm(fresh, spec) for spec in specs]
 
