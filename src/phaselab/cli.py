@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import sys
 import time
 
@@ -96,9 +95,8 @@ def _cmd_exponents(args):
 def _cmd_interpolate(args):
     p, q = _parse_pair(args)
     cert = construct_interpolation(p, q)
-    consistent = (not cert.feasible) or cert.residual <= args.tolerance
-    check = suites.Check("certificate-consistency", cert.residual, args.tolerance,
-                         bool(consistent))
+    check = suites.Check("certificate-consistency", cert.residual, 1e-12,
+                         (not cert.feasible) or cert.residual <= 1e-12)
     return {"p": str(p), "q": str(q)}, [check], {"certificate": cert.as_dict()}, None
 
 
@@ -189,14 +187,6 @@ def _at_least(minimum: int):
     return integer
 
 
-def _tolerance(text: str) -> float:
-    """argparse type for a finite float no smaller than 0."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
-    return value
-
-
 def _grid_ladder(text: str) -> tuple[int, ...]:
     """argparse type for comma-separated grid sizes, each under ``ratio --grid``'s rule."""
     return tuple(map(_at_least(16), text.split(",")))
@@ -226,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("interpolate", help="construct an interpolation certificate")
     sp.add_argument("--p", required=True)
     sp.add_argument("--q", required=True)
-    sp.add_argument("--tolerance", type=_tolerance, default=1e-12)
     common(sp)
     sp.set_defaults(func=_cmd_interpolate)
 

@@ -451,14 +451,16 @@ def _slacks(rp, rq, theta: Fraction, v_recip: Fraction) -> dict[str, Fraction]:
     """Each certificate constraint at ``1/v = v_recip`` as a named slack, >= 0 when
     it holds.  Ranges and budget are scaled by ``1 - theta``, so every slack is
     affine in ``1/v`` and, at ``theta = 1``, the range slacks are the mixing
-    equations ``u_j = 1/p_j``, ``u_j = 1/q_j`` as two opposite half-lines."""
+    equations ``u_j = 1/p_j``, ``u_j = 1/q_j`` as two opposite half-lines.
+    The budget ``sum(1 - 1/s) <= 1`` has no slack here: for odd N its slack
+    is ``(N - 1)(theta/2 - R(1/q'))``, free of ``1/v`` and never negative at
+    ``theta = 2 max(R(1/q'), 0)``; ``_certificate_residual`` still checks it."""
     slack = {}
     r, s = (_scaled_mix(recips, theta, v_recip) for recips in (rp, rq))
     for name, scaled in (("r", r), ("s", s)):
         for j, y in enumerate(scaled):
             slack[f"1/{name}_{j} >= 0"] = y
             slack[f"1/{name}_{j} <= 1"] = 1 - theta - y
-    slack["sum(1 - 1/s) <= 1"] = (1 - theta) - sum(1 - theta - y for y in s)
     slack["sum(1/r) >= 1"] = sum(r) - (1 - theta)
     return slack
 

@@ -22,20 +22,16 @@ one is walked once in blocks.
 ``mixed_norm`` memoises each (p, q, order if p != q, weight if not unit,
 measure) on the read-only tensor and returns the first float on a repeat;
 the memo is per tensor, so ``PHASELAB_THREADS`` workers share nothing.  On a
-miss it reduces magnitudes shared through a second per-tensor cache: ``|V|``
-is built once per tensor and ``|V| * w`` once per (tensor, weight); both
-caches go with the tensor, which ``stft_norms`` drops once its norms are taken.
+miss it reduces a fresh ``|V|`` (times ``w``) and never writes the tensor.
 
 ``stft_norms`` keeps only the STFT block in a per-thread arena, one buffer
 per layout within ``MATERIALIZE_LIMIT`` (16 MiB at n = 32, 1 MiB at n = 16);
-a block walk's buffer lives only for the walk.  Once the block is spent,
-``|V|`` is written over its first float64 half and ``|V| * w`` (one weight
-at a time) into its second.  The powers of unit-weight norms go into the
-second half; once the last weight has its product ``|V|`` is dead and its
-half takes that weight's powers.  A tensor with two or more weights keeps
-``|V|``, so the powers of every weight but its last are fresh arrays.  Each
-buffer is laid out as the fresh array it replaces, so the bits do not
-change.  No returned value aliases the arena.
+a block walk's buffer lives only for the walk.  Both paths reduce a spent
+block by one rule, ``_magnitudes``: ``|V|`` over its first float64 half,
+``|V| * w`` (one weight at a time) into its second, unit-weight powers into
+the second half, the last weight's powers over ``|V|`` and any other
+weight's into fresh arrays.  Each buffer is laid out as the fresh array it
+replaces, so the bits do not change.  No returned value aliases the arena.
 """
 
 from __future__ import annotations
@@ -189,54 +185,45 @@ def _weight_tensor(weight: WeightSpec | None, shift_grid: Grid, freq_grid: Grid,
     return weight.evaluate_grid(np.ix_(*axes))
 
 
-def _magnitudes(F: STFTTensor, weight: WeightSpec | None, w: np.ndarray | None,
-                spend: bool) -> np.ndarray:
-    """``|F|`` (``w`` None) or ``|F| * w``, each built once per tensor and weight.
+def _magnitudes(state: dict, block: np.ndarray, weight: WeightSpec | None,
+                w: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """``|block|`` (``w`` None) or ``|block| * w``, and the buffer for their powers.
 
-    A tensor built on an arena (``F._scratch``) writes ``|F|`` over the first
-    half of its spent block and one weight's ``|F| * w`` at a time into the
-    second; with ``spend`` it drops ``|F|`` once the product is taken.
+    ``block`` is spent, and ``state`` belongs to it and names the ``"last"``
+    weight its norms take.  ``|block|`` goes over the first float64 half
+    once, and ``|block| * w`` into the second once per weight (weights are
+    compared by ``==``).  Unit-weight powers go into the second half, the
+    last weight's over ``|block|``, and any other weight's into fresh arrays
+    (None).
     """
-    cache = F._mags
-    if None not in cache and (w is None or weight not in cache):
-        cache[None] = np.abs(F.values) if F._scratch is None else _abs_over(F.values)
+    half_a, half_b = _halves(block)
+    if "abs" not in state:
+        state["abs"] = _abs_over(block)
     if w is None:
-        return cache[None]
-    if weight not in cache and F._scratch is None:
-        cache[weight] = np.multiply(cache[None], w)
-    elif weight not in cache:
-        for old in set(cache) - {None}:
-            del cache[old]
-        cache[weight] = _weighted(cache[None], w, _halves(F.values)[1])
-    if spend:
-        cache.pop(None, None)
-    return cache[weight]
+        return state["abs"], half_b
+    if "weight" not in state or state["weight"] != weight:
+        state["weight"], state["product"] = weight, _weighted(state["abs"], w, half_b)
+    return state["product"], half_a if weight == state["last"] else None
 
 
-def _free_half(F: STFTTensor) -> np.ndarray | None:
-    """A half of an arena tensor's spent block that holds no cached magnitudes, else None."""
-    if F._scratch is None:
-        return None
-    for half in _halves(F.values):
-        if not any(np.may_share_memory(half, mags) for mags in F._mags.values()):
-            return half
-    return None
-
-
-def mixed_norm(F: STFTTensor, spec: MixedNormSpec, *, _spend: bool = False) -> float:
+def mixed_norm(F: STFTTensor, spec: MixedNormSpec, *, _state: dict | None = None) -> float:
     """Iterated (quasi-)norm of ``|F * weight|`` in the declared order.
 
-    ``_spend`` (for ``stft_norms``) says that no later norm of an arena
-    tensor needs ``|F|``: once this spec's ``|F| * w`` is taken, the half
-    ``|F|`` was written over takes the powers.
+    ``_state`` (for ``stft_norms``) says that ``F.values`` is a spent arena
+    block, which :func:`_magnitudes` writes over; without it the
+    magnitudes and powers are fresh arrays and ``F.values`` is only read.
     """
     w = _weight_tensor(spec.weight, F.shift_grid, F.freq_grid)
     key = _norm_key(spec)
     if key in F._norms:
         return F._norms[key]
     cells = _cells(spec.measure, F.shift_grid, F.freq_grid)
-    mags = _magnitudes(F, spec.weight, w, _spend)
-    F._norms[key] = _finish(_partial(mags, key, cells, _free_half(F)), key, cells)
+    if _state is None:
+        mags = np.abs(F.values)
+        x, flat = (mags if w is None else np.multiply(mags, w)), None
+    else:
+        x, flat = _magnitudes(_state, F.values, key[3], w)
+    F._norms[key] = _finish(_partial(x, key, cells, flat), key, cells)
     return F._norms[key]
 
 
@@ -248,8 +235,9 @@ def stft_norms(a: GridFunction, window: GridFunction, specs: list[MixedNormSpec]
     is dead once the last weight has its product.  A tensor within
     ``MATERIALIZE_LIMIT`` is built once in this thread's arena and every
     spec goes through :func:`mixed_norm`.  A larger one is walked once in
-    blocks: per block ``|V|`` is taken once, ``|V| * w`` once per weight, and
-    each distinct norm adds its block's partial sums (or maxima).
+    blocks, and each distinct norm adds every block's partial sums (or
+    maxima).  Either way each block's magnitudes come from one
+    :func:`_magnitudes` state.
     """
     g = a.grid
     keys = [_norm_key(spec) for spec in specs]
@@ -257,19 +245,16 @@ def stft_norms(a: GridFunction, window: GridFunction, specs: list[MixedNormSpec]
     last = weights[-1] if weights else None
     if _fits(g):
         F = symplectic_stft(a, window, _scratch=_arena())
-        norms = {i: mixed_norm(F, specs[i], _spend=keys[i][3] is not None and keys[i][3] == last)
+        state = {"last": last}
+        norms = {i: mixed_norm(F, specs[i], _state=state)
                  for i in sorted(range(len(specs)), key=lambda i: weights.index(keys[i][3]))}
         return [norms[i] for i in range(len(specs))]
     cells = {key: _cells(key[4], g, g) for key in keys}
     acc, scratch = {}, {}
     for rows, block in stft_blocks(a, window, True, _scratch=scratch):
-        mags = _abs_over(block)
-        half_a, half_b = _halves(block)
+        state = {"last": last}
         for weight in weights:
-            x, flat = mags, half_b
-            if weight is not None:
-                x = _weighted(mags, _weight_tensor(weight, g, g, rows), half_b)
-                flat = half_a if weight == last else None
+            x, flat = _magnitudes(state, block, weight, _weight_tensor(weight, g, g, rows))
             for key in [k for k in cells if k[3] == weight]:
                 combine = np.maximum if math.isinf(key[0]) else np.add
                 acc[key] = combine(acc.get(key, 0.0), _partial(x, key, cells[key], flat))

@@ -14,9 +14,8 @@ after the last FFT holds every trailing factor and the scale.
 ``symplectic_stft`` and ``stft_blocks`` take a private ``_scratch`` dict
 (``norms.stft_norms`` passes its per-thread arena, or a block walk's own):
 the shift stack is then written into the buffer kept there for its layout,
-so the returned values alias that buffer.  Once the block is spent the
-norms write ``|V|`` over its first float64 half and use the second as
-scratch.  Without it every call allocates its own tensor; ``stft`` always
+so the returned values alias that buffer and the caller owns it once they
+are spent.  Without it every call allocates its own tensor; ``stft`` always
 does.
 """
 
@@ -59,10 +58,6 @@ class STFTTensor:
     flavor: str
     #: mixed norms already computed on this tensor, keyed by ``norms.mixed_norm``
     _norms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    #: ``|values|`` (key None) and ``|values| * w`` (key: weight) shared by ``norms.mixed_norm``
-    _mags: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    #: the arena ``values`` were built in; the norms write ``|values|`` over them (None: own)
-    _scratch: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         expected = self.shift_grid.shape + self.freq_grid.shape
@@ -123,8 +118,7 @@ def stft(f: GridFunction, phi: GridFunction) -> STFTTensor:
 def symplectic_stft(a: GridFunction, Phi: GridFunction, *,
                     _scratch: dict | None = None) -> STFTTensor:
     """Symplectic STFT ``(X, Y) -> pi^{-d} integral a(Z) conj(Phi(Z-X)) e^{2i sigma(Y,Z)} dZ``."""
-    return STFTTensor(a.grid, a.grid, _one_block(a, Phi, True, _scratch), "symplectic",
-                     _scratch=_scratch)
+    return STFTTensor(a.grid, a.grid, _one_block(a, Phi, True, _scratch), "symplectic")
 
 
 def _fits(g: Grid) -> bool:

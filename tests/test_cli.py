@@ -88,20 +88,11 @@ def test_interpolate_rejected_input_exits_two(capsys):
     assert code == 2 and "rejected" in err
 
 
-@pytest.mark.parametrize("p, q, tolerance", [
-    ("4,4/3,4,4/3", "4,4/3,4,4/3", "-1"),
-    ("2,inf,2,2", "2,1,2,2", "nan"),  # the infeasible worked instance
-    ("2,2,2,2", "2,2,2,2", "inf"),
-    ("2,2,2,2", "2,2,2,2", "-inf"),
-])
-def test_interpolate_tolerance_must_be_finite_and_nonnegative(capsys, p, q, tolerance):
-    code, out, err = run(capsys, "interpolate", "--p", p, "--q", q, f"--tolerance={tolerance}")
-    assert code == 2 and "--tolerance" in err and not out
-
-
-def test_interpolate_tolerance_zero_accepted(capsys):
-    code, doc = run_json(capsys, "interpolate", "--p", "2,2,2,2", "--q", "2,2,2,2", "--tolerance", "0")
-    assert code == 0 and doc["checks"][0]["tolerance"] == 0.0
+def test_tolerance_flag_is_gone(capsys):
+    # a feasible certificate has residual exactly 0, so --tolerance could change no verdict
+    code, out, err = run(capsys, "interpolate", "--p", "4,4/3,4,4/3", "--q", "4,4/3,4,4/3",
+                         "--tolerance", "0")
+    assert code == 2 and "unrecognized arguments: --tolerance 0" in err and not out
 
 
 def test_representation_command(capsys):

@@ -25,6 +25,7 @@ from phaselab.exponents import (
 
 recips = st.fractions(min_value=0, max_value=1, max_denominator=32)
 eighths = st.integers(0, 8).map(lambda k: Fraction(k, 8))
+sixteenths = st.integers(0, 16).map(lambda k: Fraction(k, 16))
 
 
 def test_conjugate_branches():
@@ -299,15 +300,15 @@ def test_conjugate_reciprocals_rejects_quasi():
 
 
 @st.composite
-def _certificate_pairs(draw):
+def _certificate_pairs(draw, grid=eighths):
     """Reciprocal pairs at N = 3 or 5, mixed as the proof does:
-    ``(1 - theta) * base + theta * alternating`` on the 1/8 grid, with the base
-    ``1/s`` in ``[1/2, 1]``.  Prop-A holds for about a third of them at N = 5,
-    against 1 in 170 plain grid pairs."""
+    ``(1 - theta) * base + theta * alternating`` on ``grid`` (1/8 by default),
+    with the base ``1/s`` in ``[1/2, 1]``.  Prop-A holds for about a third of
+    them at N = 5, against 1 in 170 plain grid pairs."""
     n = draw(st.sampled_from([3, 5]))
-    r = draw(st.lists(eighths, min_size=n + 1, max_size=n + 1))
-    s = draw(st.lists(eighths.map(lambda x: (1 + x) / 2), min_size=n + 1, max_size=n + 1))
-    theta, t = draw(eighths), draw(eighths)
+    r = draw(st.lists(grid, min_size=n + 1, max_size=n + 1))
+    s = draw(st.lists(grid.map(lambda x: (1 + x) / 2), min_size=n + 1, max_size=n + 1))
+    theta, t = draw(grid), draw(grid)
     u = [(1 - t) if j % 2 == 0 else t for j in range(n + 1)]
     return tuple([(1 - theta) * a + theta * b for a, b in zip(xs, u)] for xs in (r, s))
 
@@ -420,6 +421,26 @@ class TestInterpolation:
                 assert (1 - theta) * s[j] + theta * u == q[j].reciprocal
         assert sum(1 - x for x in s) <= 1
         assert sum(r) >= 1
+
+    @given(st.one_of(_certificate_pairs(), _certificate_pairs(sixteenths)))
+    @example(([Fraction(1, 2), 0, Fraction(1, 2), Fraction(1, 2)],
+              [Fraction(1, 2), 1, Fraction(1, 2), Fraction(1, 2)]))  # the worked instance
+    @settings(max_examples=300, deadline=None)
+    def test_budget_slack_is_free_of_v_and_never_negative(self, pair):
+        """The budget ``sum(1 - 1/s) <= 1``, scaled by ``1 - theta`` as the
+        solver scales its slacks, reads the same at every ``1/v`` and holds, so
+        it can neither bound nor empty the interval of ``1/v``."""
+        p, q = (ExponentTuple.from_reciprocals(x) for x in pair)
+        if not check_conditions("prop-A", p, q).holds:
+            return
+        theta = construct_interpolation(p, q).theta
+
+        def budget(t):
+            s = [x - theta * ((1 - t) if j % 2 == 0 else t) for j, x in enumerate(pair[1])]
+            return (1 - theta) - sum(1 - theta - y for y in s)
+
+        slacks = {budget(Fraction(k, 16)) for k in range(17)}
+        assert len(slacks) == 1 and min(slacks) >= 0
 
 
 def _mixed(p, q, theta, t):

@@ -251,57 +251,56 @@ def test_tensor_values_read_only(setup):
     vals[0, 0, 0, 0] = 1.0
 
 
-# -- magnitudes shared per tensor ------------------------------------------------
+# -- magnitudes taken once per tensor and weight -----------------------------------
 
-def test_abs_runs_once_per_tensor(monkeypatch, setup):
-    _, _, _, W = setup
-    T = _fresh(W)
+def test_abs_runs_once_per_tensor(monkeypatch):
+    # |V| is taken once per tensor whatever its weights, and once per block of a walk
+    pg = make_grid(1, 16)
+    Phi = _window(pg)
+    symbols = _symbols(pg, 2)
     calls = []
-    real = np.abs
+    real = phaselab.norms._abs_over
 
-    def counting(x, *args, **kwargs):
-        if x is T.values:
-            calls.append(1)
-        return real(x, *args, **kwargs)
+    def counting(values):
+        calls.append(values.shape)
+        return real(values)
 
-    monkeypatch.setattr(np, "abs", counting)
-    for spec in _drift_specs():
-        mixed_norm(T, spec)
-    assert len(calls) == 1
-
-
-class _CountedWeight(np.ndarray):
-    """Weight tensor that counts the products it enters."""
-
-    products = 0
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.multiply:
-            _CountedWeight.products += 1
-        inputs = [x.view(np.ndarray) if isinstance(x, _CountedWeight) else x for x in inputs]
-        return getattr(ufunc, method)(*inputs, **kwargs)
+    monkeypatch.setattr(phaselab.norms, "_abs_over", counting)
+    for a in symbols:
+        stft_norms(a, Phi, _arena_specs())
+    assert calls == [(16,) * 4] * 2
+    calls.clear()
+    monkeypatch.setattr(phaselab.stft, "MATERIALIZE_LIMIT", 4 * 16**3)
+    for a in symbols:
+        stft_norms(a, Phi, _arena_specs())
+    assert calls == [(4, 16, 16, 16)] * 8
 
 
-def test_weighted_magnitudes_built_once_per_weight(monkeypatch, setup):
-    _, _, _, W = setup
-    T = _fresh(W)
-    real = phaselab.norms._weight_tensor
-
-    def counted(*args):
-        w = real(*args)
-        return None if w is None else w.view(_CountedWeight)
-
-    monkeypatch.setattr(phaselab.norms, "_weight_tensor", counted)
-    monkeypatch.setattr(_CountedWeight, "products", 0)
-    # the drift specs share one weight (poly(-1)'s reciprocal is poly(1)); add a second
-    w2 = split_weight(poly_weight(2.0), "Y")
-    specs = _drift_specs() + [MixedNormSpec(2, 1, "modulation", w2), MixedNormSpec(1, 2, "amalgam", w2)]
-    for spec in specs:
-        mixed_norm(T, spec)
+def test_weighted_magnitudes_built_once_per_weight(monkeypatch):
+    # one |V| * w per weight and tensor (per block in a walk), with three weights;
+    # equal weights built apart are one weight and share their product
+    pg = make_grid(1, 16)
+    Phi = _window(pg)
+    a = _symbols(pg, 1)[0]
+    specs = _arena_specs() + [MixedNormSpec(3, 2, "amalgam", split_weight(poly_weight(1.0), "X"))]
+    assert specs[-1].weight == specs[-2].weight and specs[-1].weight is not specs[-2].weight
     weights = {s.weight for s in specs if s.weight is not None and s.weight.kind != "unit"}
-    assert len(weights) == 2
-    assert _CountedWeight.products == len(weights)
-    assert set(T._mags) == {None} | weights
+    assert len(weights) == 3
+    products = []
+    real = phaselab.norms._weighted
+
+    def counting(mags, w, flat):
+        products.append(flat)
+        return real(mags, w, flat)
+
+    monkeypatch.setattr(phaselab.norms, "_weighted", counting)
+    fresh = symplectic_stft(a, Phi)
+    assert stft_norms(a, Phi, specs) == [mixed_norm(fresh, spec) for spec in specs]
+    assert len(products) == len(weights)
+    products.clear()
+    monkeypatch.setattr(phaselab.stft, "MATERIALIZE_LIMIT", 4 * 16**3)
+    assert stft_norms(a, Phi, specs) == _fresh_walk(a, Phi, specs)
+    assert len(products) == 4 * len(weights)
 
 
 def test_warm_magnitudes_equal_cold_bitwise(setup):
@@ -426,27 +425,49 @@ def test_arena_buffers_have_fresh_strides(monkeypatch):
     specs = _arena_specs()
     scratch = {}
     first = symplectic_stft(a, Phi, _scratch=scratch)
-    for spec in specs:
-        mixed_norm(first, spec)
     reused = symplectic_stft(b, Phi, _scratch=scratch)
-    for spec in specs:
-        mixed_norm(reused, spec)
     fresh = symplectic_stft(b, Phi)
-    for spec in specs:
-        mixed_norm(fresh, spec)
     assert np.shares_memory(reused.values, first.values)
     assert reused.values.strides == fresh.values.strides
     assert sorted(key[0] for key in scratch) == ["block"]
-    # the spent block holds one weight's product at a time: the last spec's
-    last = specs[-1].weight
-    assert set(reused._mags) == {None, last}
-    assert np.shares_memory(reused._mags[None], first._mags[None])
-    assert np.shares_memory(reused._mags[last], reused.values)
-    for k, mags in reused._mags.items():
-        assert mags.strides == fresh._mags[k].strides
-        assert np.array_equal(mags.view(np.int64), fresh._mags[k].view(np.int64))
+    # every magnitude array _magnitudes returns lies in the spent block with the strides
+    # and bits of the fresh |V| or |V| * w; the powers go into a half clear of it, or fresh
+    states, returned, want_blocks = [], [], []
+    real = phaselab.norms._magnitudes
+
+    def checked(state, block, weight, w):
+        if not want_blocks:  # warming the arena up
+            return real(state, block, weight, w)
+        if not any(state is seen for seen in states):
+            states.append(state)
+        x, flat = real(state, block, weight, w)
+        mags = np.abs(want_blocks[len(states) - 1])
+        want = mags if w is None else np.multiply(mags, w)
+        assert x.strides == want.strides and np.array_equal(x.view(np.int64), want.view(np.int64))
+        assert np.shares_memory(x, block)
+        assert flat is None or (np.shares_memory(flat, block) and not np.shares_memory(flat, x)
+                                and flat.size == x.size)
+        returned.append((weight, flat is not None))
+        return x, flat
+
+    monkeypatch.setattr(phaselab.norms, "_magnitudes", checked)
+    # unit-weight powers and the last weight's go into the block, the others' are fresh
+    weights = {phaselab.norms._norm_key(spec)[3] for spec in specs}
+    assert len(weights) == 4
+    flags = {(weight, weight in (None, specs[-1].weight)) for weight in weights}
+    for limit, blocks in ((phaselab.stft.MATERIALIZE_LIMIT, 1), (4 * 16**3, 4)):
+        monkeypatch.setattr(phaselab.stft, "MATERIALIZE_LIMIT", limit)
+        phaselab.norms._arena().clear()
+        want_blocks.clear()
+        stft_norms(a, Phi, specs)
+        states.clear()
+        returned.clear()
+        want_blocks.extend(block for _, block in stft_blocks(b, Phi, True))
+        stft_norms(b, Phi, specs)
+        assert len(states) == blocks
+        assert set(returned) == flags
+        assert len(phaselab.norms._arena()) == (blocks == 1)  # a walk keeps no buffer
     # blocks of a walk: every block goes into one buffer with the fresh block's strides
-    monkeypatch.setattr(phaselab.stft, "MATERIALIZE_LIMIT", 4 * 16**3)
     want = [(rows, block.strides) for rows, block in stft_blocks(a, Phi, True)]
     scratch = {}
     for f in (a, b):
@@ -617,20 +638,47 @@ def test_block_walk_buffers_are_dropped_after_the_walk():
     assert set(arena) == keys
 
 
-def test_public_tensors_never_alias_the_arena():
+def test_public_tensors_never_alias_the_arena(monkeypatch):
+    # public tensors and blocks, and the magnitudes and powers of a norm taken on its
+    # own, are fresh arrays that no later stft_norms call writes over
     pg = make_grid(1, 16)
     Phi = _window(pg)
     a, b, c = _symbols(pg, 3)
     specs = _arena_specs()
     stft_norms(a, Phi, specs)
+    reduced = []
+    real = phaselab.norms._partial
+
+    def recording(mags, key, cells, flat=None):
+        reduced.append((mags, flat))
+        return real(mags, key, cells, flat)
+
+    monkeypatch.setattr(phaselab.norms, "_partial", recording)
     T = symplectic_stft(b, Phi)
     for spec in specs:
         mixed_norm(T, spec)
+    monkeypatch.undo()
+    blocks = [block for _, block in stft_blocks(b, Phi, True)]
     before = T.values.copy()
     stft_norms(c, Phi, specs)
     arena = list(phaselab.norms._arena().values())
-    for arr in (T.values, *T._mags.values()):
+    assert arena and len(reduced) == len(T._norms)
+    for arr in (T.values, *blocks, *(mags for mags, _ in reduced)):
         assert not any(np.shares_memory(arr, buf) for buf in arena)
+    assert all(flat is None for _, flat in reduced)
+    assert T.values.tobytes() == before.tobytes() == blocks[0].tobytes()
+
+
+def test_standalone_norms_never_write_an_arena_tensor():
+    # a tensor built on a scratch dict keeps its values through mixed_norm called on its own
+    pg = make_grid(1, 16)
+    Phi = _window(pg)
+    a = _symbols(pg, 1)[0]
+    T = symplectic_stft(a, Phi, _scratch={})
+    before = T.values.copy()
+    fresh = symplectic_stft(a, Phi)
+    for spec in _arena_specs():
+        assert mixed_norm(T, spec) == mixed_norm(fresh, spec)
     assert T.values.tobytes() == before.tobytes()
 
 
