@@ -88,11 +88,18 @@ def test_interpolate_rejected_input_exits_two(capsys):
     assert code == 2 and "rejected" in err
 
 
-def test_tolerance_flag_is_gone(capsys):
-    # a feasible certificate has residual exactly 0, so --tolerance could change no verdict
-    code, out, err = run(capsys, "interpolate", "--p", "4,4/3,4,4/3", "--q", "4,4/3,4,4/3",
-                         "--tolerance", "0")
-    assert code == 2 and "unrecognized arguments: --tolerance 0" in err and not out
+@pytest.mark.parametrize("p, q, tolerance", [
+    ("4,4/3,4,4/3", "4,4/3,4,4/3", "-1"),
+    ("2,inf,2,2", "2,1,2,2", "nan"),  # the infeasible worked instance
+    ("2,2,2,2", "2,2,2,2", "inf"),
+    ("2,2,2,2", "2,2,2,2", "-inf"),
+    ("4,4/3,4,4/3", "4,4/3,4,4/3", "0"),
+])
+def test_interpolate_tolerance_must_be_finite_and_nonnegative(capsys, p, q, tolerance):
+    # --tolerance is gone, so every value, 0 included, is an unrecognised argument:
+    # a feasible certificate has residual exactly 0, so the flag could change no verdict
+    code, out, err = run(capsys, "interpolate", "--p", p, "--q", q, f"--tolerance={tolerance}")
+    assert code == 2 and f"unrecognized arguments: --tolerance={tolerance}" in err and not out
 
 
 def test_representation_command(capsys):
