@@ -47,8 +47,8 @@ def _sign_table(shape: Sequence[int], axes: Sequence[int], sign: int = 0,
     return table
 
 
-def centered_character_sum(values: np.ndarray, axes: Sequence[int], sign: int,
-                           out: np.ndarray | None = None, *, _signed: bool = False,
+def centered_character_sum(values: np.ndarray, axes: Sequence[int], sign: int, *,
+                           _signed: bool = False,
                            _scale: float | np.ndarray | None = 1.0) -> np.ndarray:
     """Per-axis sums ``sum_j f_j exp(sign * 2*pi*1j * (j-n/2)(k-n/2) / n)``.
 
@@ -61,21 +61,18 @@ def centered_character_sum(values: np.ndarray, axes: Sequence[int], sign: int,
     ``sgn = (-1)^j`` (``ifft(...) * n`` for ``sign > 0``), bit for bit but
     for the sign of an exact zero; all axes share the two table passes.
 
-    As with ``np.fft.fft``, the result goes to ``out`` when given (a complex
-    array of the input's shape, which may be ``values`` itself); otherwise
-    the sign multiply allocates it with the memory layout of ``values``,
-    which is then never written.  With ``_signed`` the caller has already
-    multiplied ``values`` (complex, then written in place) by the sign
-    table; ``_scale`` (a scalar or a table) is multiplied into the trailing
-    table, and None leaves that table to the caller.
+    The sign multiply allocates the result with the memory layout of
+    ``values``, which is then never written.  With ``_signed`` the caller
+    has already multiplied ``values`` (complex, then written in place) by
+    the sign table; ``_scale`` (a scalar or a table) is multiplied into the
+    trailing table, and None leaves that table to the caller.
     """
     res, axes = np.asarray(values), tuple(axes)
     for ax in axes:
         if res.shape[ax] % 2:
             raise GridError(f"centered transform needs an even axis, got {res.shape[ax]}")
     if not _signed:
-        res = np.multiply(res, _sign_table(res.shape, axes),
-                          out=np.empty_like(res, dtype=complex) if out is None else out)
+        res = np.multiply(res, _sign_table(res.shape, axes), out=np.empty_like(res, dtype=complex))
     for ax in axes:
         n = res.shape[ax]
         if sign < 0:
@@ -324,18 +321,3 @@ def gaussian_atom(phase: PhaseGrid, spec: GaussianAtomSpec) -> GridFunction:
     vals = spec.amplitude * np.exp(-envelope / (2 * spec.width**2)) * np.exp(1j * phase_arg)
     return GridFunction(g, vals)
 
-
-def base_gaussian(grid: Grid, center: float | Sequence[float] = 0.0, width: float = 1.0,
-                  frequency: float | Sequence[float] = 0.0) -> GridFunction:
-    """Gaussian wave packet on a base grid (minimal-image envelope)."""
-    center = np.broadcast_to(np.asarray(center, dtype=float), (grid.dim,))
-    frequency = np.broadcast_to(np.asarray(frequency, dtype=float), (grid.dim,))
-    L = grid.extent
-    coords = grid.coordinates()
-    envelope = np.zeros(grid.shape)
-    phase_arg = np.zeros(grid.shape)
-    for i, c in enumerate(coords):
-        delta = np.mod(c - center[i] + L / 2, L) - L / 2
-        envelope = envelope + delta**2
-        phase_arg = phase_arg + frequency[i] * c
-    return GridFunction(grid, np.exp(-envelope / (2 * width**2)) * np.exp(1j * phase_arg))

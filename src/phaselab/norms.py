@@ -24,10 +24,11 @@ measure) on the read-only tensor and returns the first float on a repeat;
 the memo is per tensor, so ``PHASELAB_THREADS`` workers share nothing.  On a
 miss it reduces a fresh ``|V|`` (times ``w``) and never writes the tensor.
 
-``stft_norms`` keeps only the STFT block in a per-thread arena, one buffer
-per layout within ``MATERIALIZE_LIMIT`` (16 MiB at n = 32, 1 MiB at n = 16);
-a block walk's buffer lives only for the walk.  Both paths reduce a spent
-block by one rule, ``_magnitudes``: ``|V|`` over its first float64 half,
+``stft_norms`` keeps only the STFT block in a per-thread arena: one complex
+buffer, grown to the largest block the thread has built (16 MiB from n = 32
+on) and never shrunk.  The one-block tensor and each block of a walk go
+into its front.  Both paths reduce a spent block by one rule,
+``_magnitudes``: ``|V|`` over its first float64 half,
 ``|V| * w`` (one weight at a time) into its second, unit-weight powers into
 the second half, the last weight's powers over ``|V|`` and any other
 weight's into fresh arrays.  Each buffer is laid out as the fresh array it
@@ -43,14 +44,14 @@ import numpy as np
 
 from .exponents import Exponent
 from .grids import Grid, GridError, GridFunction
-from .stft import STFTTensor, _fits, stft_blocks, symplectic_stft
+from .stft import STFTTensor, _extent, _fits, _laid_out, _product_into, stft_blocks, symplectic_stft
 from .weights import WeightSpec
 
 _ARENA = threading.local()
 
 
 def _arena() -> dict:
-    """This thread's scratch buffers for ``stft_norms``, kept between calls."""
+    """This thread's scratch for ``stft_norms``: one block buffer, kept between calls."""
     if not hasattr(_ARENA, "buffers"):
         _ARENA.buffers = {}
     return _ARENA.buffers
@@ -84,29 +85,20 @@ class MixedNormSpec:
         _exponent_value(self.q)
 
 
-def _laid_out(flat: np.ndarray, shape: tuple[int, ...], strides: tuple[int, ...]) -> np.ndarray:
-    """``flat`` as ``shape``, its axes nested in the fresh order of ``strides`` (largest outermost)."""
-    order = sorted(range(len(shape)), key=lambda i: -strides[i])
-    return flat.reshape([shape[i] for i in order]).transpose(np.argsort(order))
-
-
 def _halves(values: np.ndarray) -> np.ndarray:
-    """The complex buffer behind the spent ``values`` as two float64 halves, rows of one array."""
-    return np.ravel(values.base, "K").view(np.float64).reshape(2, -1)
+    """The entries behind the spent ``values`` as two float64 halves, rows of one array."""
+    return _extent(values).view(np.float64).reshape(2, -1)
 
 
 def _abs_over(values: np.ndarray) -> np.ndarray:
-    """``np.abs(values)`` written over the first float64 half of the buffer behind them.
+    """``np.abs(values)`` written over the first float64 half of the entries behind them.
 
     The entries go in doubling chunks of memory order: entries ``[a, 2a)``
     write floats ``[a, 2a)`` and read floats ``[2a, 4a)``, so nothing is
     overwritten before it is read and numpy makes no overlap copy.  The
-    result is laid out as ``values``, as a fresh ``np.abs`` is.  A buffer
-    that is not one dense block behind ``values`` gets a fresh ``np.abs``.
+    result is laid out as ``values``, as a fresh ``np.abs`` is.
     """
-    flat = np.ravel(values.base, "K")
-    if flat.size != values.size or not np.may_share_memory(flat, values):
-        return np.abs(values)
+    flat = _extent(values)
     out = flat.view(np.float64)[:flat.size]
     np.abs(flat[:1], out=out[:1])  # the one entry that overlaps its own output
     a = 1
@@ -114,13 +106,6 @@ def _abs_over(values: np.ndarray) -> np.ndarray:
         np.abs(flat[a:2 * a], out=out[a:2 * a])
         a *= 2
     return _laid_out(out, values.shape, values.strides)
-
-
-def _weighted(mags: np.ndarray, w: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """``mags * w`` in ``flat``, laid out as the fresh product of the 2-per-axis corners."""
-    corner = (slice(2),) * mags.ndim
-    strides = np.multiply(mags[corner], w[corner]).strides
-    return np.multiply(mags, w, out=_laid_out(flat, mags.shape, strides))
 
 
 def _power_sum(x: np.ndarray, axes: tuple[int, ...] | None, p: float,
@@ -202,7 +187,7 @@ def _magnitudes(state: dict, block: np.ndarray, weight: WeightSpec | None,
     if w is None:
         return state["abs"], half_b
     if "weight" not in state or state["weight"] != weight:
-        state["weight"], state["product"] = weight, _weighted(state["abs"], w, half_b)
+        state["weight"], state["product"] = weight, _product_into(state["abs"], w, half_b)
     return state["product"], half_a if weight == state["last"] else None
 
 
@@ -235,9 +220,9 @@ def stft_norms(a: GridFunction, window: GridFunction, specs: list[MixedNormSpec]
     is dead once the last weight has its product.  A tensor within
     ``MATERIALIZE_LIMIT`` is built once in this thread's arena and every
     spec goes through :func:`mixed_norm`.  A larger one is walked once in
-    blocks, and each distinct norm adds every block's partial sums (or
-    maxima).  Either way each block's magnitudes come from one
-    :func:`_magnitudes` state.
+    blocks through the same arena, and each distinct norm adds every
+    block's partial sums (or maxima).  Either way each block's magnitudes
+    come from one :func:`_magnitudes` state.
     """
     g = a.grid
     keys = [_norm_key(spec) for spec in specs]
@@ -250,8 +235,8 @@ def stft_norms(a: GridFunction, window: GridFunction, specs: list[MixedNormSpec]
                  for i in sorted(range(len(specs)), key=lambda i: weights.index(keys[i][3]))}
         return [norms[i] for i in range(len(specs))]
     cells = {key: _cells(key[4], g, g) for key in keys}
-    acc, scratch = {}, {}
-    for rows, block in stft_blocks(a, window, True, _scratch=scratch):
+    acc = {}
+    for rows, block in stft_blocks(a, window, True, _scratch=_arena()):
         state = {"last": last}
         for weight in weights:
             x, flat = _magnitudes(state, block, weight, _weight_tensor(weight, g, g, rows))

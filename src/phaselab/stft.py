@@ -12,10 +12,11 @@ built from samples already multiplied by the sums' sign table, and one table
 after the last FFT holds every trailing factor and the scale.
 
 ``symplectic_stft`` and ``stft_blocks`` take a private ``_scratch`` dict
-(``norms.stft_norms`` passes its per-thread arena, or a block walk's own):
-the shift stack is then written into the buffer kept there for its layout,
-so the returned values alias that buffer and the caller owns it once they
-are spent.  Without it every call allocates its own tensor; ``stft`` always
+(``norms.stft_norms`` passes its per-thread arena): the dict keeps one
+complex buffer, grown to the largest block built with it, and each shift
+stack is written into its front, laid out as a fresh product, so the
+returned values alias that buffer and the caller owns it once they are
+spent.  Without it every call allocates its own tensor; ``stft`` always
 does.
 """
 
@@ -80,20 +81,32 @@ def _shifted_windows(phi: GridFunction) -> np.ndarray:
     return sliding_window_view(tiled, g.shape)[(slice(c + n, c, -1),) * g.dim]
 
 
-def _reuse(scratch: dict | None, slot, ufunc, *operands: np.ndarray) -> np.ndarray:
-    """``ufunc(*operands)``, written into ``scratch``'s buffer for ``slot`` if it has one.
+def _laid_out(flat: np.ndarray, shape: tuple[int, ...], strides: tuple[int, ...]) -> np.ndarray:
+    """``flat`` as ``shape``, its axes nested in the fresh order of ``strides`` (largest outermost)."""
+    order = sorted(range(len(shape)), key=lambda i: -strides[i])
+    return flat.reshape([shape[i] for i in order]).transpose(np.argsort(order))
 
-    The buffer is the first fresh result for ``slot`` and the operands'
-    shapes, strides and dtypes, so a reuse has exactly the memory layout (and
-    bits) a fresh call would give.  With ``scratch`` None nothing is kept.
-    """
-    if scratch is None:
-        return ufunc(*operands)
-    key = (slot, *((x.shape, x.strides, x.dtype.str) for x in operands))
-    if key not in scratch:
-        scratch[key] = ufunc(*operands)
-        return scratch[key]
-    return ufunc(*operands, out=scratch[key])
+
+def _product_into(x: np.ndarray, y: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """``x * y`` in ``flat``, laid out as the fresh product of the 2-per-axis corners."""
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    corner = (slice(2),) * len(shape)
+    return np.multiply(x, y, out=_laid_out(flat, shape, np.multiply(x[corner], y[corner]).strides))
+
+
+def _front(scratch: dict, size: int) -> np.ndarray:
+    """The first ``size`` entries of ``scratch``'s complex block buffer, which only grows.
+
+    A smaller buffer is released before the larger one is allocated."""
+    if "block" not in scratch or scratch["block"].size < size:
+        scratch.pop("block", None)
+        scratch["block"] = np.empty(size, complex)
+    return scratch["block"][:size]
+
+
+def _extent(values: np.ndarray) -> np.ndarray:
+    """The front entries of the scratch buffer that the block ``values`` was written into."""
+    return values.base[:values.size]
 
 
 def _shift_stack(values: np.ndarray, phi: GridFunction, rows: slice = slice(None),
@@ -101,9 +114,14 @@ def _shift_stack(values: np.ndarray, phi: GridFunction, rows: slice = slice(None
     """Windowed copies ``values(y) * conj(phi(y - x))`` stacked over the shifts x in ``rows``.
 
     ``rows`` selects along the leading shift axis; every other axis is whole.
+    With ``scratch`` the stack goes into the front of its buffer with the
+    strides and bits of a fresh ``np.multiply``.
     """
-    return _reuse(scratch, "block", np.multiply,
-                  values[(np.newaxis,) * values.ndim + (Ellipsis,)], _shifted_windows(phi)[rows])
+    samples = values[(np.newaxis,) * values.ndim + (Ellipsis,)]
+    windows = _shifted_windows(phi)[rows]
+    if scratch is None:
+        return np.multiply(samples, windows)
+    return _product_into(samples, windows, _front(scratch, windows.size))
 
 
 def stft(f: GridFunction, phi: GridFunction) -> STFTTensor:
@@ -144,8 +162,8 @@ def stft_blocks(a: GridFunction, Phi: GridFunction, symplectic: bool, *,
     as fit in ``MATERIALIZE_LIMIT`` entries, so no array past the limit is
     built, and a single row past it is refused.  A tensor within the limit is
     one block, bitwise the materialized one with its strides.  With
-    ``_scratch`` every block is written into the one buffer kept there for
-    its layout, so a block is valid only until the next is yielded.
+    ``_scratch`` every block is written into the front of the one buffer
+    kept there, so a block is valid only until the next is yielded.
     """
     require_same_grid(a, Phi)
     if not np.any(Phi.values):

@@ -12,7 +12,6 @@ from phaselab.grids import (
     Grid,
     GridError,
     GridFunction,
-    base_gaussian,
     centered_character_sum,
     fourier,
     gaussian_atom,
@@ -20,6 +19,8 @@ from phaselab.grids import (
     sigma,
     symplectic_fourier,
 )
+
+from signals import base_gaussian
 
 RNG = np.random.default_rng(0)
 
@@ -76,14 +77,6 @@ def test_centered_sum_equals_per_axis_definition(n, sign, axes):
         want = _per_axis_character_sum(vals, axes, sign)
         assert np.array_equal(got, want)
         assert got.strides == want.strides and got.dtype == want.dtype
-        # out= a fresh buffer, and out= the input itself, give the same array
-        buf = np.empty_like(vals, dtype=complex)
-        assert centered_character_sum(vals, axes, sign, out=buf) is buf
-        alias = vals.astype(complex, order="K")
-        assert centered_character_sum(alias, axes, sign, out=alias) is alias
-        for res in (buf, alias):
-            assert np.array_equal(res, got)
-            assert res.strides == got.strides and res.dtype == got.dtype
 
 
 def test_centered_sum_leaves_read_only_input_untouched():
@@ -93,8 +86,6 @@ def test_centered_sum_leaves_read_only_input_untouched():
     for sign in (+1, -1):
         out = centered_character_sum(vals, (0, 1), sign)
         assert out.flags.writeable and not np.shares_memory(out, vals)
-        buf = np.empty_like(vals)
-        assert centered_character_sum(vals, (0, 1), sign, out=buf) is buf
     assert np.array_equal(vals, before)
 
 

@@ -287,13 +287,13 @@ def test_weighted_magnitudes_built_once_per_weight(monkeypatch):
     weights = {s.weight for s in specs if s.weight is not None and s.weight.kind != "unit"}
     assert len(weights) == 3
     products = []
-    real = phaselab.norms._weighted
+    real = phaselab.norms._product_into
 
     def counting(mags, w, flat):
         products.append(flat)
         return real(mags, w, flat)
 
-    monkeypatch.setattr(phaselab.norms, "_weighted", counting)
+    monkeypatch.setattr(phaselab.norms, "_product_into", counting)
     fresh = symplectic_stft(a, Phi)
     assert stft_norms(a, Phi, specs) == [mixed_norm(fresh, spec) for spec in specs]
     assert len(products) == len(weights)
@@ -378,7 +378,7 @@ def test_arena_norms_equal_fresh_tensor_bitwise(d, n):
         got = stft_norms(a, Phi, specs)
         fresh = symplectic_stft(a, Phi)
         assert got == [mixed_norm(fresh, spec) for spec in specs]
-        # one set of buffers per layout: later symbols add none
+        # one block buffer: later symbols add none
         keys = keys or set(phaselab.norms._arena())
         assert set(phaselab.norms._arena()) == keys
 
@@ -429,7 +429,7 @@ def test_arena_buffers_have_fresh_strides(monkeypatch):
     fresh = symplectic_stft(b, Phi)
     assert np.shares_memory(reused.values, first.values)
     assert reused.values.strides == fresh.values.strides
-    assert sorted(key[0] for key in scratch) == ["block"]
+    assert list(scratch) == ["block"]
     # every magnitude array _magnitudes returns lies in the spent block with the strides
     # and bits of the fresh |V| or |V| * w; the powers go into a half clear of it, or fresh
     states, returned, want_blocks = [], [], []
@@ -466,7 +466,6 @@ def test_arena_buffers_have_fresh_strides(monkeypatch):
         stft_norms(b, Phi, specs)
         assert len(states) == blocks
         assert set(returned) == flags
-        assert len(phaselab.norms._arena()) == (blocks == 1)  # a walk keeps no buffer
     # blocks of a walk: every block goes into one buffer with the fresh block's strides
     want = [(rows, block.strides) for rows, block in stft_blocks(a, Phi, True)]
     scratch = {}
@@ -484,7 +483,7 @@ def test_spent_block_halves_have_fresh_layouts(d, n):
     pg = make_grid(d, n)
     a = _symbols(pg, 1)[0]
     g = a.grid
-    rows, block = next(stft_blocks(a, _window(pg), True))
+    rows, block = next(stft_blocks(a, _window(pg), True, _scratch={}))
     mags = np.abs(block)
     half_a, half_b = phaselab.norms._halves(block)
     assert half_a.size == half_b.size == mags.size and not np.shares_memory(half_a, half_b)
@@ -493,7 +492,7 @@ def test_spent_block_halves_have_fresh_layouts(d, n):
     for weight in weights:
         w = phaselab.norms._weight_tensor(weight, g, g, rows)
         want = np.multiply(mags, w)
-        got = phaselab.norms._weighted(mags, w, half_b)
+        got = phaselab.norms._product_into(mags, w, half_b)
         assert np.shares_memory(got, half_b) and got.strides == want.strides, weight
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         for x in (mags, got):
@@ -522,13 +521,6 @@ def test_abs_written_over_the_spent_block_equals_fresh_abs(d, n):
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), rows
         blocks += 1
     assert blocks == (16 if n == 64 else 1)
-    # a view that is not the whole dense block gets a fresh np.abs and leaves it be
-    block = next(stft_blocks(a, Phi, True))[1]
-    before = block.copy()
-    part = block[:, ::2]
-    got = phaselab.norms._abs_over(part)
-    assert not np.shares_memory(got, block)
-    assert np.array_equal(got, np.abs(part)) and np.array_equal(block, before)
 
 
 def test_two_weights_keep_abs_and_match_a_fresh_tensor_bitwise(monkeypatch):
@@ -599,13 +591,13 @@ def test_each_weights_product_written_once_per_block(monkeypatch, rows):
     fresh = symplectic_stft(a, Phi)
     want = [mixed_norm(fresh, spec) for spec in specs]
     products = []
-    real = phaselab.norms._weighted
+    real = phaselab.norms._product_into
 
     def counting(mags, w, flat):
         products.append(flat is not None)
         return real(mags, w, flat)
 
-    monkeypatch.setattr(phaselab.norms, "_weighted", counting)
+    monkeypatch.setattr(phaselab.norms, "_product_into", counting)
     blocks = 1
     if rows:
         monkeypatch.setattr(phaselab.stft, "MATERIALIZE_LIMIT", rows * 16**3)
@@ -618,24 +610,58 @@ def test_each_weights_product_written_once_per_block(monkeypatch, rows):
         assert got == want
 
 
-def test_block_walk_buffers_are_dropped_after_the_walk():
-    # only layouts within MATERIALIZE_LIMIT stay in the arena between calls
-    from phaselab.suites import drift_ratio_checks
+def test_one_block_buffer_per_thread_serves_every_grid_and_walk(monkeypatch):
+    # the buffer grows to the largest block (32^4 entries, and 4 rows at n = 64) and
+    # never shrinks; every later block, one-block tensor or block of a walk, goes into
+    # its front, so a walk allocates no block of its own
+    import tracemalloc
 
     arena = phaselab.norms._arena()
-    pg = make_grid(1, 16)
-    stft_norms(_symbols(pg, 1)[0], _window(pg), _arena_specs())
-    keys = set(arena)
-    pg = make_grid(1, 64)
-    specs = [MixedNormSpec(2, 1, "modulation", split_weight(poly_weight(1.0), "Y")), MixedNormSpec(3, 3)]
-    stft_norms(_symbols(pg, 1)[0], _window(pg), specs)
-    assert set(arena) == keys
-    assert not any(64 in buf.shape for buf in arena.values())
-    # drift alternates n = 16 and 32: a second pass adds no buffer
-    drift_ratio_checks(seed=0, samples=1)
-    keys = set(arena)
-    drift_ratio_checks(seed=1, samples=1)
-    assert set(arena) == keys
+    wy = split_weight(poly_weight(1.0), "Y")
+    specs = [MixedNormSpec(2, 1, "modulation", wy), MixedNormSpec(1, 2, "amalgam", wy, "counting"),
+             MixedNormSpec(3, 3)]
+    cases = []
+    for n in (16, 32, 48, 64):
+        pg = make_grid(1, n)
+        cases.append((n, _symbols(pg, 1)[0], _window(pg)))
+    walked = []
+    real = phaselab.norms.stft_blocks
+
+    def recording(*args, **kwargs):
+        for rows, block in real(*args, **kwargs):
+            buf = arena.get("block", np.empty(0, complex))
+            walked.append((block.shape[0], rows, block.strides,
+                           np.shares_memory(block, buf[:block.size])
+                           and not np.shares_memory(block, buf[block.size:])))
+            yield rows, block
+
+    monkeypatch.setattr(phaselab.norms, "stft_blocks", recording)
+    arena.clear()
+    got = {}
+    for n, a, Phi in cases:
+        if n >= 48:
+            tracemalloc.start()
+        try:
+            got[n] = stft_norms(a, Phi, specs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if n >= 48:
+            assert peak < 4 * 2**20, (n, peak)
+    (buf,) = arena.values()
+    assert list(arena) == ["block"] and buf.shape == (phaselab.stft.MATERIALIZE_LIMIT,)
+    assert buf.dtype == complex and buf.nbytes == 16 * 2**20
+    # n = 48 walks 5 blocks of 9 rows and ends with 3 rows, each in the front of the
+    # buffer with a fresh block's strides
+    assert [size for size, *_ in walked] == [9] * 5 + [3] + [4] * 16
+    assert all(front for *_, front in walked) and walked[5][1] == slice(45, 48)
+    fresh = [(rows, block.strides) for _, a, Phi in cases[2:] for rows, block in real(a, Phi, True)]
+    assert [(rows, strides) for _, rows, strides, _ in walked] == fresh
+    # a smaller tensor goes into the front of the same buffer
+    assert stft_norms(*cases[0][1:], specs) == got[16] and arena["block"] is buf
+    for n, a, Phi in cases:
+        arena.clear()
+        assert stft_norms(a, Phi, specs) == got[n], n
 
 
 def test_public_tensors_never_alias_the_arena(monkeypatch):

@@ -11,7 +11,6 @@ from phaselab.grids import (
     GaussianAtomSpec,
     GridError,
     GridFunction,
-    base_gaussian,
     fourier,
     gaussian_atom,
     make_grid,
@@ -19,6 +18,8 @@ from phaselab.grids import (
 )
 from phaselab.norms import MixedNormSpec, stft_norms
 from phaselab.stft import _shift_stack, _shifted_windows, stft, stft_blocks, symplectic_stft
+
+from signals import base_gaussian
 
 RNG = np.random.default_rng(1)
 

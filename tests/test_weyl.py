@@ -9,7 +9,6 @@ from phaselab.grids import (
     GaussianAtomSpec,
     GridError,
     GridFunction,
-    base_gaussian,
     constant_symbol,
     gaussian_atom,
     make_grid,
@@ -32,6 +31,8 @@ from phaselab.weyl import (
     weyl_product,
     weyl_product_via_operators,
 )
+
+from signals import base_gaussian
 
 RNG = np.random.default_rng(3)
 
