@@ -86,7 +86,7 @@ def _parse_pair(args) -> tuple[ExponentTuple, ExponentTuple]:
 def _cmd_exponents(args):
     p, q = _parse_pair(args)
     result = check_conditions(args.criterion, p, q)
-    config = {"n": p.n_factors, "p": str(p), "q": str(q), "criterion": args.criterion}
+    config = {"p": str(p), "q": str(q), "criterion": args.criterion}
     check = suites.Check(f"condition[{args.criterion}]", 0.0 if result.holds else 1.0,
                          None, result.holds)
     return config, [check], {"condition": result.as_dict()}, None
@@ -127,17 +127,14 @@ def _cmd_ratio(args):
     phase = make_grid(1, args.grid)
     ensemble = EnsembleSpec(seed=args.seed, count=args.samples * p.n_factors,
                             atoms_per_symbol=args.atoms,
-                            width_range=(0.35, 0.5),
                             center_radius=min(1.5, phase.extent / 8),
                             modulation_radius=min(0.8, phase.extent / 10))
     cfg = RatioConfig(p, q, tuple(weights), args.mode, args.measure, "cli")
     rep = ratio_experiment_multi([cfg], ensemble, phase)[0]
     finite = all(r is None or (r == r and r != float("inf")) for r in rep.ratios)
-    config = {
-        "p": str(p), "q": str(q), "weights": list(rep.weights), "mode": args.mode,
-        "measure": args.measure, "grid": args.grid, "seed": args.seed,
-        "samples": args.samples, "atoms": args.atoms,
-    }
+    config = {"p": str(p), "q": str(q), "weights": [w.literal() for w in cfg.weights],
+              "mode": cfg.mode, "measure": cfg.measure, "grid": args.grid, "seed": args.seed,
+              "samples": args.samples, "atoms": args.atoms}
     check = suites.Check("ratios-finite", 0.0 if finite else 1.0, None, bool(finite))
     return config, [check], {"ratio_report": rep.as_dict()}, RatioReport.to_csv([rep])
 
@@ -201,22 +198,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file with default values for the flags")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, emits=("json",)):
+    def common(sp, emits=("json",), seeded=True):
         sp.add_argument("--emit", choices=emits, default="json")
         sp.add_argument("--out", help="output path (default: stdout)")
-        sp.add_argument("--seed", type=_at_least(0), default=0)
+        if seeded:  # exponents and interpolate draw no random numbers
+            sp.add_argument("--seed", type=_at_least(0), default=0)
 
     sp = sub.add_parser("exponents", help="evaluate a boundedness condition")
     sp.add_argument("--p", required=True, help="comma-separated exponents, e.g. 2,inf,2,2")
     sp.add_argument("--q", required=True)
     sp.add_argument("--criterion", choices=CRITERIA, default="thm-B")
-    common(sp)
+    common(sp, seeded=False)
     sp.set_defaults(func=_cmd_exponents)
 
     sp = sub.add_parser("interpolate", help="construct an interpolation certificate")
     sp.add_argument("--p", required=True)
     sp.add_argument("--q", required=True)
-    common(sp)
+    common(sp, seeded=False)
     sp.set_defaults(func=_cmd_interpolate)
 
     sp = sub.add_parser("identities", help="transform and product identity suite")

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exponents import ExponentTuple, check_conditions
+from .exponents import ConditionReport, ExponentTuple, check_conditions
 from .grids import (
     GaussianAtomSpec,
     Grid,
@@ -225,41 +225,49 @@ class RatioConfig:
 
 @dataclass(frozen=True)
 class RatioReport:
-    """Per-sample norm ratios of one experiment plus summary statistics."""
+    """Norm ratios of one probe: its config, its verdict and one ratio per sample.
 
-    config_label: str
-    mode: str
-    measure: str
-    p: str
-    q: str
-    weights: tuple[str, ...]
-    n_factors: int
+    ``verdict`` is the probe's condition (``thm-B``, or ``twist`` in twist mode),
+    checked once before sampling.  A ratio is None where a factor norm is zero.
+    """
+
+    config: RatioConfig
     grid_n: int
     seed: int
-    condition: str
-    condition_holds: bool
+    verdict: ConditionReport
     ratios: tuple  # float or None per sample
-    max_ratio: float
-    mean_ratio: float
-    quantiles: dict
+
+    @property
+    def label(self) -> str:
+        return self.config.label or f"{self.config.mode}:{self.config.p}|{self.config.q}"
+
+    def _finite(self) -> np.ndarray:
+        return np.asarray([r for r in self.ratios if r is not None], dtype=float)
+
+    @property
+    def max_ratio(self) -> float:
+        """Largest ratio; 0.0 when every sample is degenerate (ratios are >= 0)."""
+        return float(np.max(self._finite(), initial=0.0))
 
     def as_dict(self) -> dict:
+        cfg, finite = self.config, self._finite()
         return {
-            "label": self.config_label,
-            "mode": self.mode,
-            "measure": self.measure,
-            "p": self.p,
-            "q": self.q,
-            "weights": list(self.weights),
-            "N": self.n_factors,
+            "label": self.label,
+            "mode": cfg.mode,
+            "measure": cfg.measure,
+            "p": str(cfg.p),
+            "q": str(cfg.q),
+            "weights": [w.literal() for w in cfg.weights],
+            "N": cfg.p.n_factors,
             "grid_n": self.grid_n,
             "seed": self.seed,
-            "condition": self.condition,
-            "condition_holds": self.condition_holds,
+            "condition": self.verdict.criterion,
+            "condition_holds": self.verdict.holds,
             "ratios": [r if r is None else float(r) for r in self.ratios],
             "max_ratio": self.max_ratio,
-            "mean_ratio": self.mean_ratio,
-            "quantiles": self.quantiles,
+            "mean_ratio": float(finite.mean()) if finite.size else 0.0,
+            "quantiles": {f"q{int(100 * t)}": float(np.quantile(finite, t))
+                          for t in (0.5, 0.9, 1.0) if finite.size},
         }
 
     @staticmethod
@@ -270,8 +278,8 @@ class RatioReport:
         writer.writerow(["sample", "ratio", "label", "mode", "p", "q", "grid_n", "seed"])
         for rep in reports:
             for k, r in enumerate(rep.ratios):
-                writer.writerow([k, "" if r is None else repr(float(r)), rep.config_label,
-                                 rep.mode, rep.p, rep.q, rep.grid_n, rep.seed])
+                writer.writerow([k, "" if r is None else repr(float(r)), rep.label,
+                                 rep.config.mode, rep.config.p, rep.config.q, rep.grid_n, rep.seed])
         return buf.getvalue()
 
 
@@ -329,48 +337,19 @@ def ratio_experiment_multi(configs: Sequence[RatioConfig], ensemble: EnsembleSpe
     if not configs:
         return []
     n_factors = configs[0].p.n_factors
-    for cfg in configs:
-        if cfg.p.n_factors != n_factors:
-            raise GridError("all configs in one run must share N")
+    if any(cfg.p.n_factors != n_factors for cfg in configs):
+        raise GridError("all configs in one run must share N")
     # a config with no verdict (an even N, a quasi-Banach tuple) fails before any sampling
-    criteria = ["thm-B" if cfg.mode == "weyl" else "twist" for cfg in configs]
-    verdicts = [check_conditions(c, cfg.p, cfg.q) for c, cfg in zip(criteria, configs)]
+    verdicts = [check_conditions("thm-B" if cfg.mode == "weyl" else "twist", cfg.p, cfg.q)
+                for cfg in configs]
     window = default_window(phase)
     symbols = ensemble_generate(ensemble, phase)
     n_samples = len(symbols) // n_factors
     groups = [symbols[k * n_factors:(k + 1) * n_factors] for k in range(n_samples)]
     if threads > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(
-                lambda grp: _sample_ratios(configs, grp, window), groups))
+            rows = list(pool.map(lambda grp: _sample_ratios(configs, grp, window), groups))
     else:
         rows = [_sample_ratios(configs, grp, window) for grp in groups]
-    reports = []
-    for i, cfg in enumerate(configs):
-        ratios = tuple(row[i] for row in rows)
-        finite = [r for r in ratios if r is not None]
-        if finite:
-            arr = np.asarray(finite)
-            qs = {f"q{int(100 * t)}": float(np.quantile(arr, t)) for t in (0.5, 0.9, 1.0)}
-            mx, mean = float(arr.max()), float(arr.mean())
-        else:
-            qs, mx, mean = {}, 0.0, 0.0
-        reports.append(RatioReport(
-            config_label=cfg.label or f"{cfg.mode}:{cfg.p}|{cfg.q}",
-            mode=cfg.mode,
-            measure=cfg.measure,
-            p=str(cfg.p),
-            q=str(cfg.q),
-            weights=tuple(w.literal() for w in cfg.weights),
-            n_factors=n_factors,
-            grid_n=phase.n,
-            seed=ensemble.seed,
-            condition=criteria[i],
-            condition_holds=verdicts[i].holds,
-            ratios=ratios,
-            max_ratio=mx,
-            mean_ratio=mean,
-            quantiles=qs,
-        ))
-    return reports
-
+    return [RatioReport(cfg, phase.n, ensemble.seed, verdict, tuple(row[i] for row in rows))
+            for i, (cfg, verdict) in enumerate(zip(configs, verdicts))]

@@ -431,6 +431,6 @@ def drift_ratio_checks(seed: int = 9, samples: int = 200, grids: tuple[int, ...]
         lo, hi = min(maxima), max(maxima)
         # max_ratio is 0 when every sample on a grid is degenerate: no drift is defined
         drift = hi / lo if lo > 0.0 else math.inf
-        checks.append(Check(f"ratio-drift[{reports[0].config_label}]", float(drift), 2.0,
-                            bool(drift <= 2.0 and reports[0].condition_holds)))
+        checks.append(Check(f"ratio-drift[{reports[0].label}]", float(drift), 2.0,
+                            bool(drift <= 2.0 and reports[0].verdict.holds)))
     return (checks, *ladder)

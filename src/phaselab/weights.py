@@ -43,6 +43,8 @@ class WeightSpec:
     def __post_init__(self):
         if self.kind not in ("unit", "poly", "exp", "split", "product"):
             raise WeightError(f"unknown weight kind {self.kind!r}")
+        if not math.isfinite(self.param):
+            raise WeightError(f"weight parameter must be finite, got {self.param}")
         if self.kind == "exp" and abs(self.param) > EXP_RATE_CAP:
             raise WeightError(f"exponential rate |c| must be <= {EXP_RATE_CAP}")
         if self.kind == "split":

@@ -157,6 +157,13 @@ def test_ratio_bad_weights_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("weight", ["poly:s=inf", "poly:s=nan", "exp:c=nan"])
+def test_ratio_non_finite_weight_exits_two(capsys, weight):
+    code, out, err = run(capsys, "ratio", "--p", "2,2,2,2", "--q", "2,2,2,2", "--samples", "1",
+                         "--weights", f"{weight},unit,unit,unit")
+    assert code == 2 and "finite" in err and not out
+
+
 def test_sweep_small(capsys):
     code, doc = run_json(capsys, "sweep", "--trials", "300", "--cert-trials", "10")
     assert code == 0
@@ -285,14 +292,31 @@ def test_explicit_flag_overrides_config(capsys, tmp_path):
     ("drift", "--samples", "1", "--grids", "16,32"),
     ("ratio", "--p", "2,inf,2,2", "--q", "2,1,2,2", "--samples", "1",
      "--weights", "split:poly:s=-1@Y,split:poly:s=1@Y,split:poly:s=1@Y,split:poly:s=1@Y"),
+    ("exponents", "--p", "2,inf,2,2", "--q", "2,1,2,2"),
+    ("interpolate", "--p", "2,inf,2,2", "--q", "2,1,2,2"),
+    ("representation", "--grid", "8"),
+    ("sweep", "--trials", "10", "--cert-trials", "2"),
 ])
 def test_report_config_replays_the_report(capsys, tmp_path, args):
-    # list values (drift's grids, ratio's weights) included
+    # list values (drift's grids, ratio's weights) included; every key of every
+    # subcommand's config is one of its flags
     code, doc = run_json(capsys, *args)
     code2, again = run_json(capsys, "--config", _config(tmp_path, doc["config"]), args[0])
     assert code == code2 == 0
     assert json.dumps(_strip_timing(again), sort_keys=True) == \
         json.dumps(_strip_timing(doc), sort_keys=True)
+
+
+@pytest.mark.parametrize("argv", [
+    ("exponents", "--p", "2,inf,2,2", "--q", "2,1,2,2"),
+    ("interpolate", "--p", "2,inf,2,2", "--q", "2,1,2,2"),
+])
+def test_seed_only_where_random_numbers_are_drawn(capsys, tmp_path, argv):
+    # exponents and interpolate are exact: a seed would be accepted and ignored
+    code, out, err = run(capsys, *argv, "--seed", "12345")
+    assert code == 2 and "unrecognized arguments: --seed 12345" in err and not out
+    code, out, err = run(capsys, "--config", _config(tmp_path, {"seed": 1}), *argv)
+    assert code == 2 and "unrecognized arguments: --seed=1" in err and not out
 
 
 def test_config_unknown_key_exits_two(capsys, tmp_path):

@@ -157,7 +157,7 @@ class TestRatioExperiment:
         ens = EnsembleSpec(seed=23, count=6, atoms_per_symbol=2, width_range=(0.4, 0.5),
                            center_radius=0.5, modulation_radius=0.4)
         rep = _one_config(all2, all2, ens, pg8, "twist")
-        assert rep.mode == "twist" and rep.condition == "twist"
+        assert rep.config.mode == "twist" and rep.verdict.criterion == "twist"
         assert all(r is not None and r > 0 for r in rep.ratios)
 
     def test_report_serialization(self, pg8):
@@ -167,6 +167,8 @@ class TestRatioExperiment:
         rep = _one_config(all2, all2, ens, pg8)
         doc = rep.as_dict()
         assert doc["grid_n"] == 8 and doc["N"] == 3 and len(doc["ratios"]) == 2
+        # an unlabelled config is named after its mode and tuples
+        assert doc["label"] == "weyl:2,2,2,2|2,2,2,2"
         lines = RatioReport.to_csv([rep]).strip().split("\n")
         assert lines[0].startswith("sample,ratio")
         assert len(lines) == 3
@@ -181,7 +183,7 @@ class TestRatioExperiment:
         ens = EnsembleSpec(seed=25, count=3, atoms_per_symbol=2, width_range=(0.4, 0.5),
                            center_radius=0.5, modulation_radius=0.4)
         rep = _one_config(p, p, ens, pg8)
-        assert rep.condition_holds is False
+        assert rep.verdict.holds is False
         assert len(rep.ratios) == 1
 
     def test_multi_shares_samples(self, pg8):
@@ -193,7 +195,7 @@ class TestRatioExperiment:
         reports = ratio_experiment_multi(cfgs, ens, pg8)
         single = _one_config(all2, all2, ens, pg8)
         assert reports[0].ratios == single.ratios
-        assert reports[0].config_label == "a" and reports[1].config_label == "b"
+        assert reports[0].label == "a" and reports[1].label == "b"
 
     def test_thread_env_does_not_change_results(self, pg8, monkeypatch):
         all2 = ExponentTuple.parse("2,2,2,2")

@@ -3,6 +3,7 @@
 import pytest
 
 from phaselab import suites
+from phaselab.exponents import ConditionReport
 from phaselab.lab import RatioReport
 
 
@@ -12,10 +13,8 @@ def _fake_experiment(max_by_grid):
     def run(configs, ens, phase, *args, **kwargs):
         mx = max_by_grid[phase.n]
         ratios = (mx,) if mx else (None,)
-        return [RatioReport(cfg.label, cfg.mode, cfg.measure, str(cfg.p), str(cfg.q),
-                            tuple(w.literal() for w in cfg.weights), cfg.p.n_factors,
-                            phase.n, ens.seed, "thm-B", True, ratios, mx, mx, {})
-                for cfg in configs]
+        verdict = ConditionReport("thm-B", True, 0.0, 0.0)
+        return [RatioReport(cfg, phase.n, ens.seed, verdict, ratios) for cfg in configs]
 
     return run
 

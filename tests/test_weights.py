@@ -34,6 +34,14 @@ def test_exp_rate_cap():
         exp_weight(1.5)
 
 
+@pytest.mark.parametrize("text", ["poly:s=inf", "poly:s=-inf", "poly:s=nan", "exp:c=nan",
+                                  "exp:c=-inf", "split:poly:s=nan@Y", "unit*exp:c=nan"])
+def test_non_finite_parameter_refused(text):
+    # an infinite or NaN parameter would give every ratio 0 or NaN after a full run
+    with pytest.raises(WeightError, match="finite"):
+        parse_weight(text)
+
+
 def test_parse_literals():
     assert parse_weight("unit").kind == "unit"
     assert parse_weight("poly:s=1.5").param == 1.5
