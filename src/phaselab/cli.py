@@ -184,9 +184,22 @@ def _at_least(minimum: int):
     return integer
 
 
+def _grid_size(minimum: int):
+    """argparse type for an even grid size no smaller than ``minimum``, so that
+    an unusable grid is refused before any numerics run."""
+    at_least = _at_least(minimum)
+
+    def size(text: str) -> int:
+        value = at_least(text)
+        if value % 2:
+            raise argparse.ArgumentTypeError(f"must be even, got {value}")
+        return value
+    return size
+
+
 def _grid_ladder(text: str) -> tuple[int, ...]:
     """argparse type for comma-separated grid sizes, each under ``ratio --grid``'s rule."""
-    return tuple(map(_at_least(16), text.split(",")))
+    return tuple(map(_grid_size(16), text.split(",")))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,12 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_interpolate)
 
     sp = sub.add_parser("identities", help="transform and product identity suite")
-    sp.add_argument("--grid", type=int, default=32)
+    sp.add_argument("--grid", type=_grid_size(4), default=32)
     common(sp)
     sp.set_defaults(func=_cmd_identities)
 
     sp = sub.add_parser("representation", help="STFT integral representation check")
-    sp.add_argument("--grid", type=int, default=8)
+    sp.add_argument("--grid", type=_grid_size(4), default=8)
     common(sp)
     sp.set_defaults(func=_cmd_representation)
 
@@ -234,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("weyl", "twist"), default="weyl")
     sp.add_argument("--measure", choices=("quadrature", "counting"), default="quadrature")
     # default_window is truncation-safe from n = 16 up
-    sp.add_argument("--grid", type=_at_least(16), default=16)
+    sp.add_argument("--grid", type=_grid_size(16), default=16)
     sp.add_argument("--samples", type=_at_least(1), default=50)
     sp.add_argument("--atoms", type=_at_least(1), default=2)
     common(sp, emits=("json", "csv"))

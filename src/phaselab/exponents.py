@@ -144,17 +144,6 @@ class ExponentTuple:
         return ",".join(str(e) for e in self.entries)
 
 
-def conjugate_reciprocals(x: Sequence[Scalar]) -> tuple[Fraction, ...]:
-    """Reciprocals of the conjugate exponents for reciprocals in ``[0, 1]``."""
-    out = []
-    for r in x:
-        r = _coerce(r)
-        if not 0 <= r <= 1:
-            raise ExponentError(f"reciprocal {r} outside [0,1]; conjugate undefined here")
-        out.append(1 - r)
-    return tuple(out)
-
-
 def holder_excess(x: Sequence[Scalar]) -> Fraction:
     """Normalized excess of a reciprocal vector over the Hoelder budget.
 
@@ -505,7 +494,7 @@ def construct_interpolation(p: ExponentTuple, q: ExponentTuple) -> Interpolation
     if not check_conditions("prop-A", p, q).holds:
         raise ExponentError("rejected input: prop-A condition fails for (p, q)")
     rp, rq = p.reciprocals(), q.reciprocals()
-    r_qc = holder_excess(conjugate_reciprocals(rq))
+    r_qc = holder_excess(q.conjugate().reciprocals())
     theta = 2 * max(r_qc, Fraction(0))
     min_recip = min(min(rp), min(rq))
 

@@ -186,19 +186,6 @@ class GridFunction:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        require_same_grid(self, other)
-        return GridFunction(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        require_same_grid(self, other)
-        return GridFunction(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar: complex) -> "GridFunction":
-        return GridFunction(self.grid, self.values * scalar)
-
-    __rmul__ = __mul__
-
     def norm2(self) -> float:
         """Quadrature L2 norm."""
         return float(np.sqrt(self.grid.quadrature_weight * np.sum(np.abs(self.values) ** 2)))

@@ -9,7 +9,9 @@ Weights are strictly positive and at most exponential; the built-in kinds are
                                two-block argument, unit on the other,
 * products of the above.
 
-The "bounded below" reading of the multilinear conditions is operational:
+The multilinear weight condition has two kinds, ``weyl`` and ``twist``, the
+coordinate patterns of the Weyl product and of the twisted convolution in
+the symmetric calculus (A = 1/2).  Its "bounded below" reading is operational:
 a sampled infimum over random tuples plus deterministic escape rays must
 stay above ``1e-6``.
 """
@@ -138,10 +140,13 @@ def parse_weight(text: str) -> WeightSpec:
             raise WeightError(f"split weight needs a block marker: {text!r}")
         inner_text, block = body.rsplit("@", 1)
         return split_weight(parse_weight(inner_text), block.strip())
-    if text.startswith("poly:s="):
-        return poly_weight(float(text[len("poly:s="):]))
-    if text.startswith("exp:c="):
-        return exp_weight(float(text[len("exp:c="):]))
+    for prefix, make in (("poly:s=", poly_weight), ("exp:c=", exp_weight)):
+        if text.startswith(prefix):
+            try:
+                value = float(text[len(prefix):])
+            except ValueError:
+                raise WeightError(f"weight parameter must be a number: {text!r}") from None
+            return make(value)
     raise WeightError(f"cannot parse weight literal {text!r}")
 
 
@@ -152,7 +157,7 @@ def parse_weight_list(text: str, expected: int | None = None) -> tuple[WeightSpe
     return tuple(parts)
 
 
-def _tuple_arguments(kind: str, points: np.ndarray, A: np.ndarray | None, d: int) -> np.ndarray:
+def _tuple_arguments(kind: str, points: np.ndarray) -> np.ndarray:
     """Arguments fed to each weight for sampled tuples ``(X_0..X_N)``.
 
     ``points`` has shape ``(tuples, N + 1, 2d)``; returns shape
@@ -166,10 +171,6 @@ def _tuple_arguments(kind: str, points: np.ndarray, A: np.ndarray | None, d: int
         return np.concatenate([X + Y, X - Y], axis=-1)
     if kind == "twist":
         return np.concatenate([X - Y, X + Y], axis=-1)
-    if kind == "a-calculus":
-        x, xi = X[..., :d], X[..., d:]
-        y, eta = Y[..., :d], Y[..., d:]
-        return np.concatenate([y + (x - y) @ A.T, xi + (eta - xi) @ A, eta - xi, x - y], axis=-1)
     raise WeightError(f"unknown condition kind {kind!r}")
 
 
@@ -205,7 +206,6 @@ def _escape_tuples(n_factors: int, d: int) -> np.ndarray:
 def product_weight_condition(
     kind: str,
     weights: Sequence[WeightSpec],
-    A: np.ndarray | float | None = None,
     sample_count: int = DEFAULT_SAMPLES,
     seed: int = 0,
     d: int = 1,
@@ -213,26 +213,19 @@ def product_weight_condition(
 ) -> tuple[bool, float]:
     """Estimate the infimum of the multilinear weight product.
 
-    ``kind`` selects the coordinate pattern: ``weyl`` pairs sums with
-    differences, ``twist`` swaps the two blocks, ``a-calculus`` runs the
-    sheared pattern for the quantization matrix ``A``.  The estimate combines
-    ``sample_count`` uniform random tuples with deterministic escape rays;
-    the condition counts as satisfied when the sampled infimum stays above
-    ``1e-6``.
+    ``kind`` selects the coordinate pattern of the symmetric (A = 1/2)
+    calculus: ``weyl`` pairs sums with differences, ``twist`` swaps the two
+    blocks.  The estimate combines ``sample_count`` uniform random tuples
+    with deterministic escape rays; the condition counts as satisfied when
+    the sampled infimum stays above ``1e-6``.
     """
     n_factors = len(weights) - 1
     if n_factors < 1:
         raise WeightError("need at least two weights (output slot plus factors)")
-    if kind == "a-calculus":
-        if A is None:
-            raise WeightError("a-calculus condition needs the matrix A")
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-    else:
-        A = None
     rng = np.random.default_rng(seed)
     points = np.concatenate([_escape_tuples(n_factors, d),
                              rng.uniform(-radius, radius, size=(sample_count, n_factors + 1, 2 * d))])
-    args = _tuple_arguments(kind, points, A, d)
+    args = _tuple_arguments(kind, points)
     log_prod = sum(w.evaluate_grid(args[:, slot].T, log=True) for slot, w in enumerate(weights))
     log_inf = float(np.min(log_prod))
     inf_estimate = math.exp(log_inf) if log_inf > -745 else 0.0

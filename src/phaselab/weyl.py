@@ -15,6 +15,9 @@ therefore only expected to agree to truncation accuracy on decaying symbols.
 Kernels are carried in sheared coordinates ``(u, t) = (x - A(x-y), x - y)``,
 where the partial Fourier transform linking symbols and kernels is an exact
 unitary bijection; materializing the ``(x, y)`` matrix is a sampling step.
+The quantization index ``A`` is one number, the same on every axis: 1/2 is
+the Weyl calculus, 0 and 1 the Kohn-Nirenberg pair.  It must be a
+half-integer, so that the shear moves the grid onto itself.
 """
 
 from __future__ import annotations
@@ -39,19 +42,9 @@ from .grids import (
 )
 
 
-def quantization_matrix(A, d: int) -> np.ndarray:
-    """Canonical d x d matrix from a scalar or array quantization parameter."""
-    if np.isscalar(A):
-        return float(A) * np.eye(d)
-    A = np.asarray(A, dtype=float)
-    if A.shape != (d, d):
-        raise GridError(f"quantization matrix must be {d}x{d}, got {A.shape}")
-    return A
-
-
-def _require_half_integer(A: np.ndarray, what: str):
+def _require_half_integer(A: float, what: str):
     if not np.allclose(2 * A, np.round(2 * A), atol=1e-12):
-        raise GridError(f"{what} needs half-integer matrix entries to stay grid-aligned")
+        raise GridError(f"{what} needs a half-integer quantization index to stay grid-aligned")
 
 
 def _phase_of(a: GridFunction) -> PhaseGrid:
@@ -198,7 +191,7 @@ class KernelFunction:
     """
 
     phase: PhaseGrid
-    A: np.ndarray
+    A: float
     spectrum: np.ndarray
 
     def __post_init__(self):
@@ -207,11 +200,10 @@ class KernelFunction:
             raise GridError(f"kernel spectrum shape {self.spectrum.shape} != {expected}")
 
 
-def symbol_to_kernel(a: GridFunction, A) -> KernelFunction:
+def symbol_to_kernel(a: GridFunction, A: float) -> KernelFunction:
     """Exact partial-transform route from a symbol to its operator kernel."""
     phase = _phase_of(a)
     d = phase.d
-    A = quantization_matrix(A, d)
     _require_half_integer(A, "kernel map")
     g = a.grid
     # (2 pi)^{-d/2} * [(2 pi)^{-d/2} h^d sum_xi a(u, xi) e^{+i t xi}]
@@ -231,7 +223,7 @@ def kernel_to_symbol(K: KernelFunction) -> GridFunction:
     return GridFunction(g, vals)
 
 
-def _kernel_sample_indices(phase: PhaseGrid, A: np.ndarray, offset: int = 0):
+def _kernel_sample_indices(phase: PhaseGrid, A: float, offset: int = 0):
     """Index arrays mapping base-lattice pairs ``(x, y)`` into the (u, t) axes.
 
     ``offset = 0`` is the base grid itself, ``offset = 1`` the half-spacing
@@ -243,7 +235,7 @@ def _kernel_sample_indices(phase: PhaseGrid, A: np.ndarray, offset: int = 0):
     m, n = base.count, phase.n
     d = phase.d
     cm, cn = m // 2, n // 2
-    twoA = np.round(2 * A).astype(int)
+    twoA = round(2 * A)
     i = np.arange(m) - cm
     # per-axis integer coordinates of x and y in units of the base spacing 2h
     grids = np.meshgrid(*([i] * (2 * d)), indexing="ij")  # x axes then y axes
@@ -253,8 +245,7 @@ def _kernel_sample_indices(phase: PhaseGrid, A: np.ndarray, offset: int = 0):
     u_idx = []
     t_idx = []
     for axis in range(d):
-        shear = sum(twoA[axis, l] * diff[l] for l in range(d))
-        u = 2 * x[axis] + offset - shear  # in units of h
+        u = 2 * x[axis] + offset - twoA * diff[axis]  # in units of h
         u_idx.append((u + cn) % n)
         t_idx.append(diff[axis] + cn)  # in units of 2h, no wrap needed
     return tuple(u_idx) + tuple(t_idx)
@@ -290,7 +281,7 @@ def materialize_matrix(K: KernelFunction, offset: int = 0) -> OperatorMatrix:
     return OperatorMatrix(base, mat)
 
 
-def matrix_to_kernel(M: OperatorMatrix, phase: PhaseGrid, A, offset: int = 0,
+def matrix_to_kernel(M: OperatorMatrix, phase: PhaseGrid, A: float, offset: int = 0,
                      into: KernelFunction | None = None) -> KernelFunction:
     """Scatter matrix samples back into the sheared-coordinate representation.
 
@@ -301,7 +292,6 @@ def matrix_to_kernel(M: OperatorMatrix, phase: PhaseGrid, A, offset: int = 0,
     tolerance than the phase-space route).
     """
     d = phase.d
-    A = quantization_matrix(A, d)
     _require_half_integer(A, "kernel map")
     kvals = M.kernel_values().reshape((phase.base_grid.count,) * (2 * d))
     spec = np.zeros((phase.n,) * (2 * d), dtype=complex) if into is None else into.spectrum.copy()
@@ -309,12 +299,12 @@ def matrix_to_kernel(M: OperatorMatrix, phase: PhaseGrid, A, offset: int = 0,
     return KernelFunction(phase, A, spec)
 
 
-def operator_matrix(a: GridFunction, A, offset: int = 0) -> OperatorMatrix:
+def operator_matrix(a: GridFunction, A: float, offset: int = 0) -> OperatorMatrix:
     """Quadrature matrix of the quantized operator of a symbol."""
     return materialize_matrix(symbol_to_kernel(a, A), offset)
 
 
-def compose_via_matrices(a: GridFunction, b: GridFunction, A) -> GridFunction:
+def compose_via_matrices(a: GridFunction, b: GridFunction, A: float) -> GridFunction:
     """Oracle route: compose quantized matrices on both lattice offsets and
     reassemble the product symbol from the two checkerboard classes."""
     phase = _phase_of(a)
@@ -333,18 +323,18 @@ def weyl_product_via_operators(a: GridFunction, b: GridFunction) -> GridFunction
 
 # -- calculi transform and general quantizations ------------------------------
 
-def calculi_transform(a: GridFunction, A1, A2) -> GridFunction:
+def calculi_transform(a: GridFunction, A1: float, A2: float) -> GridFunction:
     """Transform a symbol between quantizations ``A1 -> A2``.
 
-    Fourier-side multiplier ``exp(i <(A1-A2) w_xi, w_x>)``; with half-integer
+    Fourier-side multiplier ``exp(i (A1-A2) <w_xi, w_x>)``; with half-integer
     ``A1 - A2`` the multiplier is an exact grid character, the map is unitary
     and the transforms compose as a group.
     """
     phase = _phase_of(a)
     d = phase.d
-    dA = quantization_matrix(A1, d) - quantization_matrix(A2, d)
+    dA = A1 - A2
     _require_half_integer(dA, "calculi transform")
-    if not np.any(dA):
+    if not dA:
         return a
     g = a.grid
     n, c = g.count, g.count // 2
@@ -352,28 +342,22 @@ def calculi_transform(a: GridFunction, A1, A2) -> GridFunction:
     k = np.arange(n) - c
     exponent = np.zeros(g.shape)
     for i in range(d):
-        for l in range(d):
-            if dA[i, l]:
-                wx = k.reshape([-1 if ax == i else 1 for ax in range(2 * d)])
-                wxi = k.reshape([-1 if ax == d + l else 1 for ax in range(2 * d)])
-                exponent = exponent + dA[i, l] * (4 * math.pi / n) * wx * wxi
+        wx = k.reshape([-1 if ax == i else 1 for ax in range(2 * d)])
+        wxi = k.reshape([-1 if ax == d + i else 1 for ax in range(2 * d)])
+        exponent = exponent + dA * (4 * math.pi / n) * wx * wxi
     ahat = ahat * np.exp(1j * exponent)
     vals = centered_character_sum(ahat, range(2 * d), +1) / float(n ** (2 * d))
     return GridFunction(g, vals)
 
 
-def pseudo_product(a: GridFunction, b: GridFunction, A) -> GridFunction:
+def pseudo_product(a: GridFunction, b: GridFunction, A: float) -> GridFunction:
     """Symbol product for the ``A``-quantization, by conjugation with the
     calculi transform around the symmetric product."""
-    phase = _phase_of(a)
-    d = phase.d
-    A = quantization_matrix(A, d)
-    half = 0.5 * np.eye(d)
-    if np.allclose(A, half, atol=0):
+    if A == 0.5:
         return weyl_product(a, b)
-    ta = calculi_transform(a, A, half)
-    tb = calculi_transform(b, A, half)
-    return calculi_transform(weyl_product(ta, tb), half, A)
+    ta = calculi_transform(a, A, 0.5)
+    tb = calculi_transform(b, A, 0.5)
+    return calculi_transform(weyl_product(ta, tb), 0.5, A)
 
 
 # -- kernel composition -------------------------------------------------------

@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from phaselab import suites
-from phaselab.cli import main
+from phaselab import lab, suites
+from phaselab.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -162,6 +162,12 @@ def test_ratio_non_finite_weight_exits_two(capsys, weight):
     code, out, err = run(capsys, "ratio", "--p", "2,2,2,2", "--q", "2,2,2,2", "--samples", "1",
                          "--weights", f"{weight},unit,unit,unit")
     assert code == 2 and "finite" in err and not out
+
+
+def test_ratio_non_number_weight_exits_two(capsys):
+    code, out, err = run(capsys, "ratio", "--p", "2,2,2,2", "--q", "2,2,2,2", "--samples", "1",
+                         "--weights", "poly:s=abc,unit,unit,unit")
+    assert code == 2 and "poly:s=abc" in err and not out
 
 
 def test_sweep_small(capsys):
@@ -413,6 +419,38 @@ def test_identities_grid_above_32_exits_two(capsys):
     # the product identities are capped at n = 32, and the report must say the size run
     code, out, err = run(capsys, "identities", "--grid", "64")
     assert code == 2 and "--grid 32" in err and not out
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("drift", "--grids", "32,17", "--samples", "20"), "--grids"),
+    (SMALL_RATIO[:5] + ("--grid", "17", "--samples", "1"), "--grid"),
+    (("identities", "--grid", "7"), "--grid"),
+    (("identities", "--grid", "2"), "--grid"),
+    (("representation", "--grid", "5"), "--grid"),
+])
+def test_bad_grid_sizes_refused_before_any_numerics(capsys, monkeypatch, argv, flag):
+    ran = []
+
+    def recorder(name):
+        def record(*args, **kwargs):
+            ran.append(name)
+            return []
+        return record
+
+    monkeypatch.setattr(lab, "ensemble_generate", recorder("ensemble_generate"))
+    for name in ("suite_involution", "suite_convention", "suite_products", "suite_routes",
+                 "suite_kernel_factorization", "suite_representation"):
+        monkeypatch.setattr(suites, name, recorder(name))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and flag in err and not out
+    assert ran == []
+
+
+def test_even_grid_sizes_parse():
+    parse = build_parser().parse_args
+    assert parse(["identities", "--grid", "6"]).grid == 6
+    assert parse(["representation", "--grid", "4"]).grid == 4
+    assert parse(["drift", "--grids", "16,24,64"]).grids == (16, 24, 64)
 
 
 @pytest.mark.parametrize("flags", [

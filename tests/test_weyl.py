@@ -25,7 +25,6 @@ from phaselab.weyl import (
     operator_matrix,
     point_reflection,
     pseudo_product,
-    quantization_matrix,
     symbol_to_kernel,
     twisted_convolution,
     weyl_product,
@@ -418,12 +417,6 @@ class TestComposeKernels:
                   for _ in range(3)]
             composed, _ = compose_kernels(Ks, base)
             assert hs(composed) <= math.prod(hs(K) for K in Ks) * (1 + 1e-12)
-
-
-def test_quantization_matrix_validation():
-    assert np.allclose(quantization_matrix(0.5, 2), 0.5 * np.eye(2))
-    with pytest.raises(GridError):
-        quantization_matrix(np.eye(3), 2)
 
 
 def test_two_dimensional_symbols_supported():
