@@ -3,9 +3,13 @@
 Exponents ``p`` range over ``(0, infinity]`` and are stored through their
 reciprocals, so that ``p = infinity`` is the ordinary number ``0`` and all the
 functionals below become affine/min expressions in the reciprocal vector.
-Whenever the inputs are rational the whole calculus stays in
-:class:`fractions.Fraction`; the boundary cases of the boundedness conditions
-(several of which hold exactly at equality) are then decided without rounding.
+Whenever the inputs are rational the whole calculus stays exact: one
+evaluator scales the reciprocal vectors to integers over a common denominator
+(``_scaled``), and the excess and the opposite-parity pair minima
+(``_pair_minima``) that ``holder_excess``, ``check_conditions`` and
+``implication_chain`` read are integer expressions at that scale.  The
+boundary cases of the boundedness conditions (several of which hold exactly at
+equality) are then decided without rounding.
 """
 
 from __future__ import annotations
@@ -144,6 +148,21 @@ class ExponentTuple:
         return ",".join(str(e) for e in self.entries)
 
 
+def _scaled(*vectors: Sequence[Scalar]) -> tuple[int, list[list[int]]]:
+    """Reciprocal vectors as integers over one common denominator ``den``.
+
+    At the common scale ``2 (N - 1) den`` of an ``(N+1)``-vector ``x`` scaled
+    to ``ix``, the excess functional reads ``2 (sum ix - den)`` and a pair
+    mean ``(x_j + y_k)/2`` reads ``(N - 1)(ix_j + iy_k)``, both integers.
+    """
+    rats = [[_coerce(v) for v in vec] for vec in vectors]
+    try:
+        den = math.lcm(*(v.denominator for vec in rats for v in vec))
+    except AttributeError:  # _coerce leaves only nan and infinities as floats
+        raise ExponentError("reciprocals must be finite rationals") from None
+    return den, [[v.numerator * (den // v.denominator) for v in vec] for vec in rats]
+
+
 def holder_excess(x: Sequence[Scalar]) -> Fraction:
     """Normalized excess of a reciprocal vector over the Hoelder budget.
 
@@ -151,11 +170,11 @@ def holder_excess(x: Sequence[Scalar]) -> Fraction:
     decides whether an ``N``-fold product of the corresponding spaces can
     stay within the scale at all.  Requires ``N >= 2``.
     """
-    x = [_coerce(v) for v in x]
     n_factors = len(x) - 1
     if n_factors < 2:
         raise ExponentError(f"excess functional needs N >= 2, got N = {n_factors}")
-    return (sum(x) - 1) / Fraction(n_factors - 1)
+    den, (ix,) = _scaled(x)
+    return Fraction(sum(ix) - den, (n_factors - 1) * den)
 
 
 @functools.lru_cache(maxsize=None)
@@ -164,32 +183,26 @@ def _odd_pairs(m: int):
     return tuple((j, k) for j in range(m + 1) for k in range(m + 1) if (j + k) % 2 == 1)
 
 
-def oddpair_minima(x: Sequence[Scalar], y: Sequence[Scalar] | None = None):
-    """Minima of pair means over opposite-parity index pairs.
+def _pair_minima(x: list[int], y: list[int], den: int):
+    """Minima of the pair means over ordered opposite-parity index pairs.
 
-    Returns ``(plain, balanced, argmin)`` where ``plain`` is the minimum of
-    ``(x_j + y_k)/2`` over ordered pairs with ``j + k`` odd, ``balanced``
-    additionally takes ``1 - (x_j + y_k)/2`` into account, and ``argmin``
-    is the pair realizing the balanced minimum.
+    ``x`` and ``y`` are reciprocal vectors scaled by ``_scaled`` over ``den``.
+    Returns ``(plain, balanced, argmin)`` at the common scale
+    ``2 (N - 1) den``: ``plain`` is the least ``(x_j + y_k)/2`` over pairs
+    with ``j + k`` odd, ``balanced`` also takes ``1 - (x_j + y_k)/2`` into
+    account, and ``argmin`` is the first pair in ``_odd_pairs`` order
+    realizing the balanced minimum.
     """
-    x = [_coerce(v) for v in x]
-    y = x if y is None else [_coerce(v) for v in y]
-    if len(x) != len(y):
-        raise ExponentError("mismatched reciprocal vector lengths")
-    n_factors = len(x) - 1
-    if n_factors < 1:
-        raise ExponentError("pair functional needs N >= 1")
-    plain = None
-    balanced = None
-    argmin = None
-    for j, k in _odd_pairs(n_factors):
-        mean = (x[j] + y[k]) / 2
+    w = len(x) - 2  # N - 1
+    full = 2 * w * den  # the scaled value of 1
+    plain = balanced = argmin = None
+    for j, k in _odd_pairs(w + 1):
+        mean = w * (x[j] + y[k])
         if plain is None or mean < plain:
             plain = mean
-        cand = min(mean, 1 - mean)
+        cand = min(mean, full - mean)
         if balanced is None or cand < balanced:
-            balanced = cand
-            argmin = (j, k)
+            balanced, argmin = cand, (j, k)
     return plain, balanced, argmin
 
 
@@ -232,26 +245,6 @@ def _require_odd(criterion: str, n_factors: int):
         raise ExponentError(f"criterion {criterion!r} needs odd N >= 3, got N = {n_factors}")
 
 
-def _int_pair_min(x: list[int], y: list[int], n: int, scale_q: int, full: int):
-    """Minima over ordered opposite-parity pairs in scaled-integer arithmetic.
-
-    ``scale_q`` multiplies the pair sum so that everything lives at one common
-    scale; ``full`` is the scaled value of 1.  Returns (plain, balanced, argmin).
-    """
-    plain = None
-    balanced = None
-    argmin = None
-    for j, k in _odd_pairs(n):
-        mean = scale_q * (x[j] + y[k])
-        if plain is None or mean < plain:
-            plain = mean
-        cand = min(mean, full - mean)
-        if balanced is None or cand < balanced:
-            balanced = cand
-            argmin = (j, k)
-    return plain, balanced, argmin
-
-
 def check_conditions(criterion: str, p: ExponentTuple, q: ExponentTuple) -> ConditionReport:
     """Evaluate one of the named exponent conditions exactly as displayed.
 
@@ -281,13 +274,8 @@ def check_conditions(criterion: str, p: ExponentTuple, q: ExponentTuple) -> Cond
     if criterion == "prop2-pattern":
         return _check_prop2_pattern(p, q)
 
-    rp, rq = p.reciprocals(), q.reciprocals()
-    den = math.lcm(*(v.denominator for v in rp + rq))
-    # common scale for every functional: pair means carry 1/(2 den), the
-    # excess functionals 1/((n-1) den)
+    den, (ip, iq) = _scaled(p.reciprocals(), q.reciprocals())
     scale = 2 * (n - 1) * den
-    ip = [v.numerator * (den // v.denominator) for v in rp]
-    iq = [v.numerator * (den // v.denominator) for v in rq]
     a, b, ia, ib = ("q", "p", iq, ip) if criterion == "twist" else ("p", "q", ip, iq)
     ibc = [den - v for v in ib]
     r_bc = 2 * (sum(ibc) - den)  # excess functionals at the common scale
@@ -306,22 +294,15 @@ def check_conditions(criterion: str, p: ExponentTuple, q: ExponentTuple) -> Cond
         detail["entrywise_min"] = frac(entrywise)
     else:
         _require_odd(criterion, n)
-        _, q_a, arg_a = _int_pair_min(ia, ia, n, n - 1, scale)
-        plain_bc, q_bc, arg_bc = _int_pair_min(ibc, ibc, n, n - 1, scale)
-        _, q_pq, arg_pq = _int_pair_min(ip, iq, n, n - 1, scale)
+        _, q_a, arg_a = _pair_minima(ia, ia, den)
+        plain_bc, q_bc, arg_bc = _pair_minima(ibc, ibc, den)
+        _, q_pq, arg_pq = _pair_minima(ip, iq, den)
         rhs = min(q_a, q_bc if criterion == "prop-A" else plain_bc, q_pq, r_a)
-        detail.update({
-            f"Q(1/{a})": frac(q_a),
-            f"Q(1/{b}')": frac(q_bc),
-            f"Q0(1/{b}')": frac(plain_bc),
-            "Q(1/p,1/q)": frac(q_pq),
-            f"argmin(1/{a})": arg_a,
-            f"argmin(1/{b}')": arg_bc,
-            "argmin(1/p,1/q)": arg_pq,
-        })
-        if criterion == "twist":  # the twist report keeps its six entries
-            for key in ("Q(1/p')", "argmin(1/q)", "argmin(1/p')"):
-                del detail[key]
+        detail.update({f"Q(1/{a})": frac(q_a), f"Q0(1/{b}')": frac(plain_bc),
+                       "Q(1/p,1/q)": frac(q_pq), "argmin(1/p,1/q)": arg_pq})
+        if criterion != "twist":  # the twist report keeps six entries
+            detail.update({f"Q(1/{b}')": frac(q_bc), f"argmin(1/{a})": arg_a,
+                           f"argmin(1/{b}')": arg_bc})
 
     holds = lhs <= rhs  # exact integer comparison at the common scale
     return ConditionReport(criterion, bool(holds), float(frac(lhs)), float(frac(rhs)), detail)
@@ -383,22 +364,26 @@ def implication_chain(x: Sequence[Scalar], mode: str = "odd-pairs"):
     boolean triple ``(c1, c2, c3)``; on any admissible vector ``c1`` implies
     ``c2`` implies ``c3``.
     """
-    x = [_coerce(v) for v in x]
     n = len(x) - 1
-    excess = holder_excess(x)
+    if n < 2:
+        raise ExponentError(f"excess functional needs N >= 2, got N = {n}")
+    den, (ix,) = _scaled(x)
+    w = 2 * (n - 1)  # the common scale of _scaled is w * den
+    excess = 2 * (sum(ix) - den)
     if mode == "odd-pairs":
-        if n < 3 or n % 2 == 0:
+        if n % 2 == 0:
             raise ExponentError(f"odd-pairs mode needs odd N >= 3, got {n}")
-        means = [(x[j] + x[k]) / 2 for j, k in _odd_pairs(n)]
-        c1 = excess <= min(means)
-        c2 = all(m <= Fraction(1, 2) for m in means)
-        c3 = excess <= min(1 - m for m in means)
+        least = _pair_minima(ix, ix, den)[0]
+        conj = [den - v for v in ix]
+        least_conj = _pair_minima(conj, conj, den)[0]  # 1 - the largest mean of x
+        c1 = excess <= least
+        c2 = 2 * least_conj >= w * den  # every mean of x is at most 1/2
+        c3 = excess <= least_conj
     elif mode == "all-pairs":
-        if n < 2:
-            raise ExponentError(f"all-pairs mode needs N >= 2, got {n}")
-        c1 = excess <= min(x)
-        c2 = all(x[j] + x[k] <= 1 for j in range(n + 1) for k in range(n + 1) if j != k)
-        c3 = excess <= min(1 - v for v in x)
+        top = sorted(ix)
+        c1 = excess <= w * top[0]
+        c2 = top[-1] + top[-2] <= den  # every sum of two distinct entries is at most 1
+        c3 = excess <= w * (den - top[-1])
     else:
         raise ExponentError(f"unknown mode {mode!r}")
     return bool(c1), bool(c2), bool(c3)

@@ -68,19 +68,28 @@ def ensemble_generate(spec: EnsembleSpec, phase: PhaseGrid) -> list[GridFunction
             f"ensemble reach {reach:.3g} violates truncation safety for extent {phase.extent:.3g}"
         )
     streams = np.random.SeedSequence(spec.seed).spawn(spec.count)
-    out = []
-    for stream in streams:
-        rng = np.random.default_rng(stream)
-        vals = None
-        for _ in range(spec.atoms_per_symbol):
-            center = rng.uniform(-spec.center_radius, spec.center_radius, size=2 * phase.d)
-            modulation = rng.uniform(-spec.modulation_radius, spec.modulation_radius, size=2 * phase.d)
-            width = rng.uniform(*spec.width_range)
-            amp = rng.standard_normal() + 1j * rng.standard_normal()
-            atom = gaussian_atom(phase, GaussianAtomSpec(tuple(center), tuple(modulation), width, amp))
-            vals = atom.values if vals is None else vals + atom.values
-        out.append(GridFunction(phase.symbol_grid, vals))
-    return out
+    return [_random_atoms(phase, np.random.default_rng(stream), spec.atoms_per_symbol,
+                          spec.center_radius, spec.modulation_radius, spec.width_range)
+            for stream in streams]
+
+
+def _random_atoms(phase: PhaseGrid, rng: np.random.Generator, atoms: int, center_radius: float,
+                  modulation_radius: float, width) -> GridFunction:
+    """Sum of ``atoms`` random Gaussian atoms.
+
+    Each atom draws, in this order, its centre, its modulation, its width
+    when ``width`` is a ``(low, high)`` range (a number is taken as it is),
+    and its complex amplitude.
+    """
+    vals = None
+    for _ in range(atoms):
+        center = rng.uniform(-center_radius, center_radius, size=2 * phase.d)
+        modulation = rng.uniform(-modulation_radius, modulation_radius, size=2 * phase.d)
+        w = width if np.isscalar(width) else rng.uniform(*width)
+        amp = rng.standard_normal() + 1j * rng.standard_normal()
+        atom = gaussian_atom(phase, GaussianAtomSpec(tuple(center), tuple(modulation), w, amp))
+        vals = atom.values if vals is None else vals + atom.values
+    return GridFunction(phase.symbol_grid, vals)
 
 
 def default_window(phase: PhaseGrid) -> GridFunction:

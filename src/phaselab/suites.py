@@ -23,11 +23,9 @@ from .exponents import (
     implication_chain,
 )
 from .grids import (
-    GaussianAtomSpec,
     GridFunction,
     PhaseGrid,
     constant_symbol,
-    gaussian_atom,
     make_grid,
     symplectic_fourier,
 )
@@ -41,6 +39,7 @@ from .lab import (
     ratio_experiment_multi,
     stft_integral_representation,
     window_for_representation,
+    _random_atoms,
 )
 from .stft import stft, symplectic_stft
 from .weights import poly_weight, split_weight, unit_weight
@@ -93,14 +92,7 @@ def _atom_cloud(phase: PhaseGrid, rng: np.random.Generator, atoms: int = 3,
                 modulation_frac: float = 0.0625) -> GridFunction:
     L = phase.extent
     width = width if width is not None else min(1.0, L / 14)
-    vals = None
-    for _ in range(atoms):
-        c = rng.uniform(-center_frac * L, center_frac * L, size=2 * phase.d)
-        m = rng.uniform(-modulation_frac * L, modulation_frac * L, size=2 * phase.d)
-        amp = rng.standard_normal() + 1j * rng.standard_normal()
-        atom = gaussian_atom(phase, GaussianAtomSpec(tuple(c), tuple(m), width, amp))
-        vals = atom.values if vals is None else vals + atom.values
-    return GridFunction(phase.symbol_grid, vals)
+    return _random_atoms(phase, rng, atoms, center_frac * L, modulation_frac * L, width)
 
 
 def _rel(err_values: np.ndarray, ref_values: np.ndarray) -> float:

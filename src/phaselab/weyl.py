@@ -43,7 +43,7 @@ from .grids import (
 
 
 def _require_half_integer(A: float, what: str):
-    if not np.allclose(2 * A, np.round(2 * A), atol=1e-12):
+    if not np.allclose(2 * A, np.round(2 * A), rtol=0, atol=1e-12):
         raise GridError(f"{what} needs a half-integer quantization index to stay grid-aligned")
 
 

@@ -14,10 +14,11 @@ from phaselab.exponents import (
     ExponentTuple,
     check_conditions,
     _certificate_residual,
+    _pair_minima,
+    _scaled,
     construct_interpolation,
     holder_excess,
     implication_chain,
-    oddpair_minima,
     parse_exponent,
     pattern_exponents,
 )
@@ -61,6 +62,8 @@ def test_holder_excess_values():
     assert holder_excess([Fraction(1, 2), 0, Fraction(1, 2), Fraction(1, 2)]) == Fraction(1, 4)
     with pytest.raises(ExponentError):
         holder_excess([1, 1])  # N = 1 not allowed
+    with pytest.raises(ExponentError, match="finite"):
+        holder_excess([float("nan"), 0, 0, 0])
 
 
 @given(st.lists(recips, min_size=4, max_size=6))
@@ -74,9 +77,12 @@ def test_holder_excess_permutation_invariant(perm, x):
 
 
 def _oddpair_oracle(x, y):
-    """Brute enumeration over ordered opposite-parity pairs."""
+    """Brute enumeration over ordered opposite-parity pairs.
+
+    Returns ``(plain, balanced, argmin)``, the argmin being the first pair in
+    row-major order that realizes the balanced minimum."""
     n = len(x) - 1
-    plain, balanced = None, None
+    plain, balanced, argmin = None, None, None
     for j in range(n + 1):
         for k in range(n + 1):
             if (j + k) % 2 == 0:
@@ -84,24 +90,52 @@ def _oddpair_oracle(x, y):
             mean = Fraction(x[j] + y[k], 2) if isinstance(x[j], int) else (x[j] + y[k]) / 2
             plain = mean if plain is None else min(plain, mean)
             cand = min(mean, 1 - mean)
-            balanced = cand if balanced is None else min(balanced, cand)
-    return plain, balanced
+            if balanced is None or cand < balanced:
+                balanced, argmin = cand, (j, k)
+    return plain, balanced, argmin
+
+
+def _routine_minima(x, y=None):
+    """``_pair_minima`` on ``x`` and ``y`` (default ``x``), read back as Fractions."""
+    y = x if y is None else y
+    den, (ix, iy) = _scaled(x, y)
+    plain, balanced, argmin = _pair_minima(ix, iy, den)
+    scale = 2 * (len(x) - 2) * den
+    return Fraction(plain, scale), Fraction(balanced, scale), argmin
+
+
+def _detail_minima(x, y):
+    """The pair minima a ``thm-B`` report carries, keyed as the oracle's
+    ``(x, x)``, ``(1 - y, 1 - y)`` and ``(x, y)`` calls."""
+    d = check_conditions("thm-B", *(ExponentTuple.from_reciprocals(v) for v in (x, y))).detail
+    return {"x": (d["Q(1/p)"], d["argmin(1/p)"]),
+            "1-y": (d["Q0(1/q')"], d["Q(1/q')"], d["argmin(1/q')"]),
+            "xy": (d["Q(1/p,1/q)"], d["argmin(1/p,1/q)"])}
+
+
+def _oracle_detail(x, y):
+    yc = [1 - v for v in y]
+    return {"x": _oddpair_oracle(x, x)[1:], "1-y": _oddpair_oracle(yc, yc),
+            "xy": _oddpair_oracle(x, y)[1:]}
 
 
 def test_oddpair_minima_values():
     h = Fraction(1, 2)
-    assert oddpair_minima([h, h, h, h])[:2] == (h, h)
-    assert oddpair_minima([1, 1, 0, 0])[:2] == (0, 0)
+    assert _routine_minima([h, h, h, h]) == (h, h, (0, 1))
+    assert _routine_minima([1, 1, 0, 0]) == (0, 0, (0, 1))  # balanced: 1 - (1 + 1)/2
     # frozen from the 8-ordered-pair enumeration oracle
     x = [h, 0, h, h]
     y = [h, 1, h, h]
-    assert _oddpair_oracle(x, y) == (Fraction(1, 4), Fraction(1, 4))
-    assert oddpair_minima(x, y)[:2] == (Fraction(1, 4), Fraction(1, 4))
+    quarter = Fraction(1, 4)
+    assert _oddpair_oracle(x, y) == (quarter, quarter, (0, 1))
+    assert _routine_minima(x, y) == (quarter, quarter, (0, 1))
+    assert _detail_minima(x, y) == _oracle_detail(x, y)
 
 
 @given(st.lists(recips, min_size=4, max_size=4), st.lists(recips, min_size=4, max_size=4))
 def test_oddpair_minima_match_oracle(x, y):
-    assert oddpair_minima(x, y)[:2] == _oddpair_oracle(x, y)
+    assert _routine_minima(x, y) == _oddpair_oracle(x, y)
+    assert _detail_minima(x, y) == _oracle_detail(x, y)
 
 
 def _parity_permutations(n_slots):
@@ -120,9 +154,12 @@ def _parity_permutations(n_slots):
 @given(st.lists(recips, min_size=4, max_size=4))
 @settings(max_examples=25)
 def test_oddpair_minima_parity_permutation_invariant(x):
-    base = oddpair_minima(x)[:2]
+    base = _routine_minima(x)[:2]
+    values = {k: v[:-1] for k, v in _detail_minima(x, x).items()}
     for perm in _parity_permutations(4):
-        assert oddpair_minima([x[i] for i in perm])[:2] == base
+        xp = [x[i] for i in perm]
+        assert _routine_minima(xp)[:2] == base
+        assert {k: v[:-1] for k, v in _detail_minima(xp, xp).items()} == values
 
 
 def test_check_conditions_worked_instance():
@@ -232,9 +269,9 @@ def test_check_conditions_detail_matches_fraction_route(pair):
             want["entrywise_min"] = min(x + y + [1 - v for v in x + y])
             rhs = min(want["entrywise_min"], r_a)
         else:
-            _, q_a, arg_a = oddpair_minima(a)
-            q0_bc, q_bc, arg_bc = oddpair_minima(bc)
-            _, q_pq, arg_pq = oddpair_minima(x, y)
+            _, q_a, arg_a = _oddpair_oracle(a, a)
+            q0_bc, q_bc, arg_bc = _oddpair_oracle(bc, bc)
+            _, q_pq, arg_pq = _oddpair_oracle(x, y)
             want.update({f"Q(1/{na})": q_a, f"Q0(1/{nb}')": q0_bc,
                          "Q(1/p,1/q)": q_pq, "argmin(1/p,1/q)": arg_pq})
             if criterion != "twist":
@@ -280,6 +317,8 @@ def test_implication_chain_values():
     with pytest.raises(ExponentError):
         implication_chain([1, 0, 1], "odd-pairs")
     assert implication_chain([0, 0, 0], "all-pairs") == (True, True, True)
+    with pytest.raises(ExponentError, match="finite"):
+        implication_chain([float("inf"), 0, 0, 0])
 
 
 @given(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=8),
@@ -291,6 +330,83 @@ def test_implication_chain_property_n3(x):
     d1, d2, d3 = implication_chain(x, "all-pairs")
     assert (not d1) or d2
     assert (not d2) or d3
+
+
+def _chain_oracle(x, mode):
+    """The implication chain in Fraction arithmetic, pair by pair."""
+    n = len(x) - 1
+    excess = (sum(x) - 1) / Fraction(n - 1)
+    if mode == "odd-pairs":
+        means = [Fraction(x[j] + x[k]) / 2 for j in range(n + 1) for k in range(n + 1)
+                 if (j + k) % 2 == 1]
+        return (excess <= min(means), all(m <= Fraction(1, 2) for m in means),
+                excess <= min(1 - m for m in means))
+    return (excess <= min(x),
+            all(x[j] + x[k] <= 1 for j in range(n + 1) for k in range(n + 1) if j != k),
+            excess <= min(1 - v for v in x))
+
+
+@given(st.integers(2, 5).flatmap(lambda n: st.lists(recips, min_size=n + 1, max_size=n + 1)))
+@example([Fraction(1, 2), 0, Fraction(1, 2), Fraction(1, 2)])  # the worked instance: c1 at 1/4
+@example([Fraction(1, 2)] * 4)  # every mean and 1 - mean at 1/2, the excess 1/2
+@settings(max_examples=300)
+def test_implication_chain_matches_fraction_oracle(x):
+    assert implication_chain(x, "all-pairs") == _chain_oracle(x, "all-pairs")
+    if len(x) % 2 == 0:
+        assert implication_chain(x, "odd-pairs") == _chain_oracle(x, "odd-pairs")
+    else:
+        with pytest.raises(ExponentError, match="odd N"):
+            implication_chain(x, "odd-pairs")
+
+
+_QUARTER_ARGS = {"argmin(1/p)": [0, 1], "argmin(1/q')": [0, 1], "argmin(1/p,1/q)": [0, 1]}
+_WORKED_GOLDEN = {  # (holds, lhs, rhs, detail) per criterion
+    "bilinear-base": (False, 0.25, 0.0, {"R(1/q')": "1/4", "R(1/p)": "1/4"}),
+    "cotowa-2.5": (False, 0.25, 0.0,
+                   {"R(1/q')": "1/4", "R(1/p)": "1/4", "entrywise_min": "0"}),
+    "prop-A": (True, 0.25, 0.25,
+               {"R(1/q')": "1/4", "R(1/p)": "1/4", "Q(1/p)": "1/4", "Q(1/q')": "1/4",
+                "Q0(1/q')": "1/4", "Q(1/p,1/q)": "1/4", **_QUARTER_ARGS}),
+    "thm-B": (True, 0.25, 0.25,
+              {"R(1/q')": "1/4", "R(1/p)": "1/4", "Q(1/p)": "1/4", "Q(1/q')": "1/4",
+               "Q0(1/q')": "1/4", "Q(1/p,1/q)": "1/4", **_QUARTER_ARGS}),
+    "twist": (False, 0.75, 0.25,
+              {"R(1/p')": "3/4", "R(1/q)": "3/4", "Q(1/q)": "1/4", "Q0(1/p')": "1/2",
+               "Q(1/p,1/q)": "1/4", "argmin(1/p,1/q)": [0, 1]}),
+    "prop2-pattern": (False, 0.5, 0.0, {"variant": 1, "base": "2"}),
+}
+_GOLDEN = {
+    ("2,inf,2,2", "2,1,2,2"): _WORKED_GOLDEN,
+    ("4,4/3,4,4/3", "4,4/3,4,4/3"): {
+        "bilinear-base": (False, 0.5, 0.0, {"R(1/q')": "1/2", "R(1/p)": "1/2"}),
+        "cotowa-2.5": (False, 0.5, 0.25,
+                       {"R(1/q')": "1/2", "R(1/p)": "1/2", "entrywise_min": "1/4"}),
+        "prop-A": (True, 0.5, 0.5,
+                   {"R(1/q')": "1/2", "R(1/p)": "1/2", "Q(1/p)": "1/2", "Q(1/q')": "1/2",
+                    "Q0(1/q')": "1/2", "Q(1/p,1/q)": "1/2", **_QUARTER_ARGS}),
+        "thm-B": (True, 0.5, 0.5,
+                  {"R(1/q')": "1/2", "R(1/p)": "1/2", "Q(1/p)": "1/2", "Q(1/q')": "1/2",
+                   "Q0(1/q')": "1/2", "Q(1/p,1/q)": "1/2", **_QUARTER_ARGS}),
+        "twist": (True, 0.5, 0.5,
+                  {"R(1/p')": "1/2", "R(1/q)": "1/2", "Q(1/q)": "1/2", "Q0(1/p')": "1/2",
+                   "Q(1/p,1/q)": "1/2", "argmin(1/p,1/q)": [0, 1]}),
+        "prop2-pattern": (True, 0.0, 0.0, {"variant": 2, "base": "4"}),
+    },
+    # the N = 5 extension of the worked instance reads exactly as N = 3
+    ("2,inf,2,inf,2,2", "2,1,2,1,2,2"): _WORKED_GOLDEN,
+}
+
+
+def test_condition_reports_golden():
+    """Every criterion's full report on three pairs, frozen from the
+    Fraction-mean evaluator; any change to a functional, a rendered
+    Fraction or an argmin tie-break shows here."""
+    for (p, q), table in _GOLDEN.items():
+        for criterion in CRITERIA:
+            holds, lhs, rhs, detail = table[criterion]
+            report = check_conditions(criterion, ExponentTuple.parse(p), ExponentTuple.parse(q))
+            assert report.as_dict() == {"criterion": criterion, "holds": holds, "lhs": lhs,
+                                        "rhs": rhs, "detail": detail}, (p, q, criterion)
 
 
 @st.composite

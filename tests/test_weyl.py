@@ -236,6 +236,19 @@ class TestKernelMaps:
         with pytest.raises(GridError):
             symbol_to_kernel(a, 0.3)
 
+    def test_half_integer_check_is_exact_at_large_index(self, pg16):
+        # within numpy's default relative tolerance of a half-integer, but
+        # round(2 A) would shear by a different index
+        a = _random_symbol(pg16)
+        for A in (100000.25, 300000.3):
+            with pytest.raises(GridError):
+                symbol_to_kernel(a, A)
+            with pytest.raises(GridError):
+                calculi_transform(a, A, 0.0)
+        for A in (0.0, 0.5, 1.0, 300000.5):
+            symbol_to_kernel(a, A)
+            calculi_transform(a, A, 0.0)
+
     def test_unit_symbol_kernel_is_scaled_diagonal(self, pg16):
         # frozen from the discrete partial-transform oracle: the unit symbol
         # maps to the diagonal with entries 1/(base spacing); the operator
