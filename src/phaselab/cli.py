@@ -34,7 +34,7 @@ from .exponents import (
     construct_interpolation,
 )
 from .grids import GridError, make_grid
-from .lab import EnsembleSpec, RatioConfig, RatioReport, ratio_experiment_multi
+from .lab import REPRESENTATION_CAP, EnsembleSpec, RatioConfig, RatioReport, ratio_experiment_multi
 from .weights import WeightError, parse_weight_list, unit_weight
 from . import suites
 
@@ -113,8 +113,9 @@ def _cmd_identities(args):
 
 
 def _cmd_representation(args):
-    if args.grid > 8:
-        raise ConfigError("representation quadrature is capped at --grid 8")
+    cap = REPRESENTATION_CAP["n"]
+    if args.grid > cap:
+        raise ConfigError(f"representation quadrature is capped at --grid {cap}")
     checks = suites.suite_representation(n=args.grid, seed=args.seed)
     return {"grid": args.grid, "seed": args.seed}, checks, {}, None
 

@@ -268,13 +268,13 @@ def check_conditions(criterion: str, p: ExponentTuple, q: ExponentTuple) -> Cond
     n = p.n_factors
     if n < 2:
         raise ExponentError(f"condition predicates need N >= 2, got N = {n}")
-    if not (p.in_banach_range() and q.in_banach_range()):
+    den, (ip, iq) = _scaled(p.reciprocals(), q.reciprocals())
+    if max(ip + iq) > den:  # 1/p_j <= 1; reciprocals are never negative
         raise ExponentError("condition predicates need exponents in [1, infinity]")
 
     if criterion == "prop2-pattern":
         return _check_prop2_pattern(p, q)
 
-    den, (ip, iq) = _scaled(p.reciprocals(), q.reciprocals())
     scale = 2 * (n - 1) * den
     a, b, ia, ib = ("q", "p", iq, ip) if criterion == "twist" else ("p", "q", ip, iq)
     ibc = [den - v for v in ib]

@@ -32,7 +32,7 @@ from .grids import (
 from .norms import MixedNormSpec, stft_norms
 from .stft import STFTTensor, symplectic_stft
 from .weights import WeightSpec
-from .weyl import pseudo_product, twisted_convolution, weyl_product
+from .weyl import pseudo_product, twisted_convolution
 
 THREAD_ENV = "PHASELAB_THREADS"
 
@@ -203,11 +203,8 @@ def paired_stft(a: GridFunction, window: GridFunction) -> STFTTensor:
 
 def window_for_representation(phase: PhaseGrid, windows: Sequence[GridFunction]) -> GridFunction:
     """Scaled window product entering the representation identity."""
-    N = len(windows)
-    out = windows[0]
-    for w in windows[1:]:
-        out = weyl_product(out, w)
-    return GridFunction(out.grid, (math.pi ** ((N - 1) * phase.d)) * out.values)
+    out = nfold_product(windows)
+    return GridFunction(out.grid, (math.pi ** ((len(windows) - 1) * phase.d)) * out.values)
 
 
 # -- ratio experiments ---------------------------------------------------------

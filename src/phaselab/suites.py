@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +35,7 @@ from .lab import (
     RatioReport,
     default_window,
     ensemble_generate,
+    nfold_product,
     paired_stft,
     ratio_experiment_multi,
     stft_integral_representation,
@@ -88,172 +89,138 @@ def _random_symbol(phase: PhaseGrid, rng: np.random.Generator) -> GridFunction:
 
 
 def _atom_cloud(phase: PhaseGrid, rng: np.random.Generator, atoms: int = 3,
-                width: float | None = None, center_frac: float = 0.125,
                 modulation_frac: float = 0.0625) -> GridFunction:
     L = phase.extent
-    width = width if width is not None else min(1.0, L / 14)
-    return _random_atoms(phase, rng, atoms, center_frac * L, modulation_frac * L, width)
+    return _random_atoms(phase, rng, atoms, 0.125 * L, modulation_frac * L, min(1.0, L / 14))
 
 
-def _rel(err_values: np.ndarray, ref_values: np.ndarray) -> float:
-    scale = np.max(np.abs(ref_values))
-    return float(np.max(np.abs(err_values)) / scale) if scale else 0.0
+def _rel(ref: np.ndarray, other: np.ndarray) -> float:
+    """``max |ref - other| / max |ref|``, or 0 where ``ref`` vanishes."""
+    scale = np.max(np.abs(ref))
+    return float(np.max(np.abs(ref - other)) / scale) if scale else 0.0
 
 
 # -- transform identity suites -------------------------------------------------
 
-def suite_involution(sizes=(16, 32, 64), trials: int = 50, seed: int = 0,
-                     tolerance: float = 1e-12) -> list[Check]:
+def suite_involution(seed: int = 0) -> list[Check]:
     """Double symplectic Fourier transform is the identity."""
     rng = np.random.default_rng(seed)
     out = []
-    for n in sizes:
+    for n in (16, 32, 64):
         phase = make_grid(1, n)
         worst = 0.0
-        for _ in range(trials):
+        for _ in range(50):
             a = _random_symbol(phase, rng)
             aa = symplectic_fourier(symplectic_fourier(a))
-            worst = max(worst, _rel(aa.values - a.values, a.values))
-        out.append(_residual_check(f"symplectic-involution[n={n}]", worst, tolerance))
+            worst = max(worst, _rel(a.values, aa.values))
+        out.append(_residual_check(f"symplectic-involution[n={n}]", worst, 1e-12))
     return out
 
 
-def suite_convention(n: int = 16, pairs: int = 20, seed: int = 1,
-                     tolerance: float = 1e-10) -> list[Check]:
-    """Symplectic vs ordinary STFT comparison pinning the symplectic-form sign."""
+def suite_convention(seed: int = 1) -> list[Check]:
+    """Symplectic vs ordinary STFT comparison pinning the symplectic-form sign:
+    ``W[:, :, ky, ke] = 2 V[:, :, -ke, ky]`` with indices modulo n = 16."""
+    n = 16
     phase = make_grid(1, n)
     rng = np.random.default_rng(seed)
-    c = n // 2
+    reflect = (n - np.arange(n)) % n
     worst = 0.0
-    for _ in range(pairs):
+    for _ in range(20):
         a = _random_symbol(phase, rng)
         Phi = _atom_cloud(phase, rng, atoms=1, modulation_frac=0.0)
         W = symplectic_stft(a, Phi)
-        V = stft(a, Phi)
-        rhs = np.empty_like(W.values)
-        for ky in range(n):
-            for ke in range(n):
-                rhs[:, :, ky, ke] = 2 * V.values[:, :, (2 * c - ke) % n, ky]
-        worst = max(worst, _rel(W.values - rhs, W.values))
-    return [_residual_check(f"stft-comparison[n={n}]", worst, tolerance)]
+        rhs = 2 * np.swapaxes(stft(a, Phi).values[:, :, reflect, :], 2, 3)
+        worst = max(worst, _rel(W.values, rhs))
+    return [_residual_check(f"stft-comparison[n={n}]", worst, 1e-10)]
 
 
-def suite_products(n: int = 32, triples: int = 20, seed: int = 2,
-                   tolerance: float = 1e-10) -> list[Check]:
+def suite_products(n: int = 32, seed: int = 2) -> list[Check]:
     """Product identities: product-via-twist, transform exchange, duality,
-    associativity; each reported as the max relative residual over the triples."""
+    associativity; each reported as the max relative residual over 20 triples."""
     phase = make_grid(1, n)
     rng = np.random.default_rng(seed)
-    cell = phase.symbol_grid.quadrature_weight
-    worst = {"product-via-twist-unit": 0.0, "twist-fourier-exchange": 0.0,
-             "product-fourier-image": 0.0, "product-duality": 0.0,
-             "twist-duality": 0.0, "product-associativity": 0.0,
-             "twist-associativity": 0.0}
-
-    def inner(u, v):
-        return complex(cell * np.sum(u.values * np.conj(v.values)))
-
     one = constant_symbol(phase)
-    for _ in range(triples):
-        a = _atom_cloud(phase, rng)
-        b = _atom_cloud(phase, rng)
-        c3 = _atom_cloud(phase, rng)
-        pa = weyl_product(a, one)
-        pb = weyl_product(one, a)
-        worst["product-via-twist-unit"] = max(
-            worst["product-via-twist-unit"],
-            _rel(pa.values - a.values, a.values),
-            _rel(pb.values - a.values, a.values),
-        )
-        lhs = symplectic_fourier(twisted_convolution(a, b))
-        m1 = twisted_convolution(symplectic_fourier(a), b)
-        m2 = twisted_convolution(point_reflection(a), symplectic_fourier(b))
-        worst["twist-fourier-exchange"] = max(
-            worst["twist-fourier-exchange"],
-            _rel(lhs.values - m1.values, lhs.values),
-            _rel(lhs.values - m2.values, lhs.values),
-        )
-        lhs = symplectic_fourier(weyl_product(a, b))
-        rhs = (2 * math.pi) ** (-phase.d / 2) * twisted_convolution(
-            symplectic_fourier(a), symplectic_fourier(b)).values
-        worst["product-fourier-image"] = max(worst["product-fourier-image"],
-                                             _rel(lhs.values - rhs, rhs))
-        ip = inner(weyl_product(a, b), c3)
+    worst: dict[str, float] = {}
+    for _ in range(20):
+        a, b, c = (_atom_cloud(phase, rng) for _ in range(3))
         conj_a = GridFunction(a.grid, np.conj(a.values))
         conj_b = GridFunction(b.grid, np.conj(b.values))
-        d1 = inner(b, weyl_product(conj_a, c3))
-        d2 = inner(a, weyl_product(c3, conj_b))
-        worst["product-duality"] = max(worst["product-duality"],
-                                       abs(ip - d1) / abs(ip), abs(ip - d2) / abs(ip))
-        it = inner(twisted_convolution(a, b), c3)
-        t1 = inner(a, twisted_convolution(c3, involution(b)))
-        t2 = inner(b, twisted_convolution(involution(a), c3))
-        worst["twist-duality"] = max(worst["twist-duality"],
-                                     abs(it - t1) / abs(it), abs(it - t2) / abs(it))
-        w1 = weyl_product(weyl_product(a, b), c3)
-        w2 = weyl_product(a, weyl_product(b, c3))
-        worst["product-associativity"] = max(worst["product-associativity"],
-                                             _rel(w1.values - w2.values, w1.values))
-        s1 = twisted_convolution(twisted_convolution(a, b), c3)
-        s2 = twisted_convolution(a, twisted_convolution(b, c3))
-        worst["twist-associativity"] = max(worst["twist-associativity"],
-                                           _rel(s1.values - s2.values, s1.values))
-    return [_residual_check(f"{k}[n={n}]", v, tolerance) for k, v in worst.items()]
+        twist_image = symplectic_fourier(twisted_convolution(a, b)).values
+        product_image = symplectic_fourier(weyl_product(a, b)).values
+        image_rhs = (2 * math.pi) ** (-phase.d / 2) * twisted_convolution(
+            symplectic_fourier(a), symplectic_fourier(b)).values
+        ip = weyl_product(a, b).inner(c)
+        it = twisted_convolution(a, b).inner(c)
+        w1 = weyl_product(weyl_product(a, b), c).values
+        s1 = twisted_convolution(twisted_convolution(a, b), c).values
+        residuals = {
+            "product-via-twist-unit": [_rel(a.values, weyl_product(*pair).values)
+                                       for pair in ((a, one), (one, a))],
+            "twist-fourier-exchange": [
+                _rel(twist_image, m.values)
+                for m in (twisted_convolution(symplectic_fourier(a), b),
+                          twisted_convolution(point_reflection(a), symplectic_fourier(b)))],
+            "product-fourier-image": [_rel(image_rhs, product_image)],
+            "product-duality": [abs(ip - d) / abs(ip) for d in (
+                b.inner(weyl_product(conj_a, c)), a.inner(weyl_product(c, conj_b)))],
+            "twist-duality": [abs(it - t) / abs(it) for t in (
+                a.inner(twisted_convolution(c, involution(b))),
+                b.inner(twisted_convolution(involution(a), c)))],
+            "product-associativity": [_rel(w1, weyl_product(a, weyl_product(b, c)).values)],
+            "twist-associativity": [
+                _rel(s1, twisted_convolution(a, twisted_convolution(b, c)).values)],
+        }
+        for name, values in residuals.items():
+            worst[name] = max(worst.get(name, 0.0), *values)
+    return [_residual_check(f"{k}[n={n}]", v, 1e-10) for k, v in worst.items()]
 
 
-def suite_routes(n: int = 64, seed: int = 3, tolerance: float = 1e-6) -> list[Check]:
-    """Cross-route consistency: product via twisted convolution vs operator
-    matrices, and operator equality under the calculi transform.
+def suite_routes(seed: int = 3) -> list[Check]:
+    """Cross-route consistency at n = 64: product via twisted convolution vs
+    operator matrices, and operator equality under the calculi transform.
 
     The operator route samples kernels on the companion base lattice, whose
     representable offset window shrinks with the symbols' modulation reach;
     the ensemble therefore keeps modulations within 3% of the extent.
     """
-    phase = make_grid(1, n)
+    phase = make_grid(1, 64)
     rng = np.random.default_rng(seed)
     a = _atom_cloud(phase, rng, modulation_frac=0.03)
     b = _atom_cloud(phase, rng, modulation_frac=0.03)
     p1 = weyl_product(a, b)
     p2 = weyl_product_via_operators(a, b)
-    checks = [_residual_check(f"product-route[n={n}]", _rel(p1.values - p2.values, p1.values),
-                              tolerance)]
-    worst = 0.0
+    calculi = 0.0
     for A1, A2 in itertools.product((0.0, 0.5, 1.0), repeat=2):
-        a2 = calculi_transform(a, A1, A2)
         M1 = operator_matrix(a, A1)
-        M2 = operator_matrix(a2, A2)
-        worst = max(worst, _rel(M1.matrix - M2.matrix, M1.matrix))
-    checks.append(_residual_check(f"calculi-operator-equality[n={n}]", worst, tolerance))
+        M2 = operator_matrix(calculi_transform(a, A1, A2), A2)
+        calculi = max(calculi, _rel(M1.matrix, M2.matrix))
     direct = twisted_convolution(a, b, "direct")
     fast = twisted_convolution(a, b, "fast")
-    checks.append(_residual_check(f"twist-fast-vs-direct[n={n}]",
-                                  _rel(fast.values - direct.values, direct.values), 1e-12))
-    return checks
+    return [
+        _residual_check("product-route[n=64]", _rel(p1.values, p2.values), 1e-6),
+        _residual_check("calculi-operator-equality[n=64]", calculi, 1e-6),
+        _residual_check("twist-fast-vs-direct[n=64]", _rel(direct.values, fast.values), 1e-12),
+    ]
 
 
-def suite_kernel_factorization(n: int = 16, seed: int = 4, tolerance: float = 1e-10,
-                               frob_tolerance: float = 1e-12) -> list[Check]:
-    """Composition factorization vs iterated matrix products (N = 3) and the
-    Hilbert-Schmidt submultiplicativity of composition."""
-    phase = make_grid(1, n)
-    base = phase.base_grid
+def suite_kernel_factorization(seed: int = 4) -> list[Check]:
+    """Composition factorization vs iterated matrix products (N = 3, n = 16)
+    and the Hilbert-Schmidt submultiplicativity of composition."""
+    base = make_grid(1, 16).base_grid
     rng = np.random.default_rng(seed)
     m = base.count
     Ks = [rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for _ in range(3)]
     composed, residual = compose_kernels(Ks, base)
-    checks = [_residual_check(f"kernel-factorization[N=3,n={n}]", residual, tolerance)]
 
     def hs(K):
         return math.sqrt(base.quadrature_weight**2 * float(np.sum(np.abs(K) ** 2)))
 
-    lhs = hs(composed)
-    rhs = math.prod(hs(K) for K in Ks)
-    margin = max(0.0, lhs / rhs - 1.0)
-    checks.append(_residual_check("hs-submultiplicativity", margin, frob_tolerance))
-    return checks
+    margin = max(0.0, hs(composed) / math.prod(hs(K) for K in Ks) - 1.0)
+    return [_residual_check("kernel-factorization[N=3,n=16]", residual, 1e-10),
+            _residual_check("hs-submultiplicativity", margin, 1e-12)]
 
 
-def suite_representation(n: int = 8, seed: int = 5, tolerance: float = 1e-6) -> list[Check]:
+def suite_representation(n: int = 8, seed: int = 5) -> list[Check]:
     """Integral representation of the paired STFT of N-fold products."""
     phase = make_grid(1, n)
     spec = EnsembleSpec(seed=seed, count=3, atoms_per_symbol=2, width_range=(0.4, 0.5),
@@ -263,16 +230,11 @@ def suite_representation(n: int = 8, seed: int = 5, tolerance: float = 1e-6) -> 
     checks = []
     for N in (2, 3):
         factors = symbols[:N]
-        stfts = [symplectic_stft(s, window) for s in factors]
-        rep = stft_integral_representation(stfts)
-        prod = factors[0]
-        for s in factors[1:]:
-            prod = weyl_product(prod, s)
-        W0 = window_for_representation(phase, [window] * N)
-        target = paired_stft(prod, W0)
+        rep = stft_integral_representation([symplectic_stft(s, window) for s in factors])
+        target = paired_stft(nfold_product(factors),
+                             window_for_representation(phase, [window] * N))
         checks.append(_residual_check(f"stft-representation[N={N},n={n}]",
-                                      _rel(rep.values - target.values, target.values),
-                                      tolerance))
+                                      _rel(target.values, rep.values), 1e-6))
     return checks
 
 
@@ -338,8 +300,7 @@ def suite_worked_instance() -> list[Check]:
     ]
 
 
-def suite_interpolation(trials: int = 1000, seed: int = 7,
-                        tolerance: float = 1e-12) -> list[Check]:
+def suite_interpolation(trials: int = 1000, seed: int = 7) -> list[Check]:
     """Certificates for random admissible tuples: every feasible certificate
     verifies exactly; infeasible outcomes carry their violation ledger."""
     rng = np.random.default_rng(seed)
@@ -365,23 +326,24 @@ def suite_interpolation(trials: int = 1000, seed: int = 7,
             # an infeasible outcome must document a strictly positive violation
             ledger_ok = False
     return [
-        _residual_check(f"interpolation-feasible-residual[{feasible}/{trials}]", worst, tolerance),
+        _residual_check(f"interpolation-feasible-residual[{feasible}/{trials}]", worst, 1e-12),
         _verdict_check("interpolation-honest-ledger", ledger_ok),
     ]
 
 
 # -- ratio suites ----------------------------------------------------------------
 
-def endpoint_ratio_check(seed: int = 8, samples: int = 20, n: int = 16) -> list[Check]:
-    """Flat-exponent counting-measure endpoint: ratios bounded by 1."""
-    phase = make_grid(1, n)
+def endpoint_ratio_check(seed: int = 8) -> list[Check]:
+    """Flat-exponent counting-measure endpoint at n = 16: ratios bounded by 1
+    over 20 samples."""
+    phase = make_grid(1, 16)
     all2 = ExponentTuple.parse("2,2,2,2")
-    ens = EnsembleSpec(seed=seed, count=3 * samples, atoms_per_symbol=2,
+    ens = EnsembleSpec(seed=seed, count=3 * 20, atoms_per_symbol=2,
                        width_range=(0.35, 0.5), center_radius=1.0, modulation_radius=0.7)
     cfg = RatioConfig(all2, all2, (unit_weight(),) * 4, "weyl", "counting", "endpoint")
     rep = ratio_experiment_multi([cfg], ens, phase)[0]
     margin = max(0.0, rep.max_ratio - 1.0)
-    return [_residual_check(f"endpoint-counting-ratio[n={n}]", margin, 1e-8)]
+    return [_residual_check("endpoint-counting-ratio[n=16]", margin, 1e-8)]
 
 
 def drift_configs() -> list[RatioConfig]:
@@ -422,7 +384,7 @@ def drift_ratio_checks(seed: int = 9, samples: int = 200, grids: tuple[int, ...]
         maxima = [rep.max_ratio for rep in reports]
         lo, hi = min(maxima), max(maxima)
         # max_ratio is 0 when every sample on a grid is degenerate: no drift is defined
-        drift = hi / lo if lo > 0.0 else math.inf
-        checks.append(Check(f"ratio-drift[{reports[0].label}]", float(drift), 2.0,
-                            bool(drift <= 2.0 and reports[0].verdict.holds)))
+        check = _residual_check(f"ratio-drift[{reports[0].label}]",
+                                hi / lo if lo > 0.0 else math.inf, 2.0)
+        checks.append(replace(check, passed=check.passed and reports[0].verdict.holds))
     return (checks, *ladder)

@@ -209,6 +209,21 @@ def test_check_conditions_validation():
         check_conditions("thm-B", quasi, quasi)
 
 
+@pytest.mark.parametrize("side", ["p", "q"])
+@pytest.mark.parametrize("criterion", CRITERIA)
+def test_every_criterion_refuses_a_quasi_banach_entry(criterion, side):
+    banach, quasi = ExponentTuple.parse("2,2,2,2"), ExponentTuple.parse("2,1/2,2,2")
+    p, q = (quasi, banach) if side == "p" else (banach, quasi)
+    with pytest.raises(ExponentError, match=r"\[1, infinity\]"):
+        check_conditions(criterion, p, q)
+
+
+def test_every_criterion_takes_the_endpoint_p_equal_one():
+    p, q = ExponentTuple.parse("2,1,2,2"), ExponentTuple.parse("2,2,2,2")
+    for criterion in CRITERIA:
+        assert check_conditions(criterion, p, q).criterion == criterion
+
+
 def test_twist_criterion_swaps_roles():
     p = ExponentTuple.parse("2,inf,2,2")
     q = ExponentTuple.parse("2,1,2,2")
