@@ -17,6 +17,9 @@ route.  An inverse sum over a power-of-two axis is the unscaled
 ``ifft(..., norm="forward")``, bitwise ``ifft(...) * n``; any other ``n``
 stays right after its ``ifft``, since ``norm="forward"`` would round
 differently.
+
+Test symbols are sums of Gaussian atoms; :func:`gaussian_atom` takes an
+atom's center, modulation, width and amplitude as its own arguments.
 """
 
 from __future__ import annotations
@@ -208,16 +211,6 @@ def constant_symbol(phase: PhaseGrid, value: complex = 1.0) -> GridFunction:
     return GridFunction(g, np.full(g.shape, value, dtype=complex))
 
 
-def sigma(X: Sequence[float], Y: Sequence[float]) -> float:
-    """Standard symplectic form; ``sigma((x, xi), (y, eta)) = <y, xi> - <x, eta>``."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.shape != Y.shape or X.size % 2:
-        raise GridError("symplectic form needs two vectors of equal even dimension")
-    d = X.size // 2
-    return float(np.dot(Y[:d], X[d:]) - np.dot(X[:d], Y[d:]))
-
-
 def fourier(f: GridFunction, inverse: bool = False) -> GridFunction:
     """Unitary Fourier transform on a self-dual grid.
 
@@ -260,35 +253,26 @@ def _symplectic_transform(signed: np.ndarray, g: Grid, lead: int = 0) -> np.ndar
     return np.moveaxis(signed, first, second)
 
 
-@dataclass(frozen=True)
-class GaussianAtomSpec:
-    """Gaussian phase-space atom: envelope center, symplectic modulation, width."""
-
-    center: tuple[float, ...]
-    modulation: tuple[float, ...]
-    width: float = 1.0
-    amplitude: complex = 1.0
-
-    def __post_init__(self):
-        if self.width <= 0:
-            raise GridError("atom width must be positive")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        object.__setattr__(self, "modulation", tuple(float(m) for m in self.modulation))
-
-
-def gaussian_atom(phase: PhaseGrid, spec: GaussianAtomSpec) -> GridFunction:
+def gaussian_atom(phase: PhaseGrid, center: Sequence[float], modulation: Sequence[float],
+                  width: float = 1.0, amplitude: complex = 1.0) -> GridFunction:
     """Sample ``amplitude * exp(-|Z - X0|^2 / (2 width^2)) * exp(2i sigma(Y0, Z))``.
 
-    The envelope uses minimal-image (torus) distances, so shifting the center
-    by one grid step permutes the samples cyclically.  Centers and modulations
-    must stay within a quarter extent of the origin so that the periodization
-    error remains below the truncation budget.
+    ``center`` is the envelope center ``X0`` and ``modulation`` the
+    symplectic modulation ``Y0``, each of ``2d`` numbers; ``width`` must be
+    positive.  The envelope uses minimal-image (torus) distances, so shifting
+    the center by one grid step permutes the samples cyclically.  Centers and
+    modulations must stay within a quarter extent of the origin so that the
+    periodization error remains below the truncation budget.
     """
+    if width <= 0:
+        raise GridError("atom width must be positive")
+    center = tuple(float(c) for c in center)
+    modulation = tuple(float(m) for m in modulation)
     g = phase.symbol_grid
-    if len(spec.center) != g.dim or len(spec.modulation) != g.dim:
+    if len(center) != g.dim or len(modulation) != g.dim:
         raise GridError("atom center/modulation dimension mismatch")
     L = g.extent
-    reach = max(abs(c) for c in spec.center) + max(abs(m) for m in spec.modulation)
+    reach = max(abs(c) for c in center) + max(abs(m) for m in modulation)
     if reach > L / 4 + 1e-12:
         raise GridError(
             f"atom at reach {reach:.3g} violates truncation safety (extent {L:.3g})"
@@ -298,13 +282,12 @@ def gaussian_atom(phase: PhaseGrid, spec: GaussianAtomSpec) -> GridFunction:
     envelope = np.zeros(g.shape)
     phase_arg = np.zeros(g.shape)
     for i, c in enumerate(coords):
-        delta = np.mod(c - spec.center[i] + L / 2, L) - L / 2
+        delta = np.mod(c - center[i] + L / 2, L) - L / 2
         envelope = envelope + delta**2
         # 2*sigma(Y0, Z) = 2 * sum_i (z_i * eta0_i - y0_i * zeta_i)
         if i < d:
-            phase_arg = phase_arg + 2 * c * spec.modulation[d + i]
+            phase_arg = phase_arg + 2 * c * modulation[d + i]
         else:
-            phase_arg = phase_arg - 2 * spec.modulation[i - d] * c
-    vals = spec.amplitude * np.exp(-envelope / (2 * spec.width**2)) * np.exp(1j * phase_arg)
+            phase_arg = phase_arg - 2 * modulation[i - d] * c
+    vals = amplitude * np.exp(-envelope / (2 * width**2)) * np.exp(1j * phase_arg)
     return GridFunction(g, vals)
-

@@ -15,20 +15,13 @@ import io
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .exponents import ConditionReport, ExponentTuple, check_conditions
-from .grids import (
-    GaussianAtomSpec,
-    Grid,
-    GridError,
-    GridFunction,
-    PhaseGrid,
-    gaussian_atom,
-)
+from .grids import Grid, GridError, GridFunction, PhaseGrid, gaussian_atom
 from .norms import MixedNormSpec, stft_norms
 from .stft import STFTTensor, symplectic_stft
 from .weights import WeightSpec
@@ -87,14 +80,14 @@ def _random_atoms(phase: PhaseGrid, rng: np.random.Generator, atoms: int, center
         modulation = rng.uniform(-modulation_radius, modulation_radius, size=2 * phase.d)
         w = width if np.isscalar(width) else rng.uniform(*width)
         amp = rng.standard_normal() + 1j * rng.standard_normal()
-        atom = gaussian_atom(phase, GaussianAtomSpec(tuple(center), tuple(modulation), w, amp))
+        atom = gaussian_atom(phase, center, modulation, w, amp)
         vals = atom.values if vals is None else vals + atom.values
     return GridFunction(phase.symbol_grid, vals)
 
 
 def default_window(phase: PhaseGrid) -> GridFunction:
     """Centered Gaussian window, truncation-safe down to n = 16."""
-    return gaussian_atom(phase, GaussianAtomSpec((0.0,) * (2 * phase.d), (0.0,) * (2 * phase.d), 0.45))
+    return gaussian_atom(phase, (0.0,) * (2 * phase.d), (0.0,) * (2 * phase.d), 0.45)
 
 
 def nfold_product(symbols: Sequence[GridFunction]) -> GridFunction:
@@ -211,7 +204,12 @@ def window_for_representation(phase: PhaseGrid, windows: Sequence[GridFunction])
 
 @dataclass(frozen=True)
 class RatioConfig:
-    """One norm-ratio probe: exponent tuples, weights, product mode, measure."""
+    """One norm-ratio probe: exponent tuples, weights, product mode, measure.
+
+    ``norm_specs`` holds one mixed norm per slot, built once: slot ``j >= 1``
+    is ``(p_j, q_j, w_j)`` on the j-th factor, slot 0 the conjugate pair with
+    ``1/w_0`` on the product; the order is ``modulation`` in weyl mode and
+    ``amalgam`` in twist mode."""
 
     p: ExponentTuple
     q: ExponentTuple
@@ -219,6 +217,7 @@ class RatioConfig:
     mode: str = "weyl"  # "weyl" (quantized products, M-norms) or "twist" (W-norms)
     measure: str = "quadrature"
     label: str = ""
+    norm_specs: tuple[MixedNormSpec, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("weyl", "twist"):
@@ -227,6 +226,12 @@ class RatioConfig:
             raise GridError("need one weight per tuple slot")
         if self.p.n_factors != self.q.n_factors:
             raise GridError("p and q must have equal length")
+        order = "modulation" if self.mode == "weyl" else "amalgam"
+        product = MixedNormSpec(self.p[0].conjugate(), self.q[0].conjugate(), order,
+                                self.weights[0].reciprocal(), self.measure)
+        object.__setattr__(self, "norm_specs", (product,) + tuple(
+            MixedNormSpec(self.p[j], self.q[j], order, self.weights[j], self.measure)
+            for j in range(1, len(self.weights))))
 
 
 @dataclass(frozen=True)
@@ -304,14 +309,12 @@ def _sample_ratios(configs: Sequence[RatioConfig], symbols: Sequence[GridFunctio
                    window: GridFunction) -> list:
     """Ratios of all configs on one symbol tuple.  Each tensor is built when due,
     gives every asking config its norm in one ``stft_norms`` call, and is dropped."""
-    orders = ["modulation" if cfg.mode == "weyl" else "amalgam" for cfg in configs]
     factor_norms = [[] for _ in configs]  # per config, up to its first zero
     for j, symbol in enumerate(symbols, start=1):
         asking = [i for i, vals in enumerate(factor_norms) if 0.0 not in vals]
         if not asking:
             break
-        specs = [MixedNormSpec(configs[i].p[j], configs[i].q[j], orders[i], configs[i].weights[j],
-                               configs[i].measure) for i in asking]
+        specs = [configs[i].norm_specs[j] for i in asking]
         for i, val in zip(asking, stft_norms(symbol, window, specs)):
             factor_norms[i].append(val)
     numers = {}  # product norm per config that has no zero factor norm
@@ -321,8 +324,7 @@ def _sample_ratios(configs: Sequence[RatioConfig], symbols: Sequence[GridFunctio
         if not asking:
             continue
         product = nfold_product(symbols) if mode == "weyl" else nfold_twisted(symbols)
-        specs = [MixedNormSpec(configs[i].p[0].conjugate(), configs[i].q[0].conjugate(), orders[i],
-                               configs[i].weights[0].reciprocal(), configs[i].measure) for i in asking]
+        specs = [configs[i].norm_specs[0] for i in asking]
         numers.update(zip(asking, stft_norms(product, window, specs)))
     return [numers[i] / math.prod(vals) if i in numers else None
             for i, vals in enumerate(factor_norms)]

@@ -19,10 +19,12 @@ the norms of one symbol's symplectic STFT: a tensor within
 ``MATERIALIZE_LIMIT`` is one block and goes through ``mixed_norm``; a larger
 one is walked once in blocks.
 
-``mixed_norm`` memoises each (p, q, order if p != q, weight if not unit,
-measure) on the read-only tensor and returns the first float on a repeat;
-the memo is per tensor, so ``PHASELAB_THREADS`` workers share nothing.  On a
-miss it reduces a fresh ``|V|`` (times ``w``) and never writes the tensor.
+``mixed_norm`` memoises each norm on the read-only tensor under
+``MixedNormSpec.key``, the (p, q, order if p != q, weight if not unit,
+measure) that a spec computes once, and returns the first float on a
+repeat; the memo is per tensor, so ``PHASELAB_THREADS`` workers share
+nothing.  On a miss it reduces a fresh ``|V|`` (times ``w``) and never
+writes the tensor.
 
 ``stft_norms`` keeps only the STFT block in a per-thread arena: one complex
 buffer, grown to the largest block the thread has built (16 MiB from n = 32
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import numpy as np
 
 from .exponents import Exponent
@@ -68,21 +70,27 @@ def _exponent_value(p) -> float:
 
 @dataclass(frozen=True)
 class MixedNormSpec:
-    """Exponent pair, iteration order, weight and measure of a mixed norm."""
+    """Exponent pair, iteration order, weight and measure of a mixed norm.
+
+    ``key`` is what the norm depends on, computed once: (p, q as floats,
+    order or None if p = q, weight or None if unit, measure)."""
 
     p: object
     q: object
     order: str = "modulation"  # inner-shift-outer-frequency; "amalgam" reverses
     weight: WeightSpec | None = None
     measure: str = "quadrature"
+    key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.order not in ("modulation", "amalgam"):
             raise GridError(f"unknown norm order {self.order!r}")
         if self.measure not in ("quadrature", "counting"):
             raise GridError(f"unknown measure {self.measure!r}")
-        _exponent_value(self.p)
-        _exponent_value(self.q)
+        p, q = _exponent_value(self.p), _exponent_value(self.q)
+        unit = self.weight is None or self.weight.kind == "unit"
+        object.__setattr__(self, "key", (p, q, None if p == q else self.order,
+                                         None if unit else self.weight, self.measure))
 
 
 def _halves(values: np.ndarray) -> np.ndarray:
@@ -121,14 +129,6 @@ def _power_sum(x: np.ndarray, axes: tuple[int, ...] | None, p: float,
 def _root(acc: np.ndarray, p: float, cell: float) -> np.ndarray:
     """Norm from a power sum (or maximum) and the cell volume it was summed over."""
     return acc if math.isinf(p) else (acc * cell) ** (1.0 / p)
-
-
-def _norm_key(spec: MixedNormSpec) -> tuple:
-    """What a norm depends on: (p, q, order or None if p = q, weight or None if unit, measure)."""
-    p = _exponent_value(spec.p)
-    q = _exponent_value(spec.q)
-    unit = spec.weight is None or spec.weight.kind == "unit"
-    return (p, q, None if p == q else spec.order, None if unit else spec.weight, spec.measure)
 
 
 def _cells(measure: str, shift_grid: Grid, freq_grid: Grid) -> tuple[float, float]:
@@ -199,7 +199,7 @@ def mixed_norm(F: STFTTensor, spec: MixedNormSpec, *, _state: dict | None = None
     magnitudes and powers are fresh arrays and ``F.values`` is only read.
     """
     w = _weight_tensor(spec.weight, F.shift_grid, F.freq_grid)
-    key = _norm_key(spec)
+    key = spec.key
     if key in F._norms:
         return F._norms[key]
     cells = _cells(spec.measure, F.shift_grid, F.freq_grid)
@@ -225,7 +225,7 @@ def stft_norms(a: GridFunction, window: GridFunction, specs: list[MixedNormSpec]
     come from one :func:`_magnitudes` state.
     """
     g = a.grid
-    keys = [_norm_key(spec) for spec in specs]
+    keys = [spec.key for spec in specs]
     weights = sorted(dict.fromkeys(key[3] for key in keys), key=lambda weight: weight is not None)
     last = weights[-1] if weights else None
     if _fits(g):

@@ -88,10 +88,13 @@ def _laid_out(flat: np.ndarray, shape: tuple[int, ...], strides: tuple[int, ...]
 
 
 def _product_into(x: np.ndarray, y: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """``x * y`` in ``flat``, laid out as the fresh product of the 2-per-axis corners."""
+    """``x * y`` in ``flat``, laid out as the fresh product of the 2-per-axis corners.
+
+    Either factor may have fewer axes (a constant weight is ``np.ones(1)``);
+    it broadcasts as in a fresh product."""
     shape = np.broadcast_shapes(x.shape, y.shape)
-    corner = (slice(2),) * len(shape)
-    return np.multiply(x, y, out=_laid_out(flat, shape, np.multiply(x[corner], y[corner]).strides))
+    x_corner, y_corner = (a[(slice(2),) * a.ndim] for a in (x, y))
+    return np.multiply(x, y, out=_laid_out(flat, shape, np.multiply(x_corner, y_corner).strides))
 
 
 def _front(scratch: dict, size: int) -> np.ndarray:

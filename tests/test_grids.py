@@ -4,11 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from phaselab.grids import (
-    GaussianAtomSpec,
     Grid,
     GridError,
     GridFunction,
@@ -16,7 +13,6 @@ from phaselab.grids import (
     fourier,
     gaussian_atom,
     make_grid,
-    sigma,
     symplectic_fourier,
 )
 
@@ -117,19 +113,6 @@ def test_companion_base_grid_is_self_dual_and_shear_compatible():
         make_grid(1, 6).base_grid  # n = 6 has no even companion
 
 
-def test_sigma_convention():
-    assert sigma((1, 0), (0, 1)) == -1
-    assert sigma((0.3, 1.7), (0.3, 1.7)) == 0
-    with pytest.raises(GridError):
-        sigma((1, 0, 0), (0, 1, 0))
-
-
-@given(st.lists(st.floats(-5, 5), min_size=4, max_size=4),
-       st.lists(st.floats(-5, 5), min_size=4, max_size=4))
-def test_sigma_antisymmetry(x, y):
-    assert sigma(x, y) == pytest.approx(-sigma(y, x), abs=1e-12)
-
-
 def test_fourier_gaussian_self_dual():
     g = make_grid(1, 128).base_grid
     f = base_gaussian(g, width=1.0)
@@ -165,7 +148,7 @@ def test_symplectic_involution(n):
 
 def test_symplectic_gaussian_fixed_point():
     pg = make_grid(1, 32)
-    a = gaussian_atom(pg, GaussianAtomSpec((0, 0), (0, 0), math.sqrt(0.5)))  # e^{-|Z|^2}
+    a = gaussian_atom(pg, (0, 0), (0, 0), math.sqrt(0.5))  # e^{-|Z|^2}
     fa = symplectic_fourier(a)
     rel = np.max(np.abs(fa.values - a.values)) / np.max(np.abs(a.values))
     assert rel < 1e-8
@@ -175,7 +158,7 @@ def test_symplectic_matches_quadrature_oracle():
     pg = make_grid(1, 32)
     g = pg.symbol_grid
     h, ax = g.spacing, g.axis
-    a = gaussian_atom(pg, GaussianAtomSpec((0.5, -0.4), (2 * pg.h, pg.h), 0.8))
+    a = gaussian_atom(pg, (0.5, -0.4), (2 * pg.h, pg.h), 0.8)
     fa = symplectic_fourier(a)
     Z1, Z2 = np.meshgrid(ax, ax, indexing="ij")
     for (i, j) in [(16, 16), (20, 13), (5, 27)]:
@@ -193,55 +176,56 @@ def test_symplectic_linearity_zero():
 class TestGaussianAtom:
     def test_boundary_corner_magnitude(self):
         pg = make_grid(1, 32)
-        atom = gaussian_atom(pg, GaussianAtomSpec((0, 0), (0, 0), 1.0))
+        atom = gaussian_atom(pg, (0, 0), (0, 0), 1.0)
         assert abs(atom.values[0, 0]) <= 1e-10
 
     def test_zero_amplitude(self):
         pg = make_grid(1, 16)
-        atom = gaussian_atom(pg, GaussianAtomSpec((0, 0), (0, 0), 1.0, amplitude=0.0))
+        atom = gaussian_atom(pg, (0, 0), (0, 0), 1.0, amplitude=0.0)
         assert np.all(atom.values == 0)
 
     def test_far_atoms_overlap_bound(self):
         pg = make_grid(1, 32)
         width = 0.6
-        g1 = gaussian_atom(pg, GaussianAtomSpec((-1.5, 0), (0, 0), width))
-        g2 = gaussian_atom(pg, GaussianAtomSpec((1.5, 0), (0, 0), width))
+        g1 = gaussian_atom(pg, (-1.5, 0), (0, 0), width)
+        g2 = gaussian_atom(pg, (1.5, 0), (0, 0), width)
         overlap = abs(g1.inner(g2)) / (g1.norm2() * g2.norm2())
         assert overlap <= math.exp(-(3.0**2) / (4 * width**2)) + 1e-10
+
+    @pytest.mark.parametrize("width", [0.0, -0.5])
+    def test_nonpositive_width_refused(self, width):
+        with pytest.raises(GridError, match="width must be positive"):
+            gaussian_atom(make_grid(1, 16), (0, 0), (0, 0), width)
 
     def test_truncation_safety_enforced(self):
         pg = make_grid(1, 16)
         far = pg.extent / 2
         with pytest.raises(GridError):
-            gaussian_atom(pg, GaussianAtomSpec((far, 0), (0, 0), 1.0))
+            gaussian_atom(pg, (far, 0), (0, 0), 1.0)
 
     def test_truncation_refusal_names_the_tested_reach(self):
         # the bound is on |center| + |modulation|: 1.2 + 1.2 against a limit of 1.77
         pg = make_grid(1, 16)
         with pytest.raises(GridError, match=r"reach 2\.4 "):
-            gaussian_atom(pg, GaussianAtomSpec((1.2, 0), (1.2, 0), 1.0))
+            gaussian_atom(pg, (1.2, 0), (1.2, 0), 1.0)
 
     def test_grid_step_shift_is_cyclic(self):
         pg = make_grid(1, 32)
         h = pg.h
-        spec0 = GaussianAtomSpec((0.0, 0.0), (2 * h, -3 * h), 0.8)
-        spec1 = GaussianAtomSpec((h, 0.0), (2 * h, -3 * h), 0.8)
-        a0 = gaussian_atom(pg, spec0)
-        a1 = gaussian_atom(pg, spec1)
+        a0 = gaussian_atom(pg, (0.0, 0.0), (2 * h, -3 * h), 0.8)
+        a1 = gaussian_atom(pg, (h, 0.0), (2 * h, -3 * h), 0.8)
         rolled = np.roll(a0.values, 1, axis=0)
         ratio = a1.values / rolled
         # cyclic up to one constant phase from the grid-aligned modulation
         assert np.max(np.abs(ratio - ratio.flat[0])) < 1e-10
-        spec_plain = GaussianAtomSpec((0.0, 0.0), (0.0, 0.0), 0.8)
-        spec_shift = GaussianAtomSpec((0.0, h), (0.0, 0.0), 0.8)
-        b0 = gaussian_atom(pg, spec_plain)
-        b1 = gaussian_atom(pg, spec_shift)
+        b0 = gaussian_atom(pg, (0.0, 0.0), (0.0, 0.0), 0.8)
+        b1 = gaussian_atom(pg, (0.0, h), (0.0, 0.0), 0.8)
         assert np.max(np.abs(b1.values - np.roll(b0.values, 1, axis=1))) < 1e-14
 
 
 def test_gridfunction_immutability_and_validation():
     pg = make_grid(1, 16)
-    a = gaussian_atom(pg, GaussianAtomSpec((0, 0), (0, 0), 0.5))
+    a = gaussian_atom(pg, (0, 0), (0, 0), 0.5)
     with pytest.raises(ValueError):
         a.values[0, 0] = 1.0
     with pytest.raises(GridError):

@@ -24,7 +24,7 @@ from phaselab.lab import (
 from phaselab.lab import _sample_ratios, _thread_count
 from phaselab.norms import MixedNormSpec
 from phaselab.stft import symplectic_stft
-from phaselab.weights import unit_weight
+from phaselab.weights import parse_weight, unit_weight
 from phaselab.weyl import operator_matrix, weyl_product
 
 
@@ -243,6 +243,25 @@ class TestRatioExperiment:
         with pytest.raises(ExponentError, match=message):
             _one_config(ExponentTuple.parse(p), ExponentTuple.parse(q), ens, pg8)
         assert built == []
+
+    def test_bad_measure_refused_at_construction(self):
+        all2 = ExponentTuple.parse("2,2,2,2")
+        with pytest.raises(GridError, match="unknown measure 'bogus'"):
+            RatioConfig(all2, all2, (unit_weight(),) * 4, "weyl", "bogus")
+
+    @pytest.mark.parametrize("literal", ["unit*unit", "split:unit@X"])
+    @pytest.mark.parametrize("rows", [None, 4])
+    def test_constant_weight_equals_unit_bitwise(self, monkeypatch, literal, rows):
+        # a constant weight evaluates to np.ones(1), on the one-block path and in a walk
+        if rows:
+            monkeypatch.setattr(phaselab.stft, "MATERIALIZE_LIMIT", rows * 16**3)
+        p, q = ExponentTuple.parse("2,inf,2,2"), ExponentTuple.parse("2,1,2,2")
+        ens = EnsembleSpec(seed=9, count=6, atoms_per_symbol=2, width_range=(0.35, 0.5),
+                           center_radius=1.0, modulation_radius=0.7)
+        pg16 = make_grid(1, 16)
+        unit, constant = (ratio_experiment_multi([RatioConfig(p, q, (w,) * 4)], ens, pg16)[0]
+                          for w in (unit_weight(), parse_weight(literal)))
+        assert constant.ratios == unit.ratios and None not in unit.ratios
 
     def test_shared_norms_match_lone_configs_bitwise(self):
         # run together, the drift configs reuse factor norms through the

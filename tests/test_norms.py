@@ -8,7 +8,6 @@ import phaselab.norms
 import phaselab.stft
 from phaselab.exponents import Exponent
 from phaselab.grids import (
-    GaussianAtomSpec,
     GridError,
     gaussian_atom,
     make_grid,
@@ -24,8 +23,8 @@ RNG = np.random.default_rng(2)
 @pytest.fixture
 def setup():
     pg = make_grid(1, 16)
-    a = gaussian_atom(pg, GaussianAtomSpec((0.4, -0.2), (2 * pg.h, -pg.h), 0.45))
-    Phi = gaussian_atom(pg, GaussianAtomSpec((0, 0), (0, 0), 0.45))
+    a = gaussian_atom(pg, (0.4, -0.2), (2 * pg.h, -pg.h), 0.45)
+    Phi = gaussian_atom(pg, (0, 0), (0, 0), 0.45)
     return pg, a, Phi, symplectic_stft(a, Phi)
 
 
@@ -90,14 +89,13 @@ def test_moyal_constant_symplectic(setup):
 
 def test_window_robustness(setup):
     pg, a, Phi, _ = setup
-    w1 = gaussian_atom(pg, GaussianAtomSpec((0, 0), (0, 0), 0.45))
-    w2 = gaussian_atom(pg, GaussianAtomSpec((0, 0), (0, 0), 0.55))
+    w1 = gaussian_atom(pg, (0, 0), (0, 0), 0.45)
+    w2 = gaussian_atom(pg, (0, 0), (0, 0), 0.55)
     spec = MixedNormSpec(1, 2, "modulation", None, "quadrature")
     ratios = []
     for seed in range(6):
         rng = np.random.default_rng(seed)
-        sym = gaussian_atom(pg, GaussianAtomSpec(
-            tuple(rng.uniform(-1, 1, 2)), tuple(rng.uniform(-0.5, 0.5, 2)), 0.5))
+        sym = gaussian_atom(pg, rng.uniform(-1, 1, 2), rng.uniform(-0.5, 0.5, 2), 0.5)
         ratios.append(stft_norms(sym, w1, [spec])[0] / stft_norms(sym, w2, [spec])[0])
     # equivalent norms: the two-window ratio stays in a fixed band
     assert max(ratios) / min(ratios) < 1.5
@@ -121,9 +119,9 @@ def test_duality_lower_bound():
     w = split_weight(poly_weight(1.0), "Y")
     for n in (16, 32):
         pg = make_grid(1, n)
-        Phi = gaussian_atom(pg, GaussianAtomSpec((0, 0), (0, 0), 0.45))
-        a = gaussian_atom(pg, GaussianAtomSpec((0.4, -0.2), (2 * pg.h, -pg.h), 0.45))
-        b = gaussian_atom(pg, GaussianAtomSpec((-0.3, 0.5), (pg.h, 0), 0.5))
+        Phi = gaussian_atom(pg, (0, 0), (0, 0), 0.45)
+        a = gaussian_atom(pg, (0.4, -0.2), (2 * pg.h, -pg.h), 0.45)
+        b = gaussian_atom(pg, (-0.3, 0.5), (pg.h, 0), 0.5)
         for (p, q) in [(1.0, 2.0), (2.0, 3.0), (4.0, 1.0)]:
             pc = Exponent.from_value(p).conjugate().value
             qc = Exponent.from_value(q).conjugate().value
@@ -148,8 +146,8 @@ def test_multi_block_matches_one_block(monkeypatch):
     ]
     for n in (16, 32):
         pg = make_grid(1, n)
-        a = gaussian_atom(pg, GaussianAtomSpec((0.4, -0.2), (2 * pg.h, -pg.h), 0.45))
-        Phi = gaussian_atom(pg, GaussianAtomSpec((0, 0), (0, 0), 0.45))
+        a = gaussian_atom(pg, (0.4, -0.2), (2 * pg.h, -pg.h), 0.45)
+        Phi = gaussian_atom(pg, (0, 0), (0, 0), 0.45)
         want = stft_norms(a, Phi, specs)
         for rows in (1, 4):
             monkeypatch.setattr(phaselab.stft, "MATERIALIZE_LIMIT", rows * n**3)
@@ -172,14 +170,7 @@ def _drift_specs():
     """Every factor and product spec the drift configs ask of one tensor."""
     from phaselab.suites import drift_configs
 
-    specs = []
-    for cfg in drift_configs():
-        order = "modulation" if cfg.mode == "weyl" else "amalgam"
-        for j in range(1, cfg.p.n_factors + 1):
-            specs.append(MixedNormSpec(cfg.p[j], cfg.q[j], order, cfg.weights[j], cfg.measure))
-        specs.append(MixedNormSpec(cfg.p[0].conjugate(), cfg.q[0].conjugate(), order,
-                                   cfg.weights[0].reciprocal(), cfg.measure))
-    return specs
+    return [spec for cfg in drift_configs() for spec in cfg.norm_specs]
 
 
 def _fresh(T):
@@ -346,15 +337,14 @@ def test_sample_ratios_releases_magnitudes(monkeypatch):
 # -- per-thread scratch arena ------------------------------------------------------
 
 def _window(pg):
-    return gaussian_atom(pg, GaussianAtomSpec((0,) * (2 * pg.d), (0,) * (2 * pg.d), 0.45))
+    return gaussian_atom(pg, (0,) * (2 * pg.d), (0,) * (2 * pg.d), 0.45)
 
 
 def _symbols(pg, count, seed=5):
     """``count`` different Gaussian symbols on ``pg``."""
     rng = np.random.default_rng(seed)
     k, r = 2 * pg.d, min(0.6, pg.symbol_grid.extent / 10)  # truncation-safe reach
-    return [gaussian_atom(pg, GaussianAtomSpec(tuple(rng.uniform(-r, r, k)),
-                                               tuple(rng.uniform(-r, r, k) * 2 / 3), 0.45))
+    return [gaussian_atom(pg, rng.uniform(-r, r, k), rng.uniform(-r, r, k) * 2 / 3, 0.45)
             for _ in range(count)]
 
 
@@ -387,7 +377,7 @@ def _fresh_walk(a, window, specs):
     """The block walk of ``stft_norms`` with a fresh ``np.abs``, ``np.multiply`` and ``x**p`` per block."""
     norms = phaselab.norms
     g = a.grid
-    keys = [norms._norm_key(spec) for spec in specs]
+    keys = [spec.key for spec in specs]
     cells = {key: norms._cells(key[4], g, g) for key in keys}
     acc = {}
     for rows, block in stft_blocks(a, window, True):
@@ -452,7 +442,7 @@ def test_arena_buffers_have_fresh_strides(monkeypatch):
 
     monkeypatch.setattr(phaselab.norms, "_magnitudes", checked)
     # unit-weight powers and the last weight's go into the block, the others' are fresh
-    weights = {phaselab.norms._norm_key(spec)[3] for spec in specs}
+    weights = {spec.key[3] for spec in specs}
     assert len(weights) == 4
     flags = {(weight, weight in (None, specs[-1].weight)) for weight in weights}
     for limit, blocks in ((phaselab.stft.MATERIALIZE_LIMIT, 1), (4 * 16**3, 4)):

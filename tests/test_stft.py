@@ -8,7 +8,6 @@ import pytest
 import phaselab.grids
 import phaselab.stft
 from phaselab.grids import (
-    GaussianAtomSpec,
     GridError,
     GridFunction,
     fourier,
@@ -35,8 +34,8 @@ def base_setup():
 @pytest.fixture
 def phase_setup():
     pg = make_grid(1, 16)
-    a = gaussian_atom(pg, GaussianAtomSpec((0.5, -0.3), (2 * pg.h, pg.h), 0.45))
-    Phi = gaussian_atom(pg, GaussianAtomSpec((0, 0), (0, 0), 0.45))
+    a = gaussian_atom(pg, (0.5, -0.3), (2 * pg.h, pg.h), 0.45)
+    Phi = gaussian_atom(pg, (0, 0), (0, 0), 0.45)
     return pg, a, Phi
 
 
@@ -163,8 +162,8 @@ def test_symplectic_fourier_covariance(phase_setup):
 @pytest.mark.parametrize("n", [16, 32])
 def test_blocks_match_materialized(monkeypatch, n):
     pg = make_grid(1, n)
-    a = gaussian_atom(pg, GaussianAtomSpec((0.5, -0.3), (2 * pg.h, pg.h), 0.45))
-    Phi = gaussian_atom(pg, GaussianAtomSpec((0, 0), (0, 0), 0.45))
+    a = gaussian_atom(pg, (0.5, -0.3), (2 * pg.h, pg.h), 0.45)
+    Phi = gaussian_atom(pg, (0, 0), (0, 0), 0.45)
     for symplectic in (False, True):
         T = symplectic_stft(a, Phi) if symplectic else stft(a, Phi)
         ((rows, values),) = stft_blocks(a, Phi, symplectic)
@@ -182,7 +181,7 @@ def test_blocks_match_materialized(monkeypatch, n):
 def test_blocks_refuse_rows_past_the_limit():
     # d = 2, n = 8: one row of the leading shift axis holds 8^7 > 2^20 entries
     pg = make_grid(2, 8)
-    a = gaussian_atom(pg, GaussianAtomSpec((0,) * 4, (0,) * 4, 1.0))
+    a = gaussian_atom(pg, (0,) * 4, (0,) * 4, 1.0)
     with pytest.raises(GridError, match="shift row"):
         next(stft_blocks(a, a, True))
 
@@ -214,7 +213,7 @@ def test_stft_memory_layout(phase_setup):
 
 def test_materialization_guard():
     pg = make_grid(1, 64)
-    a = gaussian_atom(pg, GaussianAtomSpec((0, 0), (0, 0), 1.0))
+    a = gaussian_atom(pg, (0, 0), (0, 0), 1.0)
     with pytest.raises(GridError):
         symplectic_stft(a, a)
 

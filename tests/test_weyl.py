@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from phaselab.grids import (
-    GaussianAtomSpec,
     GridError,
     GridFunction,
     constant_symbol,
@@ -53,7 +52,7 @@ def _atom_cloud(pg, seed, atoms=3, width=1.0, center_frac=0.125, modulation_frac
         c = rng.uniform(-center_frac * L, center_frac * L, 2)
         m = rng.uniform(-modulation_frac * L, modulation_frac * L, 2)
         amp = rng.standard_normal() + 1j * rng.standard_normal()
-        g = gaussian_atom(pg, GaussianAtomSpec(tuple(c), tuple(m), width, amp))
+        g = gaussian_atom(pg, c, m, width, amp)
         vals = g.values if vals is None else vals + g.values
     return GridFunction(pg.symbol_grid, vals)
 
@@ -279,7 +278,7 @@ class TestKernelMaps:
         n, m = pg.n, base.count
         cn, cm = n // 2, m // 2
         a = _atom_cloud(pg, 7, atoms=2, width=1.0, center_frac=0.05, modulation_frac=0.02)
-        Psi = gaussian_atom(pg, GaussianAtomSpec((0, 0), (0, 0), 1.0))
+        Psi = gaussian_atom(pg, (0, 0), (0, 0), 1.0)
         grid2 = Grid(2 * base.dim, base.count, base.spacing)
         Kf = GridFunction(grid2, operator_matrix(a, 0.5).kernel_values())
         Phi = GridFunction(grid2, math.sqrt(2 * math.pi)
