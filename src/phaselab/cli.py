@@ -35,6 +35,7 @@ from .exponents import (
 )
 from .grids import GridError, make_grid
 from .lab import REPRESENTATION_CAP, EnsembleSpec, RatioConfig, RatioReport, ratio_experiment_multi
+from .stft import _rows_per_block
 from .weights import WeightError, parse_weight_list, unit_weight
 from . import suites
 
@@ -186,14 +187,18 @@ def _at_least(minimum: int):
 
 
 def _grid_size(minimum: int):
-    """argparse type for an even grid size no smaller than ``minimum``, so that
-    an unusable grid is refused before any numerics run."""
+    """argparse type for an even grid size no smaller than ``minimum`` whose
+    d = 1 STFT (two axes) has shift rows within the materialization limit,
+    so that an unusable grid is refused before any numerics run."""
     at_least = _at_least(minimum)
 
     def size(text: str) -> int:
         value = at_least(text)
         if value % 2:
             raise argparse.ArgumentTypeError(f"must be even, got {value}")
+        if not _rows_per_block(value, 2):
+            raise argparse.ArgumentTypeError(
+                f"one STFT shift row at n = {value} exceeds the materialization limit")
         return value
     return size
 

@@ -20,10 +20,10 @@ the norms of one symbol's symplectic STFT: a tensor within
 one is walked once in blocks.
 
 ``mixed_norm`` memoises each norm on the read-only tensor under
-``MixedNormSpec.key``, the (p, q, order if p != q, weight if not unit,
-measure) that a spec computes once, and returns the first float on a
-repeat; the memo is per tensor, so ``PHASELAB_THREADS`` workers share
-nothing.  On a miss it reduces a fresh ``|V|`` (times ``w``) and never
+``MixedNormSpec.key``, the (p, q, order if p != q, weight unless it is
+constant one, measure) that a spec computes once, and returns the first
+float on a repeat; the memo is per tensor, so ``PHASELAB_THREADS`` workers
+share nothing.  On a miss it reduces a fresh ``|V|`` (times ``w``) and never
 writes the tensor.
 
 ``stft_norms`` keeps only the STFT block in a per-thread arena: one complex
@@ -73,7 +73,7 @@ class MixedNormSpec:
     """Exponent pair, iteration order, weight and measure of a mixed norm.
 
     ``key`` is what the norm depends on, computed once: (p, q as floats,
-    order or None if p = q, weight or None if unit, measure)."""
+    order or None if p = q, weight or None if it is constant one, measure)."""
 
     p: object
     q: object
@@ -88,7 +88,7 @@ class MixedNormSpec:
         if self.measure not in ("quadrature", "counting"):
             raise GridError(f"unknown measure {self.measure!r}")
         p, q = _exponent_value(self.p), _exponent_value(self.q)
-        unit = self.weight is None or self.weight.kind == "unit"
+        unit = self.weight is None or self.weight.is_unit
         object.__setattr__(self, "key", (p, q, None if p == q else self.order,
                                          None if unit else self.weight, self.measure))
 
@@ -163,7 +163,7 @@ def _finish(acc: np.ndarray, key: tuple, cells: tuple[float, float]) -> float:
 def _weight_tensor(weight: WeightSpec | None, shift_grid: Grid, freq_grid: Grid,
                    rows: slice = slice(None)) -> np.ndarray | None:
     """``weight`` over the tensor entries with leading shift index in ``rows``; None if unit."""
-    if weight is None or weight.kind == "unit":
+    if weight is None or weight.is_unit:
         return None
     axes = [shift_grid.axis] * shift_grid.dim + [freq_grid.axis] * freq_grid.dim
     axes[0] = axes[0][rows]

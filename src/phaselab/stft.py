@@ -90,8 +90,8 @@ def _laid_out(flat: np.ndarray, shape: tuple[int, ...], strides: tuple[int, ...]
 def _product_into(x: np.ndarray, y: np.ndarray, flat: np.ndarray) -> np.ndarray:
     """``x * y`` in ``flat``, laid out as the fresh product of the 2-per-axis corners.
 
-    Either factor may have fewer axes (a constant weight is ``np.ones(1)``);
-    it broadcasts as in a fresh product."""
+    Either factor may have length-one axes (a split weight is constant along
+    half of them); it broadcasts as in a fresh product."""
     shape = np.broadcast_shapes(x.shape, y.shape)
     x_corner, y_corner = (a[(slice(2),) * a.ndim] for a in (x, y))
     return np.multiply(x, y, out=_laid_out(flat, shape, np.multiply(x_corner, y_corner).strides))
@@ -147,6 +147,12 @@ def _fits(g: Grid) -> bool:
     return (g.count**g.dim) ** 2 <= MATERIALIZE_LIMIT
 
 
+def _rows_per_block(n: int, m: int) -> int:
+    """Whole rows of the leading shift axis in one block of an STFT over m axes
+    of n points; 0 when a single row exceeds ``MATERIALIZE_LIMIT``."""
+    return MATERIALIZE_LIMIT * n // (n**m) ** 2
+
+
 def _one_block(a: GridFunction, Phi: GridFunction, symplectic: bool,
                scratch: dict | None) -> np.ndarray:
     """The whole STFT as one block; past ``MATERIALIZE_LIMIT`` use ``norms.stft_norms``."""
@@ -175,7 +181,7 @@ def stft_blocks(a: GridFunction, Phi: GridFunction, symplectic: bool, *,
     if symplectic and not g.is_symplectic:
         raise GridError("symplectic STFT requires a phase grid")
     n, m = g.count, g.dim
-    step = MATERIALIZE_LIMIT * n // (n**m) ** 2
+    step = _rows_per_block(n, m)
     if step < 1:
         raise GridError(f"one shift row of {n ** (2 * m - 1)} entries exceeds the materialization limit")
     # the sums' sign table goes into the n^m samples instead of the block

@@ -47,12 +47,12 @@ from .weights import poly_weight, split_weight, unit_weight
 from .weyl import (
     calculi_transform,
     compose_kernels,
+    compose_via_matrices,
     involution,
     operator_matrix,
     point_reflection,
     twisted_convolution,
     weyl_product,
-    weyl_product_via_operators,
 )
 
 
@@ -188,12 +188,12 @@ def suite_routes(seed: int = 3) -> list[Check]:
     a = _atom_cloud(phase, rng, modulation_frac=0.03)
     b = _atom_cloud(phase, rng, modulation_frac=0.03)
     p1 = weyl_product(a, b)
-    p2 = weyl_product_via_operators(a, b)
+    p2 = compose_via_matrices(a, b, 0.5)
     calculi = 0.0
     for A1, A2 in itertools.product((0.0, 0.5, 1.0), repeat=2):
         M1 = operator_matrix(a, A1)
         M2 = operator_matrix(calculi_transform(a, A1, A2), A2)
-        calculi = max(calculi, _rel(M1.matrix, M2.matrix))
+        calculi = max(calculi, _rel(M1, M2))
     direct = twisted_convolution(a, b, "direct")
     fast = twisted_convolution(a, b, "fast")
     return [

@@ -55,6 +55,12 @@ class WeightSpec:
         if self.kind == "product" and len(self.inner) < 1:
             raise WeightError("product weight needs at least one factor")
 
+    @property
+    def is_unit(self) -> bool:
+        """Whether the weight is constant one: ``unit``, or a split or product of unit weights."""
+        return self.kind == "unit" or (self.kind in ("split", "product")
+                                       and all(w.is_unit for w in self.inner))
+
     def __call__(self, point: Sequence[float]) -> float:
         return np.asarray(self.evaluate_grid(np.asarray(point, dtype=float))).item()
 

@@ -6,15 +6,16 @@ Every product here is computable along two independent routes:
   oracle or the O(n^{3d} log n) FFT-factorized fast path, both at every d)
   feeding the product formula;
 * operator route: symbols mapped to operator matrices on the companion base
-  grid, composed as matrices, mapped back.
+  grid, composed with ``@``, mapped back.
 
 The phase-space identities are exact on the symplectically self-dual grid;
 the operator route crosses the sampling of the half-sum coordinate and is
 therefore only expected to agree to truncation accuracy on decaying symbols.
 
-Kernels are carried in sheared coordinates ``(u, t) = (x - A(x-y), x - y)``,
-where the partial Fourier transform linking symbols and kernels is an exact
-unitary bijection; materializing the ``(x, y)`` matrix is a sampling step.
+Kernels and operator matrices are plain arrays.  A kernel is carried in
+sheared coordinates ``(u, t) = (x - A(x-y), x - y)``, where the partial
+Fourier transform linking symbols and kernels is an exact unitary bijection;
+the ``(x, y)`` matrix is a sampling step.
 The quantization index ``A`` is one number, the same on every axis: 1/2 is
 the Weyl calculus, 0 and 1 the Kohn-Nirenberg pair.  It must be a
 half-integer, so that the shear moves the grid onto itself.
@@ -26,7 +27,6 @@ import functools
 import itertools
 import math
 import string
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -181,49 +181,31 @@ def weyl_product(a: GridFunction, b: GridFunction) -> GridFunction:
 
 # -- symbol/kernel maps -------------------------------------------------------
 
-@dataclass(frozen=True)
-class KernelFunction:
-    """Operator kernel in sheared coordinates ``(u, t) = (x - A(x-y), x - y)``.
+def symbol_to_kernel(a: GridFunction, A: float) -> np.ndarray:
+    """Exact partial-transform route from a symbol to its operator kernel.
 
-    ``spectrum[u_index, t_index]`` holds ``K(x, y)`` directly; the ``u`` axes
-    are the phase grid's position axes (n points, spacing h, periodic with
-    extent L) and the ``t`` axes carry n points of spacing 2h (extent 2L).
+    ``K[u_index, t_index]`` holds ``K(x, y)`` in sheared coordinates
+    ``(u, t) = (x - A(x-y), x - y)``: the ``u`` axes are the phase grid's
+    position axes (n points, spacing h, periodic with extent L) and the
+    ``t`` axes carry n points of spacing 2h (extent 2L).
     """
-
-    phase: PhaseGrid
-    A: float
-    spectrum: np.ndarray
-
-    def __post_init__(self):
-        expected = (self.phase.n,) * (2 * self.phase.d)
-        if self.spectrum.shape != expected:
-            raise GridError(f"kernel spectrum shape {self.spectrum.shape} != {expected}")
-
-
-def symbol_to_kernel(a: GridFunction, A: float) -> KernelFunction:
-    """Exact partial-transform route from a symbol to its operator kernel."""
     phase = _phase_of(a)
     d = phase.d
     _require_half_integer(A, "kernel map")
-    g = a.grid
     # (2 pi)^{-d/2} * [(2 pi)^{-d/2} h^d sum_xi a(u, xi) e^{+i t xi}]
-    coeff = (2 * math.pi) ** (-d) * g.quadrature_weight ** 0.5
-    spec = coeff * centered_character_sum(a.values, range(d, 2 * d), +1)
-    return KernelFunction(phase, A, spec)
+    coeff = (2 * math.pi) ** (-d) * a.grid.quadrature_weight ** 0.5
+    return coeff * centered_character_sum(a.values, range(d, 2 * d), +1)
 
 
-def kernel_to_symbol(K: KernelFunction) -> GridFunction:
+def kernel_to_symbol(K: np.ndarray, phase: PhaseGrid) -> GridFunction:
     """Inverse of :func:`symbol_to_kernel`; exact round trip."""
-    phase = K.phase
     d = phase.d
-    g = phase.symbol_grid
     t_spacing = 2 * phase.h
     coeff = (2 * math.pi) ** (d / 2) * (2 * math.pi) ** (-d / 2) * t_spacing**d
-    vals = coeff * centered_character_sum(K.spectrum, range(d, 2 * d), -1)
-    return GridFunction(g, vals)
+    return GridFunction(phase.symbol_grid, coeff * centered_character_sum(K, range(d, 2 * d), -1))
 
 
-def _kernel_sample_indices(phase: PhaseGrid, A: float, offset: int = 0):
+def _kernel_sample_indices(phase: PhaseGrid, A: float, offset: int):
     """Index arrays mapping base-lattice pairs ``(x, y)`` into the (u, t) axes.
 
     ``offset = 0`` is the base grid itself, ``offset = 1`` the half-spacing
@@ -231,94 +213,57 @@ def _kernel_sample_indices(phase: PhaseGrid, A: float, offset: int = 0):
     the ``(u, t)`` checkerboard; both lattices together cover the full
     diamond of reachable cells.
     """
-    base = phase.base_grid
-    m, n = base.count, phase.n
-    d = phase.d
-    cm, cn = m // 2, n // 2
-    twoA = round(2 * A)
-    i = np.arange(m) - cm
+    m, n, d = phase.base_grid.count, phase.n, phase.d
+    i = np.arange(m) - m // 2
     # per-axis integer coordinates of x and y in units of the base spacing 2h
-    grids = np.meshgrid(*([i] * (2 * d)), indexing="ij")  # x axes then y axes
-    x = np.stack(grids[:d], axis=0)
-    y = np.stack(grids[d:], axis=0)
-    diff = x - y
-    u_idx = []
-    t_idx = []
-    for axis in range(d):
-        u = 2 * x[axis] + offset - twoA * diff[axis]  # in units of h
-        u_idx.append((u + cn) % n)
-        t_idx.append(diff[axis] + cn)  # in units of 2h, no wrap needed
-    return tuple(u_idx) + tuple(t_idx)
+    xy = np.stack(np.meshgrid(*([i] * (2 * d)), indexing="ij"))  # x axes then y axes
+    x, diff = xy[:d], xy[:d] - xy[d:]
+    u = 2 * x + offset - round(2 * A) * diff  # in units of h
+    return tuple((u + n // 2) % n) + tuple(diff + n // 2)  # t in units of 2h, no wrap needed
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Quadrature-scaled matrix of an operator on the companion base grid.
+def _sample(K: np.ndarray, phase: PhaseGrid, A: float, offset: int) -> np.ndarray:
+    """Quadrature-scaled matrix of the kernel ``K`` on one base lattice."""
+    base = phase.base_grid
+    m, d = base.count, phase.d
+    return base.quadrature_weight * K[_kernel_sample_indices(phase, A, offset)].reshape(m**d, m**d)
 
-    ``matrix`` has shape ``(m^d, m^d)`` and already carries the ``(2h)^d``
-    quadrature factor, so application and composition are plain matrix
-    products (hence composition is exactly associative).
+
+def _scatter(M: np.ndarray, phase: PhaseGrid, A: float, offset: int, K: np.ndarray):
+    """Write the kernel samples of the matrix ``M`` back into ``K``.
+
+    One lattice offset fills one parity class of ``K``; scatter the other
+    offset into the same array to fill both.  Cells outside the reachable
+    diamond keep what ``K`` held, zero for a fresh array: a truncation-level
+    approximation for decaying kernels (and the reason the operator route
+    carries a looser tolerance than the phase-space route).
     """
-
-    base: Grid
-    matrix: np.ndarray
-
-    def compose(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if other.base != self.base:
-            raise GridError("operator grid mismatch")
-        return OperatorMatrix(self.base, self.matrix @ other.matrix)
-
-    def kernel_values(self) -> np.ndarray:
-        """Unscaled kernel samples ``K(x_i, y_j)``."""
-        return self.matrix / self.base.quadrature_weight
+    base = phase.base_grid
+    K[_kernel_sample_indices(phase, A, offset)] = (
+        (M / base.quadrature_weight).reshape((base.count,) * (2 * phase.d)))
 
 
-def materialize_matrix(K: KernelFunction, offset: int = 0) -> OperatorMatrix:
-    base = K.phase.base_grid
-    m, d = base.count, K.phase.d
-    samples = K.spectrum[_kernel_sample_indices(K.phase, K.A, offset)]
-    mat = base.quadrature_weight * samples.reshape(m**d, m**d)
-    return OperatorMatrix(base, mat)
+def operator_matrix(a: GridFunction, A: float, offset: int = 0) -> np.ndarray:
+    """Quadrature matrix of the quantized operator of a symbol.
 
-
-def matrix_to_kernel(M: OperatorMatrix, phase: PhaseGrid, A: float, offset: int = 0,
-                     into: KernelFunction | None = None) -> KernelFunction:
-    """Scatter matrix samples back into the sheared-coordinate representation.
-
-    One lattice offset fills one parity class of the spectrum; pass the
-    result of the other offset via ``into`` to fill both.  Cells outside the
-    reachable diamond stay zero, a truncation-level approximation for
-    decaying kernels (and the reason the operator route carries a looser
-    tolerance than the phase-space route).
+    The ``(m^d, m^d)`` matrix on the companion base grid already carries the
+    ``(2h)^d`` quadrature factor, so application and composition are plain
+    matrix products (hence composition is exactly associative).
     """
-    d = phase.d
-    _require_half_integer(A, "kernel map")
-    kvals = M.kernel_values().reshape((phase.base_grid.count,) * (2 * d))
-    spec = np.zeros((phase.n,) * (2 * d), dtype=complex) if into is None else into.spectrum.copy()
-    spec[_kernel_sample_indices(phase, A, offset)] = kvals
-    return KernelFunction(phase, A, spec)
-
-
-def operator_matrix(a: GridFunction, A: float, offset: int = 0) -> OperatorMatrix:
-    """Quadrature matrix of the quantized operator of a symbol."""
-    return materialize_matrix(symbol_to_kernel(a, A), offset)
+    return _sample(symbol_to_kernel(a, A), _phase_of(a), A, offset)
 
 
 def compose_via_matrices(a: GridFunction, b: GridFunction, A: float) -> GridFunction:
     """Oracle route: compose quantized matrices on both lattice offsets and
     reassemble the product symbol from the two checkerboard classes."""
+    require_same_grid(a, b)
     phase = _phase_of(a)
     Ka, Kb = symbol_to_kernel(a, A), symbol_to_kernel(b, A)
-    K = None
+    K = np.zeros(Ka.shape, dtype=complex)
     for offset in (0, 1):
-        Mc = materialize_matrix(Ka, offset).compose(materialize_matrix(Kb, offset))
-        K = matrix_to_kernel(Mc, phase, A, offset, into=K)
-    return kernel_to_symbol(K)
-
-
-def weyl_product_via_operators(a: GridFunction, b: GridFunction) -> GridFunction:
-    """Oracle route for the symmetric quantization."""
-    return compose_via_matrices(a, b, 0.5)
+        M = _sample(Ka, phase, A, offset) @ _sample(Kb, phase, A, offset)
+        _scatter(M, phase, A, offset, K)
+    return kernel_to_symbol(K, phase)
 
 
 # -- calculi transform and general quantizations ------------------------------

@@ -427,6 +427,9 @@ def test_identities_grid_above_32_exits_two(capsys):
     (("identities", "--grid", "7"), "--grid"),
     (("identities", "--grid", "2"), "--grid"),
     (("representation", "--grid", "5"), "--grid"),
+    # at d = 1 an STFT shift row has n^3 entries, past 2^20 from n = 102 on
+    (("drift", "--grids", "16,102", "--samples", "20"), "--grids"),
+    (SMALL_RATIO[:5] + ("--grid", "102", "--samples", "1"), "--grid"),
 ])
 def test_bad_grid_sizes_refused_before_any_numerics(capsys, monkeypatch, argv, flag):
     ran = []
@@ -451,6 +454,8 @@ def test_even_grid_sizes_parse():
     assert parse(["identities", "--grid", "6"]).grid == 6
     assert parse(["representation", "--grid", "4"]).grid == 4
     assert parse(["drift", "--grids", "16,24,64"]).grids == (16, 24, 64)
+    assert parse(["drift", "--grids", "16,100"]).grids == (16, 100)  # the largest usable n
+    assert parse(["ratio", "--p", "2,2,2,2", "--q", "2,2,2,2", "--grid", "100"]).grid == 100
 
 
 @pytest.mark.parametrize("flags", [

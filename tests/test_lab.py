@@ -84,10 +84,9 @@ class TestNfoldProduct:
                             center_radius=1.5, modulation_radius=0.8)
         a, b, c = ensemble_generate(spec, pg)
         prod = nfold_product([a, b, c])
-        M = operator_matrix(a, 0.5).compose(operator_matrix(b, 0.5)).compose(
-            operator_matrix(c, 0.5))
+        M = operator_matrix(a, 0.5) @ operator_matrix(b, 0.5) @ operator_matrix(c, 0.5)
         Mp = operator_matrix(prod, 0.5)
-        rel = np.max(np.abs(M.matrix - Mp.matrix)) / np.max(np.abs(Mp.matrix))
+        rel = np.max(np.abs(M - Mp)) / np.max(np.abs(Mp))
         assert rel < 1e-6
 
 
@@ -252,7 +251,7 @@ class TestRatioExperiment:
     @pytest.mark.parametrize("literal", ["unit*unit", "split:unit@X"])
     @pytest.mark.parametrize("rows", [None, 4])
     def test_constant_weight_equals_unit_bitwise(self, monkeypatch, literal, rows):
-        # a constant weight evaluates to np.ones(1), on the one-block path and in a walk
+        # a constant weight is the unit weight, on the one-block path and in a walk
         if rows:
             monkeypatch.setattr(phaselab.stft, "MATERIALIZE_LIMIT", rows * 16**3)
         p, q = ExponentTuple.parse("2,inf,2,2"), ExponentTuple.parse("2,1,2,2")

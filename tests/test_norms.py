@@ -231,6 +231,38 @@ def test_memo_shares_equivalent_specs(setup):
     assert a == b and len(W._norms) == 1
 
 
+@pytest.mark.parametrize("literal", ["unit*unit", "split:unit@X"])
+def test_constant_weights_share_the_unit_key(literal):
+    weight = parse_weight(literal)
+    assert weight.is_unit and weight.reciprocal().is_unit
+    assert not parse_weight("unit*poly:s=1").is_unit
+    for p, q in ((2, 1), (2, 2)):
+        assert (MixedNormSpec(p, q, weight=weight).key
+                == MixedNormSpec(p, q, weight=unit_weight()).key
+                == MixedNormSpec(p, q).key)
+
+
+def test_constant_weights_write_no_weighted_magnitudes(monkeypatch):
+    # unit*unit in all four slots, one sample at n = 16: every norm reads |V| itself
+    from phaselab.exponents import ExponentTuple
+    from phaselab.lab import EnsembleSpec, RatioConfig, ratio_experiment_multi
+
+    products = []
+    real = phaselab.norms._product_into
+
+    def counting(mags, w, flat):
+        products.append(w.shape)
+        return real(mags, w, flat)
+
+    monkeypatch.setattr(phaselab.norms, "_product_into", counting)
+    p, q = ExponentTuple.parse("2,inf,2,2"), ExponentTuple.parse("2,1,2,2")
+    ens = EnsembleSpec(seed=9, count=3, atoms_per_symbol=2, width_range=(0.35, 0.5),
+                       center_radius=1.0, modulation_radius=0.7)
+    cfg = RatioConfig(p, q, (parse_weight("unit*unit"),) * 4)
+    (rep,) = ratio_experiment_multi([cfg], ens, make_grid(1, 16))
+    assert None not in rep.ratios and products == []
+
+
 def test_tensor_values_read_only(setup):
     _, _, _, W = setup
     vals = W.values.copy()
