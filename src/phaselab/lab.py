@@ -11,6 +11,7 @@ every experiment is a pure function of ``(seed, config)``.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import os
@@ -90,64 +91,40 @@ def default_window(phase: PhaseGrid) -> GridFunction:
     return gaussian_atom(phase, (0.0,) * (2 * phase.d), (0.0,) * (2 * phase.d), 0.45)
 
 
-def nfold_product(symbols: Sequence[GridFunction]) -> GridFunction:
-    """Left fold of the Weyl product (associative up to roundoff)."""
+def _fold(symbols: Sequence[GridFunction], product) -> GridFunction:
     if not symbols:
         raise GridError("need at least one symbol")
-    out = symbols[0]
-    for s in symbols[1:]:
-        out = pseudo_product(out, s, 0.5)  # A = 1/2: perfbench counts these calls
-    return out
+    return functools.reduce(product, symbols)
+
+
+def nfold_product(symbols: Sequence[GridFunction]) -> GridFunction:
+    """Left fold of the Weyl product (associative up to roundoff)."""
+    return _fold(symbols, lambda a, b: pseudo_product(a, b, 0.5))  # perfbench counts these calls
 
 
 def nfold_twisted(symbols: Sequence[GridFunction]) -> GridFunction:
-    if not symbols:
-        raise GridError("need at least one symbol")
-    out = symbols[0]
-    for s in symbols[1:]:
-        out = twisted_convolution(out, s)
-    return out
+    return _fold(symbols, twisted_convolution)
 
 
 # -- STFT integral representation ---------------------------------------------
-
-def _pair_index_tables(n: int):
-    idx = np.arange(n)
-    plus = (idx[:, None] + idx[None, :] - n // 2) % n
-    minus = (idx[:, None] - idx[None, :] + n // 2) % n
-    return plus, minus
-
 
 def _as_pair_matrix(T: STFTTensor) -> np.ndarray:
     """``F(X, Y) = V(X + Y, X - Y)`` flattened to a (n^{2d} x n^{2d}) matrix."""
     g = T.shift_grid
     n, dim = g.count, g.dim
-    plus, minus = _pair_index_tables(n)
-    take = []
-    for ax in range(dim):
-        shape_x = [1] * (2 * dim)
-        shape_x[ax] = n
-        shape_y = [1] * (2 * dim)
-        shape_y[dim + ax] = n
-        ix = np.reshape(np.arange(n), shape_x)
-        iy = np.reshape(np.arange(n), shape_y)
-        take.append((plus[ix, iy], minus[ix, iy]))
-    gathered = T.values[tuple(p for p, _ in take) + tuple(m for _, m in take)]
-    P = n**dim
-    return gathered.reshape(P, P)
+    x = np.ix_(*[np.arange(n)] * (2 * dim))  # X axes, then Y axes
+    shift = tuple((x[ax] + x[dim + ax] - n // 2) % n for ax in range(dim))
+    freq = tuple((x[ax] - x[dim + ax] + n // 2) % n for ax in range(dim))
+    return T.values[shift + freq].reshape(n**dim, n**dim)
 
 
 def _sigma_table(grid: Grid) -> np.ndarray:
     """``S[flat(A), flat(B)] = exp(2i sigma(A, B))`` over all grid point pairs."""
-    n, dim = grid.count, grid.dim
-    d = dim // 2
-    c = n // 2
-    k = np.arange(n) - c
-    coords = np.meshgrid(*([k] * dim), indexing="ij")
-    flat = np.stack([cc.ravel() for cc in coords], axis=1)  # (P, 2d) integer coords
+    n, d = grid.count, grid.dim // 2
+    flat = np.indices(grid.shape).reshape(grid.dim, -1).T - n // 2  # (P, 2d) integer coords
+    pos, frq = flat[:, :d], flat[:, d:]
     # 2 sigma(A, B) = (2 pi / n) * sum_i (b_pos_i * a_frq_i - a_pos_i * b_frq_i)
-    a_pos, a_frq = flat[:, :d], flat[:, d:]
-    s = np.einsum("ik,jk->ij", a_frq, flat[:, :d]) - np.einsum("ik,jk->ij", a_pos, flat[:, d:])
+    s = frq @ pos.T - pos @ frq.T
     return np.exp(2j * np.pi * s / n)
 
 

@@ -60,9 +60,12 @@ def _arena() -> dict:
 
 
 def _exponent_value(p) -> float:
-    if isinstance(p, Exponent):
-        return p.value
-    value = float(p)
+    try:
+        if isinstance(p, Exponent):
+            return p.value
+        value = float(p)
+    except OverflowError:
+        raise GridError("norm exponent beyond the float range (about 1.8e308)") from None
     if value <= 0:
         raise GridError(f"norm exponent must be positive, got {p}")
     return value

@@ -57,10 +57,7 @@ def _phase_of(a: GridFunction) -> PhaseGrid:
 def point_reflection(a: GridFunction) -> GridFunction:
     """``a(X) -> a(-X)`` on the centered periodic grid."""
     idx = (2 * (a.grid.count // 2) - np.arange(a.grid.count)) % a.grid.count
-    vals = a.values
-    for ax in range(a.grid.dim):
-        vals = np.take(vals, idx, axis=ax)
-    return GridFunction(a.grid, vals)
+    return GridFunction(a.grid, a.values[np.ix_(*[idx] * a.grid.dim)])
 
 
 def involution(a: GridFunction) -> GridFunction:
@@ -214,9 +211,8 @@ def _kernel_sample_indices(phase: PhaseGrid, A: float, offset: int):
     diamond of reachable cells.
     """
     m, n, d = phase.base_grid.count, phase.n, phase.d
-    i = np.arange(m) - m // 2
     # per-axis integer coordinates of x and y in units of the base spacing 2h
-    xy = np.stack(np.meshgrid(*([i] * (2 * d)), indexing="ij"))  # x axes then y axes
+    xy = np.indices((m,) * (2 * d)) - m // 2  # x axes then y axes
     x, diff = xy[:d], xy[:d] - xy[d:]
     u = 2 * x + offset - round(2 * A) * diff  # in units of h
     return tuple((u + n // 2) % n) + tuple(diff + n // 2)  # t in units of 2h, no wrap needed

@@ -170,6 +170,17 @@ def test_ratio_non_number_weight_exits_two(capsys):
     assert code == 2 and "poly:s=abc" in err and not out
 
 
+@pytest.mark.parametrize("flags", [("--p", "2,1e400,2,2", "--q", "2,1,2,2"),
+                                   ("--p", "2,1,2,2", "--q", "2,1e400,2,2")])
+def test_ratio_exponent_beyond_float_range_exits_two(capsys, monkeypatch, flags):
+    # the exact calculus keeps such a literal; a norm needs its float, so the
+    # config is refused before the ensemble is drawn
+    monkeypatch.setattr(lab, "ensemble_generate", lambda *a: pytest.fail("ensemble drawn"))
+    code, out, err = run(capsys, "ratio", *flags, "--samples", "1")
+    assert code == 2 and not out
+    assert err.count("\n") == 1 and "float" in err and "Traceback" not in err
+
+
 def test_sweep_small(capsys):
     code, doc = run_json(capsys, "sweep", "--trials", "300", "--cert-trials", "10")
     assert code == 0

@@ -1,5 +1,7 @@
 """Ensembles, N-fold products, representation quadrature, ratio experiments."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from phaselab.lab import (
     stft_integral_representation,
     window_for_representation,
 )
-from phaselab.lab import _sample_ratios, _thread_count
+from phaselab.lab import _sample_ratios, _sigma_table, _thread_count
 from phaselab.norms import MixedNormSpec
 from phaselab.stft import symplectic_stft
 from phaselab.weights import parse_weight, unit_weight
@@ -64,6 +66,11 @@ class TestEnsemble:
 
 
 class TestNfoldProduct:
+    @pytest.mark.parametrize("fold", [nfold_product, nfold_twisted])
+    def test_empty_input_is_a_grid_error(self, fold):
+        with pytest.raises(GridError, match="at least one symbol"):
+            fold([])
+
     def test_single_factor_unchanged(self, pg8, small_spec):
         s = ensemble_generate(small_spec, pg8)[0]
         out = nfold_product([s])
@@ -111,6 +118,34 @@ class TestRepresentation:
         rel = np.max(np.abs(rep.values - target.values)) / np.max(np.abs(target.values))
         assert rel < 1e-6
 
+    @pytest.mark.parametrize("d, n", [(1, 8), (2, 4)])
+    def test_paired_stft_gathers_sum_and_difference(self, d, n):
+        """``paired_stft`` equals ``V(X + Y, X - Y)`` gathered point pair by point pair."""
+        pg = make_grid(d, n)
+        rng = np.random.default_rng(n)
+        shape = pg.symbol_grid.shape
+        a = GridFunction(pg.symbol_grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        window = default_window(pg)
+        V = symplectic_stft(a, window).values
+        points = _centered_points(d, n)
+
+        def index(X):
+            return tuple((k + n // 2) % n for k in X)
+
+        want = np.array([[V[index(np.add(X, Y)) + index(np.subtract(X, Y))] for Y in points]
+                         for X in points])
+        got = paired_stft(a, window).values.reshape(len(points), len(points))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d, n", [(1, 8), (2, 4)])
+    def test_sigma_table_pair_by_pair(self, d, n):
+        # 2 sigma(A, B) = (2 pi / n) s(A, B) with the integer form s built one pair at a
+        # time; the float step is the table's own expression, so the bits must agree
+        points = _centered_points(d, n)
+        s = np.array([[sum(A[d + i] * B[i] - A[i] * B[d + i] for i in range(d)) for B in points]
+                      for A in points])
+        assert np.array_equal(_sigma_table(make_grid(d, n).symbol_grid), np.exp(2j * np.pi * s / n))
+
     def test_memory_guard(self, small_spec):
         pg = make_grid(1, 16)
         spec = EnsembleSpec(seed=1, count=2, center_radius=0.5, modulation_radius=0.3)
@@ -124,6 +159,11 @@ class TestRepresentation:
         s = ensemble_generate(small_spec, pg8)[0]
         with pytest.raises(GridError):
             stft_integral_representation([symplectic_stft(s, default_window(pg8))])
+
+
+def _centered_points(d, n):
+    """Integer coordinates of the phase grid's points, in flat (C) order."""
+    return list(itertools.product(range(-(n // 2), n - n // 2), repeat=2 * d))
 
 
 def _one_config(p, q, ens, phase, mode="weyl"):

@@ -162,6 +162,11 @@ def test_spec_validation():
         MixedNormSpec(2, 2, "diagonal")
     with pytest.raises(GridError):
         MixedNormSpec(2, 2, "modulation", None, "lebesgue")
+    huge = Exponent.from_value("1e400")  # exact, but beyond the float range
+    with pytest.raises(GridError):
+        MixedNormSpec(huge, 2)
+    with pytest.raises(GridError):
+        MixedNormSpec(2, huge)
 
 
 # -- per-tensor norm memo ----------------------------------------------------------

@@ -171,6 +171,16 @@ class TestTwistedConvolution:
         assert _rel(lhs.values - m2.values, lhs.values) < 1e-10
 
 
+@pytest.mark.parametrize("d, n", [(1, 16), (2, 4)])
+def test_point_reflection_matches_per_axis_take(d, n):
+    a = _random_symbol(make_grid(d, n))
+    idx = (2 * (n // 2) - np.arange(n)) % n  # the index of -x on each centered axis
+    want = a.values
+    for ax in range(2 * d):
+        want = np.take(want, idx, axis=ax)
+    assert np.array_equal(point_reflection(a).values, want)
+
+
 class TestWeylProduct:
     def test_unit_symbol(self, pg16):
         a = _random_symbol(pg16)
@@ -248,13 +258,17 @@ class TestKernelMaps:
 
     def test_unit_symbol_kernel_is_scaled_diagonal(self, pg16):
         # frozen from the discrete partial-transform oracle: the unit symbol
-        # maps to the diagonal with entries 1/(base spacing); the operator
-        # matrix is then exactly the identity
+        # maps to the diagonal with entries 1/(base spacing), which in sheared
+        # (u, t) coordinates is the t = 0 column; the operator matrix is then
+        # exactly the identity
         one = constant_symbol(pg16)
         K = symbol_to_kernel(one, 0.5)
         M = operator_matrix(one, 0.5)
         m = pg16.base_grid.count
         diag = 1.0 / pg16.base_grid.spacing
+        t0 = pg16.n // 2
+        assert np.max(np.abs(K[:, t0] - diag)) < 1e-12 * diag
+        assert np.max(np.abs(np.delete(K, t0, axis=1))) < 1e-12 * diag
         kv = M / pg16.base_grid.quadrature_weight
         assert np.max(np.abs(kv - np.eye(m) * diag)) < 1e-12 * diag
         assert np.max(np.abs(M - np.eye(m))) < 1e-12
