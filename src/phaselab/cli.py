@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 import time
 
@@ -55,24 +56,30 @@ def _run(args) -> int:
     offers ``--emit csv`` only where there is one).  ``--out`` is opened
     before the command runs, so a path that cannot be written costs no
     computation; it is opened for appending and emptied only when the report
-    is written, so a failed run leaves an existing file as it was (and a new
-    path as an empty file).
+    is written, so a failed run leaves an existing file as it was and removes
+    a file that it created.
     """
-    with open(args.out, "a") if args.out else contextlib.nullcontext(sys.stdout) as fh:
-        config, checks, sections, csv_text = args.func(args)
-        report = {
-            "artifact": {"name": "phaselab", "version": __version__, "schema": SCHEMA_VERSION},
-            "command": args.command,
-            "config": config,
-            "checks": [c.as_dict() for c in checks],
-            **sections,
-            "timing": {"total_s": time.time() - args.t0},
-        }
-        payload = (csv_text if args.emit == "csv"
-                   else json.dumps(report, sort_keys=True, indent=2) + "\n")
-        if args.out:
-            fh.truncate(0)
-        fh.write(payload)
+    created = bool(args.out) and not os.path.exists(args.out)
+    try:
+        with open(args.out, "a") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+            config, checks, sections, csv_text = args.func(args)
+            report = {
+                "artifact": {"name": "phaselab", "version": __version__, "schema": SCHEMA_VERSION},
+                "command": args.command,
+                "config": config,
+                "checks": [c.as_dict() for c in checks],
+                **sections,
+                "timing": {"total_s": time.time() - args.t0},
+            }
+            payload = (csv_text if args.emit == "csv"
+                       else json.dumps(report, sort_keys=True, indent=2) + "\n")
+            if args.out:
+                fh.truncate(0)
+            fh.write(payload)
+    except BaseException:
+        if created and os.path.exists(args.out):
+            os.remove(args.out)
+        raise
     return 0 if all(c.passed for c in checks) else 1
 
 

@@ -30,7 +30,7 @@ from .weyl import pseudo_product, twisted_convolution
 
 THREAD_ENV = "PHASELAB_THREADS"
 
-#: hard cap on the integral-representation quadrature (cost n^{2d(N+1)})
+#: hard cap on the representation quadrature, (N - 1) n^(6d) multiply-adds on n^(2d)-square matrices
 REPRESENTATION_CAP = {"n": 8, "d": 1, "N": 3}
 
 
@@ -149,7 +149,7 @@ def stft_integral_representation(stfts: Sequence[STFTTensor]) -> STFTTensor:
         raise GridError(
             f"representation capped at n <= {REPRESENTATION_CAP['n']}, d <= "
             f"{REPRESENTATION_CAP['d']}, N <= {REPRESENTATION_CAP['N']} "
-            f"(cost n^(2d(N+1)))"
+            f"(cost (N-1)*n^(6d) multiply-adds, n^(4d) entries per matrix)"
         )
     S = _sigma_table(g)
     F = [_as_pair_matrix(T) for T in stfts]

@@ -234,7 +234,7 @@ def suite_representation(n: int = 8, seed: int = 5) -> list[Check]:
         target = paired_stft(nfold_product(factors),
                              window_for_representation(phase, [window] * N))
         checks.append(_residual_check(f"stft-representation[N={N},n={n}]",
-                                      _rel(target.values, rep.values), 1e-6))
+                                      _rel(target.values, rep.values), 1e-12))
     return checks
 
 

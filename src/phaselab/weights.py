@@ -11,22 +11,22 @@ Weights are strictly positive and at most exponential; the built-in kinds are
 
 The multilinear weight condition has two kinds, ``weyl`` and ``twist``, the
 coordinate patterns of the Weyl product and of the twisted convolution in
-the symmetric calculus (A = 1/2).  Its "bounded below" reading is operational:
-a sampled infimum over random tuples plus deterministic escape rays must
-stay above ``1e-6``.
+the symmetric calculus (A = 1/2).  :func:`weight_condition` decides exactly
+whether the weight product is bounded below, one flat of the tuple space at
+a time; exponential rates of both signs are refused.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 EXP_RATE_CAP = 1.0
-INF_THRESHOLD = 1e-6
-DEFAULT_SAMPLES = 10_000
 
 
 class WeightError(ValueError):
@@ -64,32 +64,35 @@ class WeightSpec:
     def __call__(self, point: Sequence[float]) -> float:
         return np.asarray(self.evaluate_grid(np.asarray(point, dtype=float))).item()
 
-    def evaluate_grid(self, coords: Sequence[np.ndarray], log: bool = False) -> np.ndarray:
-        """Broadcast evaluation over per-axis coordinate arrays.
-
-        ``log`` returns the natural log of the weight, which keeps escape-ray
-        probes inside float range.
-        """
+    def evaluate_grid(self, coords: Sequence[np.ndarray]) -> np.ndarray:
+        """Broadcast evaluation over per-axis coordinate arrays."""
         if self.kind == "unit":
-            return np.zeros(1) if log else np.ones(1)
-        if self.kind == "poly":
+            return np.ones(1)
+        if self.kind in ("poly", "exp"):
             sq = sum(c**2 for c in coords)
-            return self.param / 2 * np.log1p(sq) if log else (1.0 + sq) ** (self.param / 2)
-        if self.kind == "exp":
-            sq = sum(c**2 for c in coords)
-            return self.param * np.sqrt(sq) if log else np.exp(self.param * np.sqrt(sq))
+            return ((1.0 + sq) ** (self.param / 2) if self.kind == "poly"
+                    else np.exp(self.param * np.sqrt(sq)))
         if self.kind == "split":
-            if len(coords) % 2:
-                raise WeightError("split weight needs an even-dimensional argument")
-            half = len(coords) // 2
-            part = coords[:half] if self.block == "X" else coords[half:]
-            return self.inner[0].evaluate_grid(part, log)
-        if log:
-            return sum(w.evaluate_grid(coords, log) for w in self.inner)
+            return self.inner[0].evaluate_grid(self._half(coords))
         out = np.ones(1)
         for w in self.inner:
             out = out * w.evaluate_grid(coords)
         return out
+
+    def _half(self, coords):
+        """The half of a two-block argument that a split weight reads."""
+        if len(coords) % 2:
+            raise WeightError("split weight needs an even-dimensional argument")
+        half = len(coords) // 2
+        return coords[:half] if self.block == "X" else coords[half:]
+
+    def _atoms(self, coords):
+        """``(kind, param, coords)`` of each poly and exp factor, on the part it reads."""
+        if self.kind in ("poly", "exp"):
+            return [(self.kind, self.param, coords)]
+        if self.kind == "split":
+            return self.inner[0]._atoms(self._half(coords))
+        return [atom for w in self.inner for atom in w._atoms(coords)]
 
     def reciprocal(self) -> "WeightSpec":
         if self.kind == "unit":
@@ -104,16 +107,12 @@ class WeightSpec:
         if self.kind == "unit":
             return "unit"
         if self.kind == "poly":
-            return f"poly:s={_fmt(self.param)}"
+            return f"poly:s={self.param:g}"
         if self.kind == "exp":
-            return f"exp:c={_fmt(self.param)}"
+            return f"exp:c={self.param:g}"
         if self.kind == "split":
             return f"split:{self.inner[0].literal()}@{self.block}"
         return "*".join(w.literal() for w in self.inner)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:g}"
 
 
 def unit_weight() -> WeightSpec:
@@ -164,7 +163,7 @@ def parse_weight_list(text: str, expected: int | None = None) -> tuple[WeightSpe
 
 
 def _tuple_arguments(kind: str, points: np.ndarray) -> np.ndarray:
-    """Arguments fed to each weight for sampled tuples ``(X_0..X_N)``.
+    """Arguments fed to each weight for tuples ``(X_0..X_N)``.
 
     ``points`` has shape ``(tuples, N + 1, 2d)``; returns shape
     ``(tuples, N + 1, 4d)``: slot 0 is the output-slot argument, slot j >= 1
@@ -180,59 +179,51 @@ def _tuple_arguments(kind: str, points: np.ndarray) -> np.ndarray:
     raise WeightError(f"unknown condition kind {kind!r}")
 
 
-#: geometric ray ladder; the far end is what catches slowly decaying products
-RAY_RADII = (1.0, 1e1, 1e2, 1e4, 1e6, 1e8)
+def weight_condition(kind: str, weights: Sequence[WeightSpec], d: int = 1
+                     ) -> tuple[bool, Fraction | float, np.ndarray]:
+    """Decide exactly whether the multilinear weight product is bounded below.
 
+    Each weight splits into atoms ``<L_h x>^(s_h)`` and ``e^(c_h |L_h x|)``
+    on the whole tuple ``x = (X_0..X_N)``; ``L_h`` is the integer matrix of
+    the slot-argument rows the atom reads (:func:`_tuple_arguments` of the
+    identity basis).  The product is bounded below iff on every flat
+    ``U = ∩_{h in J} ker L_h != 0`` the exponents of the atoms that do not
+    vanish on ``U`` sum to at least 0.  Necessity: along ``t u``, ``u``
+    generic in ``U``, the product behaves like ``t^(sum)``.  Sufficiency, a
+    layer-cake over scales: with the ``a_h = log <L_h x>`` sorted,
+    ``sum_h s_h a_h = sum_k (a_(k) - a_(k-1)) sum_{a_h >= a_(k)} s_h``; past a
+    large enough gap between levels, the atoms above are exactly those that
+    do not vanish on the flat of the atoms below (one that vanishes there is
+    bounded by them), so the jump is weighted by a flat's sum >= 0, and the
+    levels between such gaps cost a bounded factor.
 
-def _escape_tuples(n_factors: int, d: int) -> np.ndarray:
-    """Deterministic rays probing the generic failure directions.
+    A nonzero exponential rate counts as ``+inf`` or ``-inf`` on a flat where
+    its atom does not vanish: ``e^(c |L_h x|)`` dominates every Peetre
+    factor.  Rates of both signs would need the norm inequality
+    ``sum_h c_h |L_h x| >= 0``, which the rule does not decide: refused.
 
-    Sends single points, the two end points in opposite directions, and the
-    whole tuple off along each coordinate axis, over a geometric radius
-    ladder; log-space evaluation keeps even the far rays finite.  Returns
-    shape ``(rays, n_factors + 1, 2d)``.
+    Returns the verdict, the least sum (a ``Fraction``, or ``±math.inf``)
+    and an orthonormal basis of a flat attaining it, one column per direction.
     """
-    tuples = []
-    dim = 2 * d
-    for t in RAY_RADII:
-        for axis in range(dim):
-            e = np.zeros(dim)
-            e[axis] = t
-            for j in range(n_factors + 1):
-                pts = np.zeros((n_factors + 1, dim))
-                pts[j] = e
-                tuples.append(pts)
-            pts = np.zeros((n_factors + 1, dim))
-            pts[-1], pts[0] = e, -e
-            tuples.append(pts)
-            tuples.append(np.tile(e, (n_factors + 1, 1)))
-    return np.array(tuples)
-
-
-def product_weight_condition(
-    kind: str,
-    weights: Sequence[WeightSpec],
-    sample_count: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-    d: int = 1,
-    radius: float = 32.0,
-) -> tuple[bool, float]:
-    """Estimate the infimum of the multilinear weight product.
-
-    ``kind`` selects the coordinate pattern of the symmetric (A = 1/2)
-    calculus: ``weyl`` pairs sums with differences, ``twist`` swaps the two
-    blocks.  The estimate combines ``sample_count`` uniform random tuples
-    with deterministic escape rays; the condition counts as satisfied when
-    the sampled infimum stays above ``1e-6``.
-    """
-    n_factors = len(weights) - 1
-    if n_factors < 1:
+    slots = len(weights)
+    if slots < 2:
         raise WeightError("need at least two weights (output slot plus factors)")
-    rng = np.random.default_rng(seed)
-    points = np.concatenate([_escape_tuples(n_factors, d),
-                             rng.uniform(-radius, radius, size=(sample_count, n_factors + 1, 2 * d))])
-    args = _tuple_arguments(kind, points)
-    log_prod = sum(w.evaluate_grid(args[:, slot].T, log=True) for slot, w in enumerate(weights))
-    log_inf = float(np.min(log_prod))
-    inf_estimate = math.exp(log_inf) if log_inf > -745 else 0.0
-    return bool(inf_estimate >= INF_THRESHOLD), float(inf_estimate)
+    size = slots * 2 * d
+    args = _tuple_arguments(kind, np.eye(size).reshape(size, slots, 2 * d))
+    atoms = [(L, atom, param) for slot, w in enumerate(weights)
+             for atom, param, L in w._atoms(args[:, slot].T) if param]
+    if len({math.copysign(1.0, c) for _, atom, c in atoms if atom == "exp"}) > 1:
+        raise WeightError("exponential rates of both signs need a norm inequality that "
+                          "the exact weight condition does not decide")
+    worst, flat = Fraction(0), None
+    for J in itertools.chain(*(itertools.combinations(atoms, r) for r in range(len(atoms) + 1))):
+        # integer matrices: a nonzero singular value or entry is far above 1e-9
+        _, sv, vt = np.linalg.svd(np.vstack([np.zeros(size)] + [L for L, _, _ in J]))
+        basis = vt[int(np.sum(sv > 1e-9)):].T
+        if not basis.size:
+            continue
+        total = sum((Fraction(c) if atom == "poly" else math.copysign(math.inf, c)
+                     for L, atom, c in atoms if np.abs(L @ basis).max() > 1e-9), Fraction(0))
+        if flat is None or total < worst:
+            worst, flat = total, basis
+    return bool(worst >= 0), worst, flat

@@ -24,7 +24,7 @@ PINNED = {
     "product-route": 1e-6,
     "calculi-operator-equality": 1e-6,
     "twist-fast-vs-direct": 1e-12,
-    "stft-representation": 1e-6,
+    "stft-representation": 1e-12,
     "kernel-factorization": 1e-10,
     "hs-submultiplicativity": 1e-12,
     "implication-chain": None,

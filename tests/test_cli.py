@@ -243,6 +243,14 @@ def test_failed_run_leaves_out_file_as_it_was(capsys, tmp_path):
     assert code == 0 and json.loads(out_path.read_text())["command"] == "exponents"
 
 
+def test_failed_run_removes_the_out_file_it_created(capsys, tmp_path):
+    out_path = tmp_path / "report.json"
+    code, out, err = run(capsys, "ratio", "--p", "2,2,2,2", "--q", "2,2,2,2",
+                         "--weights", "poly:s=inf,unit,unit,unit", "--out", str(out_path))
+    assert code == 2 and "finite" in err
+    assert not out_path.exists()
+
+
 def _strip_timing(doc):
     doc = dict(doc)
     doc.pop("timing")

@@ -1,6 +1,7 @@
 """Weight functions, literals, multilinear weight conditions."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from phaselab.weights import (
     parse_weight,
     parse_weight_list,
     poly_weight,
-    product_weight_condition,
     split_weight,
     unit_weight,
+    weight_condition,
 )
-from phaselab.weights import _escape_tuples, _tuple_arguments
+from phaselab.weights import _tuple_arguments
 
 RNG = np.random.default_rng(0)
 
@@ -80,59 +81,62 @@ def test_reciprocal_and_moderator():
 
 
 def test_unit_weight_conditions_exact():
-    weights = [unit_weight()] * 4
     for kind in ("weyl", "twist"):
-        sat, inf = product_weight_condition(kind, weights, sample_count=300, seed=1)
-        assert sat and inf == 1.0
+        holds, worst, flat = weight_condition(kind, [unit_weight()] * 4)
+        assert holds and worst == 0 and flat.shape == (8, 8)  # the whole tuple space
 
 
 def test_split_poly_chain_satisfied():
-    chain = [split_weight(poly_weight(-1.0), "Y")] + [split_weight(poly_weight(1.0), "Y")] * 3
-    sat, inf = product_weight_condition("weyl", chain, sample_count=3000, seed=2)
-    # telescoping Peetre chain bounds the product below by 2^{-(N-1)/2}
-    assert sat and inf >= 2 ** (-1.0) - 1e-9
-    sat, inf = product_weight_condition("twist", chain, sample_count=3000, seed=2)
-    assert sat
+    # telescoping Peetre chain: bounded below, and the sum 0 is attained on a flat
+    for n_factors in (3, 5, 7):
+        chain = ([split_weight(poly_weight(-1.0), "Y")]
+                 + [split_weight(poly_weight(1.0), "Y")] * n_factors)
+        for kind in ("weyl", "twist"):
+            holds, worst, flat = weight_condition(kind, chain)
+            assert holds and worst == 0, (kind, n_factors)
+            assert np.allclose(_log_slopes(kind, chain, flat), 0.0, atol=1e-3)
 
 
 def test_decaying_output_weight_fails():
     bad = [split_weight(poly_weight(-1.0), "Y")] + [unit_weight()] * 3
-    sat, inf = product_weight_condition("weyl", bad, sample_count=1000, seed=3)
-    assert not sat and inf < 1e-6  # escape ray drives the product to zero
+    for kind in ("weyl", "twist"):
+        for d in (1, 2):
+            holds, worst, flat = weight_condition(kind, bad, d=d)
+            assert not holds and worst == -1, (kind, d)
+            assert np.allclose(_log_slopes(kind, bad, flat, d), -1.0, atol=1e-3)
 
 
-def test_exponential_chain_log_space():
-    chain = [split_weight(exp_weight(-0.5), "Y")] + [split_weight(exp_weight(0.5), "Y")] * 3
-    sat, inf = product_weight_condition("weyl", chain, sample_count=1000, seed=4)
-    assert sat
-    bad = [split_weight(exp_weight(-0.5), "Y")] + [unit_weight()] * 3
-    sat, inf = product_weight_condition("weyl", bad, sample_count=1000, seed=4)
-    assert not sat and inf == 0.0
+def test_exponential_rates_of_one_sign():
+    # a live positive rate wins over any polynomial exponent on its flat
+    assert weight_condition("weyl", [exp_weight(0.5)] * 4)[:2] == (True, math.inf)
+    good = [split_weight(poly_weight(-3.0), "Y")] + [split_weight(exp_weight(0.5), "Y")] * 3
+    holds, worst, flat = weight_condition("twist", good)
+    assert holds and worst == 0  # wherever the s = -3 atom lives, an exponential one does
+    assert np.allclose(_log_slopes("twist", good, flat), 0.0, atol=1e-3)
 
 
 def test_condition_validation():
     with pytest.raises(WeightError):
-        product_weight_condition("weyl", [unit_weight()])
+        weight_condition("weyl", [unit_weight()])
     with pytest.raises(WeightError):
-        product_weight_condition("nope", [unit_weight()] * 4)
+        weight_condition("nope", [unit_weight()] * 4)
 
 
 # -- scalar oracles: one point, one tuple at a time -----------------------------
 
-def _scalar_weight(w, point, log=False):
+def _scalar_weight(w, point):
     """One weight at one point, by plain recursion over the spec."""
     if w.kind == "unit":
-        return 0.0 if log else 1.0
+        return 1.0
     sq = float(np.dot(point, point))
     if w.kind == "poly":
-        return w.param / 2 * math.log1p(sq) if log else (1.0 + sq) ** (w.param / 2)
+        return (1.0 + sq) ** (w.param / 2)
     if w.kind == "exp":
-        return w.param * math.sqrt(sq) if log else math.exp(w.param * math.sqrt(sq))
+        return math.exp(w.param * math.sqrt(sq))
     if w.kind == "split":
         half = len(point) // 2
-        return _scalar_weight(w.inner[0], point[:half] if w.block == "X" else point[half:], log)
-    parts = [_scalar_weight(v, point, log) for v in w.inner]
-    return sum(parts) if log else math.prod(parts)
+        return _scalar_weight(w.inner[0], point[:half] if w.block == "X" else point[half:])
+    return math.prod(_scalar_weight(v, point) for v in w.inner)
 
 
 def _scalar_arguments(kind, pts):
@@ -146,45 +150,55 @@ def _scalar_arguments(kind, pts):
     return rows
 
 
-def _scalar_condition(kind, weights, sample_count=1000, seed=0, d=1, radius=32.0):
-    """The infimum of ``product_weight_condition`` by a loop over tuples."""
-    n_factors = len(weights) - 1
-    rng = np.random.default_rng(seed)
-    tuples = list(_escape_tuples(n_factors, d))
-    tuples += [rng.uniform(-radius, radius, size=(n_factors + 1, 2 * d))
-               for _ in range(sample_count)]
-    log_inf = math.inf
-    for pts in tuples:
-        args = _scalar_arguments(kind, pts)
-        log_inf = min(log_inf, sum(_scalar_weight(w, a, log=True) for w, a in zip(weights, args)))
-    return math.exp(log_inf) if log_inf > -745 else 0.0
+def _log_slopes(kind, weights, flat, d=1):
+    """Log-slopes of the weight product over t = 1e2 -> 1e4 -> 1e6 along t u, u a
+    generic vector of ``flat``, each slot evaluated by ``evaluate_grid`` at its point."""
+    u = flat @ np.random.default_rng(0).standard_normal(flat.shape[1])
+    logs = [sum(np.log(w.evaluate_grid(a)).item()
+                for w, a in zip(weights, _scalar_arguments(kind, (t * u).reshape(-1, 2 * d))))
+            for t in (1e2, 1e4, 1e6)]
+    return np.diff(logs) / math.log(1e2)
 
 
 SPLIT_POLY = [split_weight(poly_weight(-1.0), "Y")] + [split_weight(poly_weight(1.0), "Y")] * 3
 SPLIT_EXP = [split_weight(exp_weight(-0.5), "Y")] + [split_weight(exp_weight(0.5), "Y")] * 3
 MIXED = [parse_weight("poly:s=-1*split:exp:c=-0.25@X"), poly_weight(0.5),
          parse_weight("split:poly:s=1@X*exp:c=0.1"), split_weight(exp_weight(0.25), "Y")]
+REPRO = parse_weight_list("split:poly:s=3@X,split:poly:s=1@Y,"
+                          "split:poly:s=-3@X*split:poly:s=2@Y,split:poly:s=1@Y")
 
 
-# explicit ids keep each row's test name stable when rows are added or removed
-@pytest.mark.parametrize("kind, weights, d", [
-    pytest.param("weyl", [unit_weight()] * 4, 1, id="weyl-weights0-None-1"),
-    pytest.param("twist", [unit_weight()] * 4, 1, id="twist-weights1-None-1"),
-    pytest.param("weyl", SPLIT_POLY, 1, id="weyl-weights3-None-1"),
-    pytest.param("twist", SPLIT_POLY, 1, id="twist-weights4-None-1"),
-    pytest.param("weyl", [split_weight(poly_weight(-1.0), "Y")] + [unit_weight()] * 3, 1,
+# explicit ids keep each row's test name stable when rows are added or removed;
+# worst None: exponential rates of both signs, which the exact rule refuses
+@pytest.mark.parametrize("kind, weights, d, worst", [
+    pytest.param("weyl", [unit_weight()] * 4, 1, 0, id="weyl-weights0-None-1"),
+    pytest.param("twist", [unit_weight()] * 4, 1, 0, id="twist-weights1-None-1"),
+    pytest.param("weyl", SPLIT_POLY, 1, 0, id="weyl-weights3-None-1"),
+    pytest.param("twist", SPLIT_POLY, 1, 0, id="twist-weights4-None-1"),
+    pytest.param("weyl", [split_weight(poly_weight(-1.0), "Y")] + [unit_weight()] * 3, 1, -1,
                  id="weyl-weights5-None-1"),
-    pytest.param("weyl", SPLIT_EXP, 1, id="weyl-weights6-None-1"),
+    pytest.param("weyl", SPLIT_EXP, 1, None, id="weyl-weights6-None-1"),
     pytest.param("weyl", [split_weight(exp_weight(-0.5), "Y")] + [unit_weight()] * 3, 1,
-                 id="weyl-weights7-None-1"),
-    pytest.param("twist", SPLIT_EXP, 1, id="twist-weights8-None-1"),
-    pytest.param("weyl", MIXED, 1, id="weyl-weights9-None-1"),
-    pytest.param("twist", MIXED, 2, id="twist-weights13-None-2"),
+                 -math.inf, id="weyl-weights7-None-1"),
+    pytest.param("twist", SPLIT_EXP, 1, None, id="twist-weights8-None-1"),
+    pytest.param("weyl", MIXED, 1, None, id="weyl-weights9-None-1"),
+    pytest.param("twist", MIXED, 2, None, id="twist-weights13-None-2"),
+    # a sampled infimum over 10,000 tuples in a box of radius 32 plus axis rays
+    # read 0.073 here, yet along a flat the product decays like t^-2
+    pytest.param("weyl", REPRO, 1, -2, id="weyl-repro-1"),
 ])
-def test_condition_matches_scalar_loop(kind, weights, d):
-    _, inf = product_weight_condition(kind, weights, sample_count=400, seed=7, d=d)
-    want = _scalar_condition(kind, weights, sample_count=400, seed=7, d=d)
-    assert inf == pytest.approx(want, rel=1e-12, abs=0.0)
+def test_condition_matches_scalar_loop(kind, weights, d, worst):
+    """Each row's exact verdict; a finite worst sum is the log-slope of the product
+    along the witness flat, read slot by slot at one point at a time."""
+    if worst is None:
+        with pytest.raises(WeightError, match="both signs"):
+            weight_condition(kind, weights, d=d)
+        return
+    holds, got, flat = weight_condition(kind, weights, d=d)
+    assert (holds, got) == (worst >= 0, worst)
+    assert isinstance(got, Fraction) == math.isfinite(worst)  # exact sums
+    if math.isfinite(worst):
+        assert np.allclose(_log_slopes(kind, weights, flat, d), worst, atol=1e-3)
 
 
 @pytest.mark.parametrize("kind, d", [("weyl", 1), ("twist", 2)],
