@@ -2,7 +2,8 @@
 
 Subcommands
 -----------
-``drift``           run the drift check's ratio probes over a grid ladder
+``drift``           run the drift check's ratio probes over a grid ladder, and
+                    the counting-measure endpoint check
 ``exponents``       evaluate one boundedness condition on an exponent pair
 ``identities``      run the transform/product identity suite
 ``interpolate``     construct an interpolation certificate for a tuple pair
@@ -35,8 +36,8 @@ from .exponents import (
     construct_interpolation,
 )
 from .grids import GridError, make_grid
-from .lab import REPRESENTATION_CAP, EnsembleSpec, RatioConfig, RatioReport, ratio_experiment_multi
-from .stft import _rows_per_block
+from .lab import EnsembleSpec, RatioConfig, RatioReport, ratio_experiment_multi
+from .stft import _fits, _rows_per_block
 from .weights import WeightError, parse_weight_list, unit_weight
 from . import suites
 
@@ -121,9 +122,6 @@ def _cmd_identities(args):
 
 
 def _cmd_representation(args):
-    cap = REPRESENTATION_CAP["n"]
-    if args.grid > cap:
-        raise ConfigError(f"representation quadrature is capped at --grid {cap}")
     checks = suites.suite_representation(n=args.grid, seed=args.seed)
     return {"grid": args.grid, "seed": args.seed}, checks, {}, None
 
@@ -151,6 +149,7 @@ def _cmd_ratio(args):
 def _cmd_drift(args):
     checks, *ladder = suites.drift_ratio_checks(seed=args.seed, samples=args.samples,
                                                 grids=args.grids)
+    checks += suites.endpoint_ratio_check(seed=args.seed)
     reports = [rep for grid_reports in ladder for rep in grid_reports]
     config = {"grids": list(args.grids), "samples": args.samples, "seed": args.seed}
     return (config, checks, {"ratio_reports": [rep.as_dict() for rep in reports]},
@@ -193,10 +192,11 @@ def _at_least(minimum: int):
     return integer
 
 
-def _grid_size(minimum: int):
+def _grid_size(minimum: int, whole: bool = False):
     """argparse type for an even grid size no smaller than ``minimum`` whose
     d = 1 STFT (two axes) has shift rows within the materialization limit,
-    so that an unusable grid is refused before any numerics run."""
+    and with ``whole`` is itself within it, by ``symplectic_stft``'s rule, so
+    that an unusable grid is refused before any numerics run."""
     at_least = _at_least(minimum)
 
     def size(text: str) -> int:
@@ -206,6 +206,9 @@ def _grid_size(minimum: int):
         if not _rows_per_block(value, 2):
             raise argparse.ArgumentTypeError(
                 f"one STFT shift row at n = {value} exceeds the materialization limit")
+        if whole and not _fits(make_grid(1, value).symbol_grid):
+            raise argparse.ArgumentTypeError(
+                f"the STFT at n = {value} exceeds the materialization limit")
         return value
     return size
 
@@ -249,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_identities)
 
     sp = sub.add_parser("representation", help="STFT integral representation check")
-    sp.add_argument("--grid", type=_grid_size(4), default=8)
+    sp.add_argument("--grid", type=_grid_size(4, whole=True), default=8)
     common(sp)
     sp.set_defaults(func=_cmd_representation)
 

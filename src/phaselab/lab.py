@@ -17,7 +17,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,10 +29,6 @@ from .weights import WeightSpec
 from .weyl import pseudo_product, twisted_convolution
 
 THREAD_ENV = "PHASELAB_THREADS"
-
-#: hard cap on the representation quadrature, (N - 1) n^(6d) multiply-adds on n^(2d)-square matrices
-REPRESENTATION_CAP = {"n": 8, "d": 1, "N": 3}
-
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -128,39 +124,37 @@ def _sigma_table(grid: Grid) -> np.ndarray:
     return np.exp(2j * np.pi * s / n)
 
 
-def stft_integral_representation(stfts: Sequence[STFTTensor]) -> STFTTensor:
+def stft_integral_representation(stfts: Iterable[STFTTensor]) -> STFTTensor:
     """Quadrature of the product representation of paired STFTs.
 
     Input: raw symplectic STFT tensors of the factors (same grid and one
-    window convention); output tensor ``out[X_N, X_0]`` equals, up to the
-    representation identity, the paired STFT of the N-fold product taken
-    against the scaled product of the windows.
+    window convention), consumed once; output tensor ``out[X_N, X_0]``
+    equals, up to the representation identity, the paired STFT of the N-fold
+    product taken against the scaled product of the windows.  The cost is
+    (N - 1) n^{6d} multiply-adds; fed by a generator, the fold keeps at most
+    four n^{2d}-square matrices alive for any N.
     """
-    if len(stfts) < 2:
-        raise GridError("representation needs at least two factors")
-    g = stfts[0].shift_grid
-    for T in stfts:
+    N = 0
+    for T in stfts:  # not enumerate, whose cached tuple would keep T alive
+        N += 1
+        if N == 1:
+            g, S = T.shift_grid, _sigma_table(T.shift_grid)
         if T.flavor != "symplectic" or T.shift_grid != g:
             raise GridError("all factors must be symplectic STFTs on one grid")
-    n, dim = g.count, g.dim
-    d = dim // 2
-    N = len(stfts)
-    if n > REPRESENTATION_CAP["n"] or d > REPRESENTATION_CAP["d"] or N > REPRESENTATION_CAP["N"]:
-        raise GridError(
-            f"representation capped at n <= {REPRESENTATION_CAP['n']}, d <= "
-            f"{REPRESENTATION_CAP['d']}, N <= {REPRESENTATION_CAP['N']} "
-            f"(cost (N-1)*n^(6d) multiply-adds, n^(4d) entries per matrix)"
-        )
-    S = _sigma_table(g)
-    F = [_as_pair_matrix(T) for T in stfts]
-    weight = g.quadrature_weight ** (N - 1)
-    # phase telescopes to prod_j S[x_j, x_{j+1}] * conj(S)[x_1, x_0] * conj(S)[x_0, x_N]
-    M = F[0] * np.conj(S)  # G1[x_1, x_0]
-    for j in range(1, N):
-        M = (F[j] * S.T) @ M  # attach F_{j+1}[x_{j+1}, x_j] S[x_j, x_{j+1}]
-    out = weight * M * np.conj(S).T
-    shaped = out.reshape(g.shape + g.shape)
-    return STFTTensor(g, g, shaped, "symplectic")
+        F = _as_pair_matrix(T)
+        del T  # a tensor, and below a pair matrix, is dropped once used
+        # phase telescopes to prod_j S[x_j, x_{j+1}] * conj(S)[x_1, x_0] * conj(S)[x_0, x_N]
+        if N == 1:
+            M = F * np.conj(S)  # G1[x_1, x_0]
+        else:
+            F *= S.T  # attach F_{j+1}[x_{j+1}, x_j] S[x_j, x_{j+1}]
+            M = F @ M
+        del F
+    if N < 2:
+        raise GridError("representation needs at least two factors")
+    M *= g.quadrature_weight ** (N - 1)
+    M *= np.conj(S).T
+    return STFTTensor(g, g, M.reshape(g.shape + g.shape), "symplectic")
 
 
 def paired_stft(a: GridFunction, window: GridFunction) -> STFTTensor:

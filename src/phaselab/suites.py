@@ -221,20 +221,22 @@ def suite_kernel_factorization(seed: int = 4) -> list[Check]:
 
 
 def suite_representation(n: int = 8, seed: int = 5) -> list[Check]:
-    """Integral representation of the paired STFT of N-fold products."""
-    phase = make_grid(1, n)
-    spec = EnsembleSpec(seed=seed, count=3, atoms_per_symbol=2, width_range=(0.4, 0.5),
+    """Integral representation of the paired STFT of N-fold products, N = 2 to 7."""
+    spec = EnsembleSpec(seed=seed, count=7, atoms_per_symbol=2, width_range=(0.4, 0.5),
                         center_radius=0.45, modulation_radius=0.4)
-    symbols = ensemble_generate(spec, phase)
-    window = default_window(phase)
     checks = []
-    for N in (2, 3):
-        factors = symbols[:N]
-        rep = stft_integral_representation([symplectic_stft(s, window) for s in factors])
-        target = paired_stft(nfold_product(factors),
-                             window_for_representation(phase, [window] * N))
-        checks.append(_residual_check(f"stft-representation[N={N},n={n}]",
-                                      _rel(target.values, rep.values), 1e-12))
+    for d, size, label in ((1, n, f"n={n}"), (2, 4, "n=4,d=2")):
+        phase = make_grid(d, size)
+        symbols = ensemble_generate(spec, phase)
+        window = default_window(phase)
+        for N in (2, 3, 5, 7):
+            factors = symbols[:N]
+            rep = stft_integral_representation(symplectic_stft(s, window) for s in factors)
+            target = paired_stft(nfold_product(factors),
+                                 window_for_representation(phase, [window] * N))
+            checks.append(_residual_check(f"stft-representation[N={N},{label}]",
+                                          _rel(target.values, rep.values), 1e-12))
+            del rep, target  # room for the next quadrature
     return checks
 
 

@@ -1,10 +1,10 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
-All criteria run at d = 1.  Each check in :mod:`phaselab.suites` fixes its
-own sizes and tolerance, so the same verifications are reachable from the
-command line; the tolerances are pinned here, in ``PINNED``, and every row's
-tolerance is asserted against it, so a loosened literal in the suites fails
-this gate.
+All criteria run at d = 1, apart from criterion 5's rows at d = 2.  Each
+check in :mod:`phaselab.suites` fixes its own sizes and tolerance, so the
+same verifications are reachable from the command line; the tolerances are
+pinned here, in ``PINNED``, and every row's tolerance is asserted against
+it, so a loosened literal in the suites fails this gate.
 """
 
 import json

@@ -106,8 +106,19 @@ def test_representation_command(capsys):
     code, doc = run_json(capsys, "representation", "--grid", "8", "--seed", "5")
     assert code == 0
     assert all(c["pass"] for c in doc["checks"])
-    code, out, err = run(capsys, "representation", "--grid", "16")
-    assert code == 2  # quadrature cap
+    # no cap of its own: any grid whose STFT is materialized runs
+    code, doc = run_json(capsys, "representation", "--grid", "16")
+    assert code == 0 and all(c["pass"] for c in doc["checks"])
+
+
+def test_representation_grid_past_the_limit_refused_at_parse(capsys, tmp_path):
+    # at n = 34 a d = 1 STFT has 34^4 > 2^20 entries, the limit symplectic_stft applies
+    out_path = tmp_path / "rep.json"
+    code, out, err = run(capsys, "representation", "--grid", "34", "--out", str(out_path))
+    assert code == 2 and not out and "Traceback" not in err
+    assert err.strip().splitlines()[-1].endswith(
+        "argument --grid: the STFT at n = 34 exceeds the materialization limit")
+    assert not out_path.exists()
 
 
 def _csv_of(reports):
@@ -449,6 +460,8 @@ def test_identities_grid_above_32_exits_two(capsys):
     # at d = 1 an STFT shift row has n^3 entries, past 2^20 from n = 102 on
     (("drift", "--grids", "16,102", "--samples", "20"), "--grids"),
     (SMALL_RATIO[:5] + ("--grid", "102", "--samples", "1"), "--grid"),
+    # at d = 1 a whole STFT has n^4 entries, past 2^20 from n = 34 on
+    (("representation", "--grid", "34"), "--grid"),
 ])
 def test_bad_grid_sizes_refused_before_any_numerics(capsys, monkeypatch, argv, flag):
     ran = []
@@ -490,7 +503,17 @@ def test_drift_bad_flags_exit_two(capsys, tmp_path, flags):
 def test_drift_checks_are_the_suites(capsys):
     code, doc = run_json(capsys, "drift", "--samples", "1", "--grids", "16,32")
     assert code == 0
-    assert doc["checks"] == [c.as_dict() for c in suites.drift_ratio_checks(seed=0, samples=1)[0]]
+    checks = suites.drift_ratio_checks(seed=0, samples=1)[0] + suites.endpoint_ratio_check(seed=0)
+    assert doc["checks"] == [c.as_dict() for c in checks]
+
+
+def test_drift_reports_the_endpoint_check(capsys):
+    # criterion 10's counting-measure endpoint has a CLI route: drift reports it last
+    code, doc = run_json(capsys, "drift", "--grids", "16", "--samples", "1")
+    assert code == 0
+    endpoint = doc["checks"][-1]
+    assert endpoint["name"] == "endpoint-counting-ratio[n=16]" and endpoint["tolerance"] == 1e-8
+    assert endpoint["pass"] is True
 
 
 def test_drift_over_a_three_grid_ladder(capsys):
@@ -499,7 +522,7 @@ def test_drift_over_a_three_grid_ladder(capsys):
     per_grid = len(suites.drift_configs())
     reports = doc["ratio_reports"]
     assert [rep["grid_n"] for rep in reports] == [16] * per_grid + [32] * per_grid + [64] * per_grid
-    for i, check in enumerate(doc["checks"]):
+    for i, check in enumerate(doc["checks"][:per_grid]):
         maxima = [rep["max_ratio"] for rep in reports[i::per_grid]]
         assert check["name"] == f"ratio-drift[{reports[i]['label']}]"
         assert check["value"] == max(maxima) / min(maxima)
