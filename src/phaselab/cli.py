@@ -11,9 +11,9 @@ Subcommands
 ``ratio``           run a norm-ratio experiment
 ``sweep``           exhaustive/randomized exponent-combinatorics sweeps
 
-Every run emits one JSON report (or CSV with ``--emit csv`` where a tabular
-form exists).  Reports are byte-identical across runs with equal
-configuration and seed, except for the segregated ``timing`` block.
+Every run emits one JSON report; ``ratio`` and ``drift`` take ``--emit csv``
+for their per-sample table instead.  Reports are byte-identical across runs
+with equal configuration and seed, except for the segregated ``timing`` block.
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
 configuration error.
 """
@@ -44,21 +44,17 @@ from . import suites
 SCHEMA_VERSION = 1
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _run(args) -> int:
     """Run one subcommand and write its report; the exit code follows the checks.
 
     ``args.func`` returns ``(config, checks, sections, csv_text)``: the
     report's ``config``, its :class:`suites.Check` rows, any extra top-level
-    report sections, and the CSV form (None if there is none; the parser
-    offers ``--emit csv`` only where there is one).  ``--out`` is opened
-    before the command runs, so a path that cannot be written costs no
-    computation; it is opened for appending and emptied only when the report
-    is written, so a failed run leaves an existing file as it was and removes
-    a file that it created.
+    report sections, and the CSV form (None if there is none; only the
+    commands with one take ``--emit``).  ``--out`` is opened before the
+    command runs, so a path that cannot be written costs no computation; it
+    is opened for appending and emptied only when the report is written, so a
+    failed run leaves an existing file as it was and removes a file that it
+    created.
     """
     created = bool(args.out) and not os.path.exists(args.out)
     try:
@@ -72,7 +68,7 @@ def _run(args) -> int:
                 **sections,
                 "timing": {"total_s": time.time() - args.t0},
             }
-            payload = (csv_text if args.emit == "csv"
+            payload = (csv_text if getattr(args, "emit", "json") == "csv"
                        else json.dumps(report, sort_keys=True, indent=2) + "\n")
             if args.out:
                 fh.truncate(0)
@@ -84,16 +80,8 @@ def _run(args) -> int:
     return 0 if all(c.passed for c in checks) else 1
 
 
-def _parse_pair(args) -> tuple[ExponentTuple, ExponentTuple]:
-    """``--p`` and ``--q``; q must have as many factors as p."""
-    p, q = ExponentTuple.parse(args.p), ExponentTuple.parse(args.q)
-    if q.n_factors != p.n_factors:
-        raise ConfigError(f"tuple {args.q!r} has N = {q.n_factors}, expected N = {p.n_factors}")
-    return p, q
-
-
 def _cmd_exponents(args):
-    p, q = _parse_pair(args)
+    p, q = ExponentTuple.parse(args.p), ExponentTuple.parse(args.q)
     result = check_conditions(args.criterion, p, q)
     config = {"p": str(p), "q": str(q), "criterion": args.criterion}
     check = suites.Check(f"condition[{args.criterion}]", 0.0 if result.holds else 1.0,
@@ -102,7 +90,7 @@ def _cmd_exponents(args):
 
 
 def _cmd_interpolate(args):
-    p, q = _parse_pair(args)
+    p, q = ExponentTuple.parse(args.p), ExponentTuple.parse(args.q)
     cert = construct_interpolation(p, q)
     check = suites.Check("certificate-consistency", cert.residual, 1e-12,
                          (not cert.feasible) or cert.residual <= 1e-12)
@@ -110,8 +98,6 @@ def _cmd_interpolate(args):
 
 
 def _cmd_identities(args):
-    if args.grid > 32:
-        raise ConfigError("the identity product suite is capped at --grid 32")
     checks = []
     checks += suites.suite_involution(seed=args.seed)
     checks += suites.suite_convention(seed=args.seed + 1)
@@ -127,16 +113,14 @@ def _cmd_representation(args):
 
 
 def _cmd_ratio(args):
-    p, q = _parse_pair(args)
-    n_slots = p.n_factors + 1
-    weights = (parse_weight_list(args.weights, n_slots)
-               if args.weights else (unit_weight(),) * n_slots)
+    p, q = ExponentTuple.parse(args.p), ExponentTuple.parse(args.q)
+    weights = parse_weight_list(args.weights) if args.weights else (unit_weight(),) * len(p)
+    cfg = RatioConfig(p, q, weights, args.mode, args.measure, "cli")
     phase = make_grid(1, args.grid)
     ensemble = EnsembleSpec(seed=args.seed, count=args.samples * p.n_factors,
                             atoms_per_symbol=args.atoms,
                             center_radius=min(1.5, phase.extent / 8),
                             modulation_radius=min(0.8, phase.extent / 10))
-    cfg = RatioConfig(p, q, tuple(weights), args.mode, args.measure, "cli")
     rep = ratio_experiment_multi([cfg], ensemble, phase)[0]
     finite = all(r is None or (r == r and r != float("inf")) for r in rep.ratios)
     config = {"p": str(p), "q": str(q), "weights": [w.literal() for w in cfg.weights],
@@ -227,8 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file with default values for the flags")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, emits=("json",), seeded=True):
-        sp.add_argument("--emit", choices=emits, default="json")
+    def common(sp, seeded=True, tabular=False):
+        if tabular:  # only a tabular report has a CSV form
+            sp.add_argument("--emit", choices=("json", "csv"), default="json")
         sp.add_argument("--out", help="output path (default: stdout)")
         if seeded:  # exponents and interpolate draw no random numbers
             sp.add_argument("--seed", type=_at_least(0), default=0)
@@ -247,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_interpolate)
 
     sp = sub.add_parser("identities", help="transform and product identity suite")
-    sp.add_argument("--grid", type=_grid_size(4), default=32)
+    # even grids; the product identity suite is capped at n = 32
+    sp.add_argument("--grid", type=int, choices=range(4, 33, 2), default=32)
     common(sp)
     sp.set_defaults(func=_cmd_identities)
 
@@ -266,13 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", type=_grid_size(16), default=16)
     sp.add_argument("--samples", type=_at_least(1), default=50)
     sp.add_argument("--atoms", type=_at_least(1), default=2)
-    common(sp, emits=("json", "csv"))
+    common(sp, tabular=True)
     sp.set_defaults(func=_cmd_ratio)
 
     sp = sub.add_parser("drift", help="drift check's ratio probes over a grid ladder")
     sp.add_argument("--grids", type=_grid_ladder, default=(16, 32))
     sp.add_argument("--samples", type=_at_least(1), default=100)
-    common(sp, emits=("json", "csv"))
+    common(sp, tabular=True)
     sp.set_defaults(func=_cmd_drift)
 
     sp = sub.add_parser("sweep", help="exponent combinatorics sweeps")
@@ -309,7 +295,7 @@ def main(argv=None) -> int:
     args.t0 = time.time()
     try:
         return _run(args)
-    except (ConfigError, ExponentError, GridError, WeightError, OSError) as exc:
+    except (ExponentError, GridError, WeightError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -245,6 +245,12 @@ def _require_odd(criterion: str, n_factors: int):
         raise ExponentError(f"criterion {criterion!r} needs odd N >= 3, got N = {n_factors}")
 
 
+def require_same_n(p: ExponentTuple, q: ExponentTuple):
+    """``q`` must have as many factors as ``p``."""
+    if q.n_factors != p.n_factors:
+        raise ExponentError(f"p has N = {p.n_factors} but q has N = {q.n_factors}")
+
+
 def check_conditions(criterion: str, p: ExponentTuple, q: ExponentTuple) -> ConditionReport:
     """Evaluate one of the named exponent conditions exactly as displayed.
 
@@ -263,8 +269,7 @@ def check_conditions(criterion: str, p: ExponentTuple, q: ExponentTuple) -> Cond
     """
     if criterion not in CRITERIA:
         raise ExponentError(f"unknown criterion {criterion!r}")
-    if p.n_factors != q.n_factors:
-        raise ExponentError("p and q must have the same length")
+    require_same_n(p, q)
     n = p.n_factors
     if n < 2:
         raise ExponentError(f"condition predicates need N >= 2, got N = {n}")

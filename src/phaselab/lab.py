@@ -15,17 +15,16 @@ import functools
 import io
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exponents import ConditionReport, ExponentTuple, check_conditions
+from .exponents import ConditionReport, ExponentTuple, check_conditions, require_same_n
 from .grids import Grid, GridError, GridFunction, PhaseGrid, gaussian_atom
 from .norms import MixedNormSpec, stft_norms
 from .stft import STFTTensor, symplectic_stft
-from .weights import WeightSpec
+from .weights import WeightError, WeightSpec
 from .weyl import pseudo_product, twisted_convolution
 
 THREAD_ENV = "PHASELAB_THREADS"
@@ -193,10 +192,10 @@ class RatioConfig:
     def __post_init__(self):
         if self.mode not in ("weyl", "twist"):
             raise GridError(f"unknown ratio mode {self.mode!r}")
-        if len(self.weights) != len(self.p.entries):
-            raise GridError("need one weight per tuple slot")
-        if self.p.n_factors != self.q.n_factors:
-            raise GridError("p and q must have equal length")
+        require_same_n(self.p, self.q)
+        if len(self.weights) != len(self.p):
+            raise WeightError(f"need one weight per tuple slot: got {len(self.weights)} "
+                              f"weights for {len(self.p)} slots")
         order = "modulation" if self.mode == "weyl" else "amalgam"
         product = MixedNormSpec(self.p[0].conjugate(), self.q[0].conjugate(), order,
                                 self.weights[0].reciprocal(), self.measure)
@@ -326,6 +325,7 @@ def ratio_experiment_multi(configs: Sequence[RatioConfig], ensemble: EnsembleSpe
     n_samples = len(symbols) // n_factors
     groups = [symbols[k * n_factors:(k + 1) * n_factors] for k in range(n_samples)]
     if threads > 1 and len(groups) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging: only when used
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(lambda grp: _sample_ratios(configs, grp, window), groups))
     else:

@@ -155,11 +155,8 @@ def parse_weight(text: str) -> WeightSpec:
     raise WeightError(f"cannot parse weight literal {text!r}")
 
 
-def parse_weight_list(text: str, expected: int | None = None) -> tuple[WeightSpec, ...]:
-    parts = [parse_weight(p) for p in text.split(",")]
-    if expected is not None and len(parts) != expected:
-        raise WeightError(f"expected {expected} weights, got {len(parts)}")
-    return tuple(parts)
+def parse_weight_list(text: str) -> tuple[WeightSpec, ...]:
+    return tuple(parse_weight(p) for p in text.split(","))
 
 
 def _tuple_arguments(kind: str, points: np.ndarray) -> np.ndarray:

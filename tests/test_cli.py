@@ -2,9 +2,13 @@
 
 import json
 import math
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import phaselab
 from phaselab import lab, suites
 from phaselab.cli import build_parser, main
 
@@ -44,7 +48,7 @@ def test_exponents_length_mismatch_exits_two(capsys):
 
 def test_exponents_mismatched_tuples_exit_two(capsys):
     code, out, err = run(capsys, "exponents", "--p", "2,2,2,2", "--q", "2,1,2")
-    assert code == 2
+    assert code == 2 and "p has N = 3 but q has N = 2" in err
 
 
 def test_exponents_one_factor_exits_two(capsys):
@@ -168,6 +172,21 @@ def test_ratio_bad_weights_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--q", "2,2,2"), "p has N = 3 but q has N = 2"),
+    (("--q", "2,2,2,2", "--weights", "unit,unit"), "got 2 weights for 4 slots"),
+], ids=["tuple-length", "weight-count"])
+def test_ratio_count_mismatch_refused_before_the_ensemble(capsys, monkeypatch, tmp_path,
+                                                          flags, message):
+    # RatioConfig owns both rules and is built before the ensemble is drawn
+    monkeypatch.setattr(lab, "ensemble_generate", lambda *a: pytest.fail("ensemble drawn"))
+    out_path = tmp_path / "r.json"
+    code, out, err = run(capsys, "ratio", "--p", "2,2,2,2", *flags, "--samples", "1",
+                         "--out", str(out_path))
+    assert code == 2 and not out and message in err and err.count("\n") == 1
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("weight", ["poly:s=inf", "poly:s=nan", "exp:c=nan"])
 def test_ratio_non_finite_weight_exits_two(capsys, weight):
     code, out, err = run(capsys, "ratio", "--p", "2,2,2,2", "--q", "2,2,2,2", "--samples", "1",
@@ -225,7 +244,7 @@ def _refuse(*args, **kwargs):
 
 @pytest.mark.parametrize("argv", [
     ("sweep", "--trials", "10", "--cert-trials", "2", "--emit", "csv"),
-    ("identities", "--grid", "16", "--emit", "csv"),
+    ("identities", "--grid", "16", "--emit", "csv"),  # no --emit: one form only
     ("identities", "--grid", "16", "--out", "{missing}/x.json"),
     ("ratio", "--p", "2,2,2,2", "--q", "2,2,2,2", "--samples", "1", "--out", "{missing}/r.csv"),
 ])
@@ -246,8 +265,9 @@ def test_output_flags_checked_before_computing(capsys, monkeypatch, tmp_path, ar
 def test_failed_run_leaves_out_file_as_it_was(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     out_path.write_text("previous\n")
-    code, out, err = run(capsys, "identities", "--grid", "64", "--out", str(out_path))
-    assert code == 2 and "--grid 32" in err
+    code, out, err = run(capsys, "ratio", "--p", "2,2,2,2", "--q", "2,2,2,2",
+                         "--weights", "unit,unit", "--out", str(out_path))
+    assert code == 2 and "got 2 weights for 4 slots" in err
     assert out_path.read_text() == "previous\n"
     code, out, err = run(capsys, "exponents", "--p", "2,2,2,2", "--q", "2,2,2,2",
                          "--out", str(out_path))
@@ -446,9 +466,18 @@ def test_ratio_grid_below_16_exits_two(capsys):
 
 
 def test_identities_grid_above_32_exits_two(capsys):
-    # the product identities are capped at n = 32, and the report must say the size run
+    # the product identities are capped at n = 32: the parser's choices name the largest
     code, out, err = run(capsys, "identities", "--grid", "64")
-    assert code == 2 and "--grid 32" in err and not out
+    assert code == 2 and not out
+    assert err.strip().splitlines()[-1].endswith(
+        "argument --grid: invalid choice: 64 (choose from 4, 6, 8, 10, 12, 14, 16, 18, 20, "
+        "22, 24, 26, 28, 30, 32)")
+
+
+def test_identities_grid_refused_at_parse():
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["identities", "--grid", "34"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -462,6 +491,7 @@ def test_identities_grid_above_32_exits_two(capsys):
     (SMALL_RATIO[:5] + ("--grid", "102", "--samples", "1"), "--grid"),
     # at d = 1 a whole STFT has n^4 entries, past 2^20 from n = 34 on
     (("representation", "--grid", "34"), "--grid"),
+    (("identities", "--grid", "34"), "--grid"),
 ])
 def test_bad_grid_sizes_refused_before_any_numerics(capsys, monkeypatch, argv, flag):
     ran = []
@@ -483,7 +513,8 @@ def test_bad_grid_sizes_refused_before_any_numerics(capsys, monkeypatch, argv, f
 
 def test_even_grid_sizes_parse():
     parse = build_parser().parse_args
-    assert parse(["identities", "--grid", "6"]).grid == 6
+    assert [parse(["identities", "--grid", str(n)]).grid for n in range(4, 33, 2)] == \
+        list(range(4, 33, 2))
     assert parse(["representation", "--grid", "4"]).grid == 4
     assert parse(["drift", "--grids", "16,24,64"]).grids == (16, 24, 64)
     assert parse(["drift", "--grids", "16,100"]).grids == (16, 100)  # the largest usable n
@@ -498,6 +529,26 @@ def test_drift_bad_flags_exit_two(capsys, tmp_path, flags):
     code, out, err = run(capsys, "drift", "--samples", "1", "--out", str(out_path), *flags)
     assert code == 2 and flags[0] in err and not out
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("exponents", "--p", "2,2,2,2", "--q", "2,2,2,2"),
+    ("interpolate", "--p", "2,2,2,2", "--q", "2,2,2,2"),
+    ("identities",), ("representation",), ("sweep",),
+], ids=lambda argv: argv[0])
+def test_emit_only_where_a_table_exists(capsys, argv):
+    # JSON is these commands' only form, so --emit json is an unrecognised argument too
+    code, out, err = run(capsys, *argv, "--emit", "json")
+    assert code == 2 and "unrecognized arguments: --emit json" in err and not out
+
+
+def test_import_loads_no_thread_pool():
+    # concurrent.futures (and the logging it imports) is loaded only for a threaded run
+    src = str(pathlib.Path(phaselab.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import phaselab.cli, phaselab.suites; "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_drift_checks_are_the_suites(capsys):

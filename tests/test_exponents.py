@@ -197,7 +197,7 @@ def test_bilinear_base_criterion():
 def test_check_conditions_validation():
     p = ExponentTuple.parse("2,2,2,2")
     q4 = ExponentTuple.parse("2,2,2,2,2")
-    with pytest.raises(ExponentError):
+    with pytest.raises(ExponentError, match="p has N = 3 but q has N = 4"):
         check_conditions("thm-B", p, q4)
     even = ExponentTuple.parse("2,2,2")
     with pytest.raises(ExponentError):

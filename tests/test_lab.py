@@ -27,7 +27,7 @@ from phaselab.lab import (
 from phaselab.lab import _sample_ratios, _sigma_table, _thread_count
 from phaselab.norms import MixedNormSpec
 from phaselab.stft import symplectic_stft
-from phaselab.weights import parse_weight, unit_weight
+from phaselab.weights import WeightError, parse_weight, unit_weight
 from phaselab.weyl import operator_matrix, weyl_product
 
 
@@ -298,6 +298,14 @@ class TestRatioExperiment:
         all2 = ExponentTuple.parse("2,2,2,2")
         with pytest.raises(GridError, match="unknown measure 'bogus'"):
             RatioConfig(all2, all2, (unit_weight(),) * 4, "weyl", "bogus")
+
+    def test_counts_checked_at_construction(self):
+        # one weight per slot and one N for p and q; each message names both counts
+        all2 = ExponentTuple.parse("2,2,2,2")
+        with pytest.raises(WeightError, match="got 3 weights for 4 slots"):
+            RatioConfig(all2, all2, (unit_weight(),) * 3)
+        with pytest.raises(ExponentError, match="p has N = 3 but q has N = 2"):
+            RatioConfig(all2, ExponentTuple.parse("2,2,2"), (unit_weight(),) * 4)
 
     @pytest.mark.parametrize("literal", ["unit*unit", "split:unit@X"])
     @pytest.mark.parametrize("rows", [None, 4])

@@ -62,9 +62,7 @@ def test_parse_literals():
         parse_weight("gauss:s=1")
     with pytest.raises(WeightError):
         parse_weight("split:poly:s=1")
-    assert len(parse_weight_list("unit,unit,poly:s=1", 3)) == 3
-    with pytest.raises(WeightError):
-        parse_weight_list("unit,unit", 3)
+    assert len(parse_weight_list("unit,unit,poly:s=1")) == 3
 
 
 def test_literal_round_trip():
