@@ -27,7 +27,6 @@ from .stft import STFTTensor, symplectic_stft
 from .weights import WeightError, WeightSpec
 from .weyl import pseudo_product, twisted_convolution
 
-THREAD_ENV = "PHASELAB_THREADS"
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -265,14 +264,13 @@ class RatioReport:
 
 
 def _thread_count() -> int:
-    value = os.environ.get(THREAD_ENV, "1")
+    """The CPUs this process may run on (its affinity mask), at most 4: each
+    worker grows its own block arena of up to 16 MiB."""
     try:
-        threads = int(value)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise GridError(f"{THREAD_ENV} must be a positive integer, got {value!r}")
-    return threads
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(4, cpus)
 
 
 def _sample_ratios(configs: Sequence[RatioConfig], symbols: Sequence[GridFunction],
@@ -307,11 +305,10 @@ def ratio_experiment_multi(configs: Sequence[RatioConfig], ensemble: EnsembleSpe
     Sample ``k`` consumes symbols ``[k*N, (k+1)*N)`` of the ensemble; the
     expensive transforms (Weyl-quantized products, STFTs against
     ``default_window``) are computed once per sample and shared across
-    configs.  Samples may evaluate in parallel (thread count from the
-    ``PHASELAB_THREADS`` environment variable); aggregation is ordered, so
-    results are schedule-independent.
+    configs.  Samples evaluate in parallel on one thread per CPU this process
+    may run on (``_thread_count``); aggregation is ordered and each thread has
+    its own arena, so results are schedule-independent.
     """
-    threads = _thread_count()
     if not configs:
         return []
     n_factors = configs[0].p.n_factors
@@ -324,7 +321,8 @@ def ratio_experiment_multi(configs: Sequence[RatioConfig], ensemble: EnsembleSpe
     symbols = ensemble_generate(ensemble, phase)
     n_samples = len(symbols) // n_factors
     groups = [symbols[k * n_factors:(k + 1) * n_factors] for k in range(n_samples)]
-    if threads > 1 and len(groups) > 1:
+    threads = min(_thread_count(), len(groups))
+    if threads > 1:
         from concurrent.futures import ThreadPoolExecutor  # loads logging: only when used
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(lambda grp: _sample_ratios(configs, grp, window), groups))

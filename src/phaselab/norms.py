@@ -22,7 +22,7 @@ one is walked once in blocks.
 ``mixed_norm`` memoises each norm on the read-only tensor under
 ``MixedNormSpec.key``, the (p, q, order if p != q, weight unless it is
 constant one, measure) that a spec computes once, and returns the first
-float on a repeat; the memo is per tensor, so ``PHASELAB_THREADS`` workers
+float on a repeat; the memo is per tensor, so the ratio-sample workers
 share nothing.  On a miss it reduces a fresh ``|V|`` (times ``w``) and never
 writes the tensor.
 

@@ -345,25 +345,16 @@ def _enclosure_factorization(mats: Sequence[np.ndarray], w: float) -> np.ndarray
     n_factors = len(mats)
     # twisted[j-1] = K_j for odd j, conj(K_j) for even j
     twisted = [mats[j - 1] if j % 2 == 1 else np.conj(mats[j - 1]) for j in range(1, n_factors + 1)]
-    inner_even = [twisted[j - 1] for j in range(2, n_factors, 2)]
-    inner_odd = [twisted[j - 1] for j in range(3, n_factors - 1, 2)]
-    if n_factors == 3:
-        # empty interior pairing: H(x1, x2) = conj(H1) = conj(K~_2)
-        H = np.conj(inner_even[0])
-    else:
-        # H1(x1, ..., x_{N-1}) = prod_j K~_{2j}(x_{2j-1}, x_{2j}); consecutive
-        # index pairs, so plain outer products keep the axes in order
-        h1 = inner_even[0]
-        for M in inner_even[1:]:
-            h1 = np.tensordot(h1, M, axes=0)
-        # H2(x2, ..., x_{N-2}) = prod_j K~_{2j+1}(x_{2j}, x_{2j+1})
-        h2 = inner_odd[0]
-        for M in inner_odd[1:]:
-            h2 = np.tensordot(h2, M, axes=0)
-        y_axes = n_factors - 3  # interior variables x_2 .. x_{N-2}
-        # H(x1, x_{N-1}) = w^{y} sum_y H2(y) conj(H1)(x1, y, x_{N-1})
-        H = np.tensordot(h2, np.conj(h1), axes=(tuple(range(y_axes)), tuple(range(1, 1 + y_axes))))
-        H = (w**y_axes) * H
+    outer = functools.partial(np.tensordot, axes=0)
+    # H1(x1, ..., x_{N-1}) = prod_j K~_{2j}(x_{2j-1}, x_{2j}); consecutive index
+    # pairs, so plain outer products keep the axes in order
+    h1 = functools.reduce(outer, (twisted[j - 1] for j in range(2, n_factors, 2)), np.ones(()))
+    # H2(x2, ..., x_{N-2}) = prod_j K~_{2j+1}(x_{2j}, x_{2j+1}); the 0-d one at N = 3
+    h2 = functools.reduce(outer, (twisted[j - 1] for j in range(3, n_factors - 1, 2)), np.ones(()))
+    y_axes = n_factors - 3  # interior variables x_2 .. x_{N-2}
+    # H(x1, x_{N-1}) = w^{y} sum_y H2(y) conj(H1)(x1, y, x_{N-1})
+    H = np.tensordot(h2, np.conj(h1), axes=(tuple(range(y_axes)), tuple(range(1, 1 + y_axes))))
+    H = (w**y_axes) * H
     G_left = twisted[0]  # K~_1 = K_1
     G_right = twisted[-1]  # K~_N = K_N (N odd)
     # result(x0, xN) = w^2 sum_{x1, x_{N-1}} K_1(x0,x1) K_N(x_{N-1},xN) H(x1, x_{N-1})

@@ -442,11 +442,24 @@ def test_counts_below_one_exit_two(capsys, argv):
     assert code == 2 and "at least 1" in err and not out
 
 
-def test_bad_thread_count_exits_two(capsys, monkeypatch):
-    # one sample: no worker thread would start even if the value were read
-    monkeypatch.setenv("PHASELAB_THREADS", "two")
-    code, out, err = run(capsys, *SMALL_RATIO)
-    assert code == 2 and "PHASELAB_THREADS" in err and not out
+def test_ratio_twist_mode_runs(capsys):
+    twist_argv = ("ratio", "--p", "2,1,2,2", "--q", "2,inf,2,2", "--grid", "16", "--samples", "2")
+    code, doc = run_json(capsys, *twist_argv, "--mode", "twist")
+    assert code == 0
+    rep = doc["ratio_report"]
+    assert doc["config"]["mode"] == rep["mode"] == "twist" and rep["condition"] == "twist"
+    _, weyl = run_json(capsys, *twist_argv, "--mode", "weyl")
+    assert weyl["ratio_report"]["mode"] == "weyl"
+    assert rep["ratios"] != weyl["ratio_report"]["ratios"]
+
+
+def test_ratio_counting_measure_stays_below_one(capsys):
+    # the counting measure on the flat tuple: every ratio is at most 1
+    code, doc = run_json(capsys, "ratio", "--measure", "counting", "--p", "2,2,2,2",
+                         "--q", "2,2,2,2", "--grid", "16", "--samples", "3")
+    assert code == 0 and doc["ratio_report"]["measure"] == "counting"
+    ratios = doc["ratio_report"]["ratios"]
+    assert len(ratios) == 3 and all(r <= 1 + 1e-8 for r in ratios)
 
 
 def test_ratio_grid_64_runs(capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -247,35 +248,26 @@ class TestRatioExperiment:
         assert reports[0].ratios == single.ratios
         assert reports[0].label == "a" and reports[1].label == "b"
 
-    def test_thread_env_does_not_change_results(self, pg8, monkeypatch):
+    def test_thread_count_does_not_change_results(self, pg8, monkeypatch):
         all2 = ExponentTuple.parse("2,2,2,2")
         ens = EnsembleSpec(seed=27, count=9, atoms_per_symbol=2, width_range=(0.4, 0.5),
                            center_radius=0.5, modulation_radius=0.4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         base = _one_config(all2, all2, ens, pg8)
-        monkeypatch.setenv("PHASELAB_THREADS", "3")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         threaded = _one_config(all2, all2, ens, pg8)
         assert base.ratios == threaded.ratios
 
-    @pytest.mark.parametrize("value", ["two", "1.5", "", "0", "-3"])
-    def test_bad_thread_env_is_an_error(self, monkeypatch, value):
-        monkeypatch.setenv("PHASELAB_THREADS", value)
-        with pytest.raises(GridError, match="PHASELAB_THREADS"):
-            _thread_count()
+    @pytest.mark.parametrize("cpus, threads", [({0}, 1), ({0, 1, 2}, 3), (set(range(8)), 4)])
+    def test_thread_count_is_the_usable_cpus_up_to_four(self, monkeypatch, cpus, threads):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        assert _thread_count() == threads
 
-    def test_bad_thread_env_refused_before_the_ensemble(self, pg8, monkeypatch):
-        built = []
-
-        def recorder(spec, phase):
-            built.append(spec)
-            return []
-
-        monkeypatch.setenv("PHASELAB_THREADS", "0")
-        monkeypatch.setattr(phaselab.lab, "ensemble_generate", recorder)
-        all2 = ExponentTuple.parse("2,2,2,2")
-        ens = EnsembleSpec(seed=1, count=3, center_radius=0.5, modulation_radius=0.3)
-        with pytest.raises(GridError, match="PHASELAB_THREADS"):
-            _one_config(all2, all2, ens, pg8)
-        assert built == []
+    def test_thread_count_falls_back_to_cpu_count(self, monkeypatch):
+        # platforms without an affinity call (macOS, Windows)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _thread_count() == 3
 
     @pytest.mark.parametrize("p, q, message", [
         ("2,2,2", "2,2,2", "odd N"),  # N = 2
@@ -422,7 +414,7 @@ class TestTensorWalk:
         rows = [_config_by_config_ratios(configs, grp, window)
                 for grp in groups]
         n_oracle = len(count_norms)
-        monkeypatch.setenv("PHASELAB_THREADS", "3")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         reports = ratio_experiment_multi(configs, ens, pg16)
         for i, rep in enumerate(reports):
             assert rep.ratios == tuple(row[i] for row in rows)

@@ -1,5 +1,7 @@
 """Mixed norms: collapse, monotonicity, energy identities, duality bounds."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -743,6 +745,7 @@ def test_thread_workers_hold_distinct_arenas(monkeypatch):
     pg = make_grid(1, 16)
     ens = EnsembleSpec(seed=9, count=6, atoms_per_symbol=2, width_range=(0.35, 0.5),
                        center_radius=1.0, modulation_radius=0.7)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # the serial oracle
     one = ratio_experiment_multi(drift_configs(), ens, pg)
     arenas = {}
     both_started = threading.Barrier(2, timeout=60)  # each of the 2 samples on its own worker
@@ -756,7 +759,7 @@ def test_thread_workers_hold_distinct_arenas(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(phaselab.lab, "stft_norms", recording)
-    monkeypatch.setenv("PHASELAB_THREADS", "2")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     two = ratio_experiment_multi(drift_configs(), ens, pg)
     assert (json.dumps([r.as_dict() for r in two], sort_keys=True)
             == json.dumps([r.as_dict() for r in one], sort_keys=True))

@@ -415,7 +415,7 @@ class TestComposeKernels:
         assert np.allclose(composed, 24 * ident)
         assert residual < 1e-12
 
-    @pytest.mark.parametrize("n_factors", [3, 5])
+    @pytest.mark.parametrize("n_factors", [3, 5, 7])
     def test_factorization_matches_matrix_route(self, pg16, n_factors):
         base = pg16.base_grid
         m = base.count
