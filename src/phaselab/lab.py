@@ -122,25 +122,21 @@ def _sigma_table(grid: Grid) -> np.ndarray:
     return np.exp(2j * np.pi * s / n)
 
 
-def stft_integral_representation(stfts: Iterable[STFTTensor]) -> STFTTensor:
+def stft_integral_representation(symbols: Iterable[GridFunction],
+                                 window: GridFunction) -> np.ndarray:
     """Quadrature of the product representation of paired STFTs.
 
-    Input: raw symplectic STFT tensors of the factors (same grid and one
-    window convention), consumed once; output tensor ``out[X_N, X_0]``
+    Each factor's symplectic STFT against ``window`` is built at its step of
+    the fold, and ``symbols`` is consumed once; the output ``out[X_N, X_0]``
     equals, up to the representation identity, the paired STFT of the N-fold
-    product taken against the scaled product of the windows.  The cost is
-    (N - 1) n^{6d} multiply-adds; fed by a generator, the fold keeps at most
-    four n^{2d}-square matrices alive for any N.
+    product taken against ``window_for_representation(window, N)``.  The cost
+    is (N - 1) n^{6d} multiply-adds, and the fold keeps at most four
+    n^{2d}-square matrices alive for any N.
     """
+    g, S = window.grid, _sigma_table(window.grid)
     N = 0
-    for T in stfts:  # not enumerate, whose cached tuple would keep T alive
-        N += 1
-        if N == 1:
-            g, S = T.shift_grid, _sigma_table(T.shift_grid)
-        if T.flavor != "symplectic" or T.shift_grid != g:
-            raise GridError("all factors must be symplectic STFTs on one grid")
-        F = _as_pair_matrix(T)
-        del T  # a tensor, and below a pair matrix, is dropped once used
+    for N, a in enumerate(symbols, start=1):
+        F = _as_pair_matrix(symplectic_stft(a, window))
         # phase telescopes to prod_j S[x_j, x_{j+1}] * conj(S)[x_1, x_0] * conj(S)[x_0, x_N]
         if N == 1:
             M = F * np.conj(S)  # G1[x_1, x_0]
@@ -152,21 +148,18 @@ def stft_integral_representation(stfts: Iterable[STFTTensor]) -> STFTTensor:
         raise GridError("representation needs at least two factors")
     M *= g.quadrature_weight ** (N - 1)
     M *= np.conj(S).T
-    return STFTTensor(g, g, M.reshape(g.shape + g.shape), "symplectic")
+    return M.reshape(g.shape + g.shape)
 
 
-def paired_stft(a: GridFunction, window: GridFunction) -> STFTTensor:
+def paired_stft(a: GridFunction, window: GridFunction) -> np.ndarray:
     """Symplectic STFT re-indexed to the pairing convention ``(X+Y, X-Y)``."""
-    T = symplectic_stft(a, window)
-    g = T.shift_grid
-    mat = _as_pair_matrix(T)
-    return STFTTensor(g, g, mat.reshape(g.shape + g.shape), "symplectic")
+    return _as_pair_matrix(symplectic_stft(a, window)).reshape(a.grid.shape + a.grid.shape)
 
 
-def window_for_representation(phase: PhaseGrid, windows: Sequence[GridFunction]) -> GridFunction:
-    """Scaled window product entering the representation identity."""
-    out = nfold_product(windows)
-    return GridFunction(out.grid, (math.pi ** ((len(windows) - 1) * phase.d)) * out.values)
+def window_for_representation(window: GridFunction, N: int) -> GridFunction:
+    """Scaled N-fold Weyl product of ``window`` entering the representation identity."""
+    out = nfold_product([window] * N)
+    return GridFunction(out.grid, (math.pi ** ((N - 1) * (window.grid.dim // 2))) * out.values)
 
 
 # -- ratio experiments ---------------------------------------------------------

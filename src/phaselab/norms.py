@@ -19,12 +19,12 @@ the norms of one symbol's symplectic STFT: a tensor within
 ``MATERIALIZE_LIMIT`` is one block and goes through ``mixed_norm``; a larger
 one is walked once in blocks.
 
-``mixed_norm`` memoises each norm on the read-only tensor under
-``MixedNormSpec.key``, the (p, q, order if p != q, weight unless it is
-constant one, measure) that a spec computes once, and returns the first
-float on a repeat; the memo is per tensor, so the ratio-sample workers
-share nothing.  On a miss it reduces a fresh ``|V|`` (times ``w``) and never
-writes the tensor.
+``stft_norms`` memoises each norm in the state it keeps for one tensor
+under ``MixedNormSpec.key``, the (p, q, order if p != q, weight unless it
+is constant one, measure) that a spec computes once, and ``mixed_norm``
+returns the first float on a repeat; the memo lives for one call, so the
+ratio-sample workers share nothing.  Called on its own, ``mixed_norm``
+reduces a fresh ``|V|`` (times ``w``) and never writes the tensor.
 
 ``stft_norms`` keeps only the STFT block in a per-thread arena: one complex
 buffer, grown to the largest block the thread has built (16 MiB from n = 32
@@ -198,21 +198,21 @@ def mixed_norm(F: STFTTensor, spec: MixedNormSpec, *, _state: dict | None = None
     """Iterated (quasi-)norm of ``|F * weight|`` in the declared order.
 
     ``_state`` (for ``stft_norms``) says that ``F.values`` is a spent arena
-    block, which :func:`_magnitudes` writes over; without it the
-    magnitudes and powers are fresh arrays and ``F.values`` is only read.
+    block, which :func:`_magnitudes` writes over, and memoises the norm
+    under ``spec.key``; without it the magnitudes and powers are fresh
+    arrays and ``F.values`` is only read.
     """
     w = _weight_tensor(spec.weight, F.shift_grid, F.freq_grid)
     key = spec.key
-    if key in F._norms:
-        return F._norms[key]
     cells = _cells(spec.measure, F.shift_grid, F.freq_grid)
     if _state is None:
         mags = np.abs(F.values)
-        x, flat = (mags if w is None else np.multiply(mags, w)), None
-    else:
+        x = mags if w is None else np.multiply(mags, w)
+        return _finish(_partial(x, key, cells), key, cells)
+    if key not in _state:
         x, flat = _magnitudes(_state, F.values, key[3], w)
-    F._norms[key] = _finish(_partial(x, key, cells, flat), key, cells)
-    return F._norms[key]
+        _state[key] = _finish(_partial(x, key, cells, flat), key, cells)
+    return _state[key]
 
 
 def stft_norms(a: GridFunction, window: GridFunction, specs: list[MixedNormSpec]) -> list[float]:
@@ -222,10 +222,11 @@ def stft_norms(a: GridFunction, window: GridFunction, specs: list[MixedNormSpec]
     first-appearance order, so each ``|V| * w`` is written once and ``|V|``
     is dead once the last weight has its product.  A tensor within
     ``MATERIALIZE_LIMIT`` is built once in this thread's arena and every
-    spec goes through :func:`mixed_norm`.  A larger one is walked once in
-    blocks through the same arena, and each distinct norm adds every
-    block's partial sums (or maxima).  Either way each block's magnitudes
-    come from one :func:`_magnitudes` state.
+    spec goes through :func:`mixed_norm`, whose state memoises each
+    distinct norm.  A larger one is walked once in blocks through the same
+    arena, and each distinct norm adds every block's partial sums (or
+    maxima).  Either way each block's magnitudes come from one
+    :func:`_magnitudes` state.
     """
     g = a.grid
     keys = [spec.key for spec in specs]

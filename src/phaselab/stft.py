@@ -12,18 +12,17 @@ built from samples already multiplied by the sums' sign table, and one table
 after the last FFT holds every trailing factor and the scale.
 
 ``symplectic_stft`` and ``stft_blocks`` take a private ``_scratch`` dict
-(``norms.stft_norms`` passes its per-thread arena): the dict keeps one
-complex buffer, grown to the largest block built with it, and each shift
-stack is written into its front, laid out as a fresh product, so the
-returned values alias that buffer and the caller owns it once they are
-spent.  Without it every call allocates its own tensor; ``stft`` always
-does.
+(a caller's per-thread arena): the dict keeps one complex buffer, grown to
+the largest block built with it, and each shift stack is written into its
+front, laid out as a fresh product, so the returned values alias that
+buffer and the caller owns it once they are spent.  Without it every call
+allocates its own tensor; ``stft`` always does.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -45,20 +44,16 @@ MATERIALIZE_LIMIT = 1 << 20
 
 @dataclass(frozen=True)
 class STFTTensor:
-    """Sampled STFT: ``values[shift_index + freq_index]``.
+    """Sampled STFT: ``values[shift_index + freq_index]``, a read-only view.
 
-    For the ordinary flavor the frequency block lives on the dual grid of
-    the input (identical to it on self-dual grids); for the symplectic
-    flavor both blocks live on the phase grid.  ``values`` is a read-only
-    view, so the norms memoised on the tensor cannot go stale through it.
+    From ``stft`` the frequency block lives on the dual grid of the input
+    (identical to it on self-dual grids); from ``symplectic_stft`` both
+    blocks live on the phase grid.
     """
 
     shift_grid: Grid
     freq_grid: Grid
     values: np.ndarray
-    flavor: str
-    #: mixed norms already computed on this tensor, keyed by ``norms.mixed_norm``
-    _norms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         expected = self.shift_grid.shape + self.freq_grid.shape
@@ -133,13 +128,13 @@ def stft(f: GridFunction, phi: GridFunction) -> STFTTensor:
     ``V_phi f(x, xi) = (2*pi)^{-d/2} * s^d * sum_y f(y) conj(phi(y-x)) e^{-i<y, xi>}``
     with the frequency variable on the dual grid.
     """
-    return STFTTensor(f.grid, f.grid.dual(), _one_block(f, phi, False, None), "ordinary")
+    return STFTTensor(f.grid, f.grid.dual(), _one_block(f, phi, False, None))
 
 
 def symplectic_stft(a: GridFunction, Phi: GridFunction, *,
                     _scratch: dict | None = None) -> STFTTensor:
     """Symplectic STFT ``(X, Y) -> pi^{-d} integral a(Z) conj(Phi(Z-X)) e^{2i sigma(Y,Z)} dZ``."""
-    return STFTTensor(a.grid, a.grid, _one_block(a, Phi, True, _scratch), "symplectic")
+    return STFTTensor(a.grid, a.grid, _one_block(a, Phi, True, _scratch))
 
 
 def _fits(g: Grid) -> bool:
@@ -155,7 +150,7 @@ def _rows_per_block(n: int, m: int) -> int:
 
 def _one_block(a: GridFunction, Phi: GridFunction, symplectic: bool,
                scratch: dict | None) -> np.ndarray:
-    """The whole STFT as one block; past ``MATERIALIZE_LIMIT`` use ``norms.stft_norms``."""
+    """The whole STFT as one block; past ``MATERIALIZE_LIMIT`` walk ``stft_blocks``."""
     if not _fits(a.grid):
         raise GridError(f"tensor over {a.grid.shape} exceeds the materialization limit")
     ((_, values),) = stft_blocks(a, Phi, symplectic, _scratch=scratch)

@@ -22,7 +22,7 @@ PINNED = {
                      "product-fourier-image", "product-duality", "twist-duality",
                      "product-associativity", "twist-associativity"), 1e-10),
     "product-route": 1e-6,
-    "calculi-operator-equality": 1e-6,
+    "calculi-operator-equality": 1e-12,
     "twist-fast-vs-direct": 1e-12,
     "stft-representation": 1e-12,
     "kernel-factorization": 1e-10,
@@ -131,6 +131,7 @@ def test_criterion_11_report_determinism(capsys, tmp_path):
         "identities": ["identities", "--grid", "16", "--seed", "7"],
         "ratio": ["ratio", "--p", "2,inf,2,2", "--q", "2,1,2,2", "--grid", "16",
                   "--samples", "10", "--seed", "7"],
+        "representation": ["representation", "--grid", "8", "--seed", "7"],
     }.items():
         docs = []
         for _ in range(2):

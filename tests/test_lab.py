@@ -103,13 +103,12 @@ class TestRepresentation:
     def test_zero_factors_give_zero(self, pg8):
         window = default_window(pg8)
         zero = GridFunction(pg8.symbol_grid, np.zeros(pg8.symbol_grid.shape))
-        stfts = [symplectic_stft(zero, window) for _ in range(2)]
-        out = stft_integral_representation(stfts)
-        assert np.all(out.values == 0)
+        out = stft_integral_representation([zero, zero], window)
+        assert np.all(out == 0)
 
     @pytest.mark.parametrize("n_factors", [2, 3, 5, 7])
     def test_matches_direct_product_stft(self, small_spec, n_factors):
-        # the identity is exact on the grid, at d = 1 and at d = 2; the STFTs come
+        # the identity is exact on the grid, at d = 1 and at d = 2; the symbols come
         # from a generator, as the quadrature consumes them one at a time (the
         # narrower centres keep the ensemble truncation-safe at n = 4)
         spec = dataclasses.replace(small_spec, count=7, center_radius=0.45)
@@ -117,12 +116,12 @@ class TestRepresentation:
             pg = make_grid(d, n)
             symbols = ensemble_generate(spec, pg)[:n_factors]
             window = default_window(pg)
-            rep = stft_integral_representation(symplectic_stft(s, window) for s in symbols)
+            rep = stft_integral_representation((s for s in symbols), window)
             prod = symbols[0]
             for s in symbols[1:]:
                 prod = weyl_product(prod, s)
-            target = paired_stft(prod, window_for_representation(pg, [window] * n_factors))
-            rel = np.max(np.abs(rep.values - target.values)) / np.max(np.abs(target.values))
+            target = paired_stft(prod, window_for_representation(window, n_factors))
+            rel = np.max(np.abs(rep - target)) / np.max(np.abs(target))
             assert rel < 1e-12, (d, n)
 
     @pytest.mark.parametrize("d, n", [(1, 8), (2, 4)])
@@ -141,7 +140,7 @@ class TestRepresentation:
 
         want = np.array([[V[index(np.add(X, Y)) + index(np.subtract(X, Y))] for Y in points]
                          for X in points])
-        got = paired_stft(a, window).values.reshape(len(points), len(points))
+        got = paired_stft(a, window).reshape(len(points), len(points))
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("d, n", [(1, 8), (2, 4)])
@@ -158,19 +157,24 @@ class TestRepresentation:
         pg = make_grid(1, 16)
         spec = EnsembleSpec(seed=1, count=3, center_radius=0.5, modulation_radius=0.3)
         window = default_window(pg)
-        rep = stft_integral_representation(symplectic_stft(s, window)
-                                           for s in ensemble_generate(spec, pg))
-        assert rep.values.shape == (16,) * 4 and np.all(np.isfinite(rep.values))
+        rep = stft_integral_representation(ensemble_generate(spec, pg), window)
+        assert rep.shape == (16,) * 4 and np.all(np.isfinite(rep))
 
     def test_one_shot_iterator_needs_two_factors(self, pg8, small_spec):
         s = ensemble_generate(small_spec, pg8)[0]
         with pytest.raises(GridError, match="at least two factors"):
-            stft_integral_representation(iter([symplectic_stft(s, default_window(pg8))]))
+            stft_integral_representation(iter([s]), default_window(pg8))
+
+    def test_factor_on_another_grid_refused(self, pg8, small_spec):
+        s = ensemble_generate(small_spec, pg8)[0]
+        t = ensemble_generate(small_spec, make_grid(1, 16))[0]
+        with pytest.raises(GridError):
+            stft_integral_representation([s, t], default_window(pg8))
 
     def test_needs_two_factors(self, pg8, small_spec):
         s = ensemble_generate(small_spec, pg8)[0]
         with pytest.raises(GridError):
-            stft_integral_representation([symplectic_stft(s, default_window(pg8))])
+            stft_integral_representation([s], default_window(pg8))
 
 
 def _centered_points(d, n):

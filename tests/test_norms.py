@@ -35,7 +35,7 @@ def test_single_entry_counting(setup):
     g = pg.symbol_grid
     vals = np.zeros(W.values.shape, dtype=complex)
     vals[3, 5, 7, 2] = 2 - 1j
-    T = STFTTensor(W.shift_grid, W.freq_grid, vals, "symplectic")
+    T = STFTTensor(W.shift_grid, W.freq_grid, vals)
     w = split_weight(poly_weight(1.0), "Y")
     point = g.axis[[3, 5, 7, 2]]
     for (p, q) in [(1, 2), (0.5, 3), (float("inf"), 1)]:
@@ -73,7 +73,7 @@ def test_homogeneity_and_triangle(setup):
     B = RNG.standard_normal(W.values.shape) + 1j * RNG.standard_normal(W.values.shape)
 
     def norm(vals, spec):
-        return mixed_norm(STFTTensor(g, g, vals, "symplectic"), spec)
+        return mixed_norm(STFTTensor(g, g, vals), spec)
 
     for spec in (spec_b, spec_q):
         assert norm(3.5 * A, spec) == pytest.approx(3.5 * norm(A, spec), rel=1e-12)
@@ -180,23 +180,8 @@ def _drift_specs():
     return [spec for cfg in drift_configs() for spec in cfg.norm_specs]
 
 
-def _fresh(T):
-    """A tensor over the same array (same memory layout) with an empty memo."""
-    return STFTTensor(T.shift_grid, T.freq_grid, T.values, T.flavor)
-
-
-def test_memo_hit_equals_fresh_tensor(setup):
-    _, _, _, W = setup
-    specs = _drift_specs()
-    first = [mixed_norm(W, spec) for spec in specs]
-    for spec, cold in zip(specs, first):
-        warm = mixed_norm(W, spec)
-        assert warm == cold == mixed_norm(_fresh(W), spec)
-
-
-def test_memo_computes_each_distinct_norm_once(monkeypatch, setup):
-    _, _, _, W = setup
-    specs = _drift_specs()
+def _count_reductions(monkeypatch):
+    """The arguments of every ``_partial`` reduction from here on."""
     reductions = []
     real = phaselab.norms._partial
 
@@ -205,14 +190,28 @@ def test_memo_computes_each_distinct_norm_once(monkeypatch, setup):
         return real(*args)
 
     monkeypatch.setattr(phaselab.norms, "_partial", counting)
-    for spec in specs:
-        mixed_norm(W, spec)
+    return reductions
+
+
+def test_memo_hit_equals_fresh_tensor(setup):
+    # every spec asked twice in one call: the repeats are memo hits
+    _, a, Phi, W = setup
+    specs = _drift_specs()
+    cold = [mixed_norm(W, spec) for spec in specs]
+    assert stft_norms(a, Phi, specs + specs) == cold + cold
+
+
+def test_memo_computes_each_distinct_norm_once(monkeypatch, setup):
+    _, a, Phi, _ = setup
+    specs = _drift_specs()
+    reductions = _count_reductions(monkeypatch)
+    stft_norms(a, Phi, specs)
     # a materialized tensor is one block: one partial reduction per distinct norm
-    assert len(reductions) == len(W._norms) < len(specs)
+    assert len(reductions) == len({spec.key for spec in specs}) < len(specs)
 
 
 def test_memo_keeps_distinct_specs_apart(setup):
-    _, _, _, W = setup
+    _, a, Phi, W = setup
     w = split_weight(poly_weight(1.0), "Y")
     pairs = [
         (MixedNormSpec(2, 1, "modulation"), MixedNormSpec(2, 1, "amalgam")),
@@ -224,18 +223,20 @@ def test_memo_keeps_distinct_specs_apart(setup):
         (MixedNormSpec(2, 1), MixedNormSpec(2, 4)),
         (MixedNormSpec(1, 2), MixedNormSpec(4, 2)),
     ]
-    for a, b in pairs:
-        na, nb = mixed_norm(W, a), mixed_norm(W, b)
-        assert na != nb
-        assert (na, nb) == (mixed_norm(_fresh(W), a), mixed_norm(_fresh(W), b))
+    for x, y in pairs:
+        nx, ny = stft_norms(a, Phi, [x, y])
+        assert nx != ny
+        assert (nx, ny) == (mixed_norm(W, x), mixed_norm(W, y))
 
 
-def test_memo_shares_equivalent_specs(setup):
+def test_memo_shares_equivalent_specs(monkeypatch, setup):
     # the order is irrelevant when p = q, and a unit weight equals no weight
-    _, _, _, W = setup
-    a = mixed_norm(W, MixedNormSpec(1.5, 1.5, "amalgam"))
-    b = mixed_norm(W, MixedNormSpec(Exponent.from_value(1.5), 1.5, "modulation", unit_weight()))
-    assert a == b and len(W._norms) == 1
+    _, a, Phi, _ = setup
+    reductions = _count_reductions(monkeypatch)
+    x, y = stft_norms(a, Phi, [MixedNormSpec(1.5, 1.5, "amalgam"),
+                               MixedNormSpec(Exponent.from_value(1.5), 1.5, "modulation",
+                                             unit_weight())])
+    assert x == y and len(reductions) == 1
 
 
 @pytest.mark.parametrize("literal", ["unit*unit", "split:unit@X"])
@@ -273,7 +274,7 @@ def test_constant_weights_write_no_weighted_magnitudes(monkeypatch):
 def test_tensor_values_read_only(setup):
     _, _, _, W = setup
     vals = W.values.copy()
-    T = STFTTensor(W.shift_grid, W.freq_grid, vals, "symplectic")
+    T = STFTTensor(W.shift_grid, W.freq_grid, vals)
     assert not T.values.flags.writeable and not W.values.flags.writeable
     with pytest.raises(ValueError):
         T.values[0, 0, 0, 0] = 1.0
@@ -334,14 +335,12 @@ def test_weighted_magnitudes_built_once_per_weight(monkeypatch):
 
 
 def test_warm_magnitudes_equal_cold_bitwise(setup):
-    _, _, _, W = setup
+    # a second call writes over the first one's spent block and starts a new memo
+    _, a, Phi, W = setup
     specs = _drift_specs()
-    warm = _fresh(W)
-    for spec in specs:
-        mixed_norm(warm, spec)
-    warm._norms.clear()
-    for spec in specs:
-        assert mixed_norm(warm, spec) == mixed_norm(_fresh(W), spec)
+    cold = [mixed_norm(W, spec) for spec in specs]
+    assert stft_norms(a, Phi, specs) == cold
+    assert stft_norms(a, Phi, specs) == cold
 
 
 def test_sample_ratios_releases_magnitudes(monkeypatch):
@@ -715,7 +714,7 @@ def test_public_tensors_never_alias_the_arena(monkeypatch):
     before = T.values.copy()
     stft_norms(c, Phi, specs)
     arena = list(phaselab.norms._arena().values())
-    assert arena and len(reduced) == len(T._norms)
+    assert arena and len(reduced) == len(specs)
     for arr in (T.values, *blocks, *(mags for mags, _ in reduced)):
         assert not any(np.shares_memory(arr, buf) for buf in arena)
     assert all(flat is None for _, flat in reduced)

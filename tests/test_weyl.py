@@ -1,6 +1,7 @@
 """Twisted convolution, symbol products, kernel maps, operator matrices."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -255,6 +256,17 @@ class TestKernelMaps:
         for A in (0.0, 0.5, 1.0, 300000.5):
             symbol_to_kernel(a, A)
             calculi_transform(a, A, 0.0)
+
+    @pytest.mark.parametrize("A", [math.inf, -math.inf])
+    def test_infinite_index_is_not_a_half_integer(self, A):
+        # inf is allclose to its own rounding; refused before any arithmetic on it
+        a = _random_symbol(make_grid(1, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridError, match="half-integer"):
+                operator_matrix(a, A)
+            with pytest.raises(GridError, match="half-integer"):
+                calculi_transform(a, A, 0.5)
 
     def test_unit_symbol_kernel_is_scaled_diagonal(self, pg16):
         # frozen from the discrete partial-transform oracle: the unit symbol
