@@ -35,7 +35,7 @@ from .exponents import (
     check_conditions,
     construct_interpolation,
 )
-from .grids import GridError, make_grid
+from .grids import GridError, _thread_count, make_grid
 from .lab import EnsembleSpec, RatioConfig, RatioReport, ratio_experiment_multi
 from .stft import _fits, _rows_per_block
 from .weights import WeightError, parse_weight_list, unit_weight
@@ -66,7 +66,7 @@ def _run(args) -> int:
                 "config": config,
                 "checks": [c.as_dict() for c in checks],
                 **sections,
-                "timing": {"total_s": time.time() - args.t0},
+                "timing": {"total_s": time.perf_counter() - args.t0, "cpus": _thread_count()},
             }
             payload = (csv_text if getattr(args, "emit", "json") == "csv"
                        else json.dumps(report, sort_keys=True, indent=2) + "\n")
@@ -292,7 +292,7 @@ def main(argv=None) -> int:
     if remaining:
         print(f"unrecognized arguments: {' '.join(remaining)}", file=sys.stderr)
         return 2
-    args.t0 = time.time()
+    args.t0 = time.perf_counter()
     try:
         return _run(args)
     except (ExponentError, GridError, WeightError, OSError) as exc:

@@ -24,7 +24,10 @@ atom's center, modulation, width and amplitude as its own arguments.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,6 +53,44 @@ def _sign_table(shape: Sequence[int], axes: Sequence[int], sign: int = 0,
     return table
 
 
+def _thread_count() -> int:
+    """The usable CPUs (this process's affinity mask), at most 4: sample workers, row spans (README)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(4, cpus)
+
+
+SPAN_ENTRIES = 1 << 15  #: the fewest entries worth a span of their own (README)
+
+
+@functools.cache
+def _pool():
+    from concurrent.futures import ThreadPoolExecutor  # loads logging: only when used
+    return ThreadPoolExecutor(_thread_count())
+
+
+def _by_rows(fn, out: np.ndarray, *args) -> np.ndarray:
+    """``fn(*args, out=out)`` in spans of the leading axis of ``out``, one per usable CPU,
+    split on the main thread only (README, "Determinism and threads"); returns ``out``.
+    An argument with fewer axes or a length-one leading axis goes whole to every span."""
+    assert all(np.ndim(a) < out.ndim or len(a) in (1, len(out)) for a in args), "does not broadcast"
+    if out.size < 2 * SPAN_ENTRIES or threading.current_thread() is not threading.main_thread():
+        return fn(*args, out=out)
+    parts = min(_thread_count(), len(out), out.size // SPAN_ENTRIES)
+    cut = [np.ndim(a) == out.ndim and len(a) > 1 for a in args]
+    rows = [slice(len(out) * k // parts, len(out) * (k + 1) // parts) for k in range(parts)]
+    spans = [(out[r], [a[r] if c else a for a, c in zip(args, cut)]) for r in rows]
+    futures = [_pool().submit(fn, *span, out=part) for part, span in spans[1:]]
+    try:
+        fn(*spans[0][1], out=spans[0][0])
+    finally:
+        for future in futures:
+            future.result()
+    return out
+
+
 def centered_character_sum(values: np.ndarray, axes: Sequence[int], sign: int, *,
                            _signed: bool = False,
                            _scale: float | np.ndarray | None = 1.0) -> np.ndarray:
@@ -63,6 +104,8 @@ def centered_character_sum(values: np.ndarray, axes: Sequence[int], sign: int, *
     Per axis the sum is ``sgn * (-1)^(n/2) * fft(sgn * f)`` with
     ``sgn = (-1)^j`` (``ifft(...) * n`` for ``sign > 0``), bit for bit but
     for the sign of an exact zero; all axes share the two table passes.
+    When axis 0 is not summed (an STFT block's shift axis), the FFTs and the
+    trailing table run in spans of its rows (``_by_rows``).
 
     The sign multiply allocates the result with the memory layout of
     ``values``, which is then never written.  With ``_signed`` the caller
@@ -76,18 +119,23 @@ def centered_character_sum(values: np.ndarray, axes: Sequence[int], sign: int, *
             raise GridError(f"centered transform needs an even axis, got {res.shape[ax]}")
     if not _signed:
         res = np.multiply(res, _sign_table(res.shape, axes), out=np.empty_like(res, dtype=complex))
-    for ax in axes:
-        n = res.shape[ax]
-        if sign < 0:
-            np.fft.fft(res, axis=ax, out=res)
-        elif n & (n - 1):
-            np.fft.ifft(res, axis=ax, out=res)
-            res *= n
-        else:
-            np.fft.ifft(res, axis=ax, out=res, norm="forward")
-    if _scale is not None:
-        res *= _sign_table(res.shape, axes, sign, _scale)
-    return res
+    table = None if _scale is None else _sign_table(res.shape, axes, sign, _scale)
+
+    def transform(table: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+        for ax in axes:
+            n = out.shape[ax]
+            if sign < 0:
+                np.fft.fft(out, axis=ax, out=out)
+            elif n & (n - 1):
+                np.fft.ifft(out, axis=ax, out=out)
+                out *= n
+            else:
+                np.fft.ifft(out, axis=ax, out=out, norm="forward")
+        if table is not None:
+            out *= table
+        return out
+
+    return transform(table, out=res) if 0 in axes else _by_rows(transform, res, table)
 
 
 @dataclass(frozen=True)

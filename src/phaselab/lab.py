@@ -14,14 +14,13 @@ import csv
 import functools
 import io
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .exponents import ConditionReport, ExponentTuple, check_conditions, require_same_n
-from .grids import Grid, GridError, GridFunction, PhaseGrid, gaussian_atom
+from .grids import Grid, GridError, GridFunction, PhaseGrid, _thread_count, gaussian_atom
 from .norms import MixedNormSpec, stft_norms
 from .stft import STFTTensor, symplectic_stft
 from .weights import WeightError, WeightSpec
@@ -254,16 +253,6 @@ class RatioReport:
                 writer.writerow([k, "" if r is None else repr(float(r)), rep.label,
                                  rep.config.mode, rep.config.p, rep.config.q, rep.grid_n, rep.seed])
         return buf.getvalue()
-
-
-def _thread_count() -> int:
-    """The CPUs this process may run on (its affinity mask), at most 4: each
-    worker grows its own block arena of up to 16 MiB."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(4, cpus)
 
 
 def _sample_ratios(configs: Sequence[RatioConfig], symbols: Sequence[GridFunction],

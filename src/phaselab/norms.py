@@ -35,6 +35,7 @@ into its front.  Both paths reduce a spent block by one rule,
 the second half, the last weight's powers over ``|V|`` and any other
 weight's into fresh arrays.  Each buffer is laid out as the fresh array it
 replaces, so the bits do not change.  No returned value aliases the arena.
+Those passes run in spans of shift rows and every sum whole (see README).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exponents import Exponent
-from .grids import Grid, GridError, GridFunction
+from .grids import Grid, GridError, GridFunction, _by_rows
 from .stft import STFTTensor, _extent, _fits, _laid_out, _product_into, stft_blocks, symplectic_stft
 from .weights import WeightSpec
 
@@ -104,9 +105,9 @@ def _halves(values: np.ndarray) -> np.ndarray:
 def _abs_over(values: np.ndarray) -> np.ndarray:
     """``np.abs(values)`` written over the first float64 half of the entries behind them.
 
-    The entries go in doubling chunks of memory order: entries ``[a, 2a)``
-    write floats ``[a, 2a)`` and read floats ``[2a, 4a)``, so nothing is
-    overwritten before it is read and numpy makes no overlap copy.  The
+    The entries go in doubling chunks of memory order, each in row spans:
+    entries ``[a, 2a)`` write floats ``[a, 2a)`` and read floats ``[2a, 4a)``,
+    so no write meets an unread entry and numpy makes no overlap copy.  The
     result is laid out as ``values``, as a fresh ``np.abs`` is.
     """
     flat = _extent(values)
@@ -114,7 +115,7 @@ def _abs_over(values: np.ndarray) -> np.ndarray:
     np.abs(flat[:1], out=out[:1])  # the one entry that overlaps its own output
     a = 1
     while a < flat.size:
-        np.abs(flat[a:2 * a], out=out[a:2 * a])
+        _by_rows(np.abs, out[a:2 * a], flat[a:2 * a])
         a *= 2
     return _laid_out(out, values.shape, values.strides)
 
@@ -125,7 +126,7 @@ def _power_sum(x: np.ndarray, axes: tuple[int, ...] | None, p: float,
     The powers go into ``flat`` (if given) in ``x``'s layout, bitwise the fresh ``x**p``."""
     if math.isinf(p):
         return np.max(x, axis=axes, initial=0.0)
-    power = x**p if flat is None else np.power(x, p, out=_laid_out(flat, x.shape, x.strides))
+    power = x**p if flat is None else _by_rows(np.power, _laid_out(flat, x.shape, x.strides), x, p)
     return np.sum(power, axis=axes)
 
 

@@ -9,7 +9,8 @@ one-block case and refuse tensors past that size.
 
 A block costs two elementwise passes besides its FFTs: the shift stack is
 built from samples already multiplied by the sums' sign table, and one table
-after the last FFT holds every trailing factor and the scale.
+after the last FFT holds every trailing factor and the scale.  All three
+run in spans of shift rows (``grids._by_rows``), with the bits of one pass.
 
 ``symplectic_stft`` and ``stft_blocks`` take a private ``_scratch`` dict
 (a caller's per-thread arena): the dict keeps one complex buffer, grown to
@@ -32,6 +33,7 @@ from .grids import (
     Grid,
     GridError,
     GridFunction,
+    _by_rows,
     _sign_table,
     _symplectic_transform,
     centered_character_sum,
@@ -89,7 +91,7 @@ def _product_into(x: np.ndarray, y: np.ndarray, flat: np.ndarray) -> np.ndarray:
     half of them); it broadcasts as in a fresh product."""
     shape = np.broadcast_shapes(x.shape, y.shape)
     x_corner, y_corner = (a[(slice(2),) * a.ndim] for a in (x, y))
-    return np.multiply(x, y, out=_laid_out(flat, shape, np.multiply(x_corner, y_corner).strides))
+    return _by_rows(np.multiply, _laid_out(flat, shape, np.multiply(x_corner, y_corner).strides), x, y)
 
 
 def _front(scratch: dict, size: int) -> np.ndarray:

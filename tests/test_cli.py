@@ -11,6 +11,7 @@ import pytest
 import phaselab
 from phaselab import lab, suites
 from phaselab.cli import build_parser, main
+from phaselab.grids import _thread_count
 
 
 def run(capsys, *argv):
@@ -304,6 +305,7 @@ def test_report_determinism_excluding_timing(capsys):
         code2, doc2 = run_json(capsys, *args)
         assert code1 == code2 == 0, args
         assert doc1["command"] == args[0] and doc1["timing"]["total_s"] >= 0
+        assert doc1["timing"]["cpus"] == _thread_count()  # sizes sample workers and row spans
         assert json.dumps(_strip_timing(doc1), sort_keys=True) == \
             json.dumps(_strip_timing(doc2), sort_keys=True), args
 

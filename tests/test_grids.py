@@ -9,6 +9,7 @@ from phaselab.grids import (
     Grid,
     GridError,
     GridFunction,
+    _by_rows,
     centered_character_sum,
     fourier,
     gaussian_atom,
@@ -241,3 +242,12 @@ def test_grid_dual_pairing():
     d = g.dual()
     assert d.spacing * g.spacing * g.count == pytest.approx(2 * math.pi)
     assert d.dual() == g
+
+
+def test_row_spans_refuse_an_argument_that_does_not_broadcast():
+    # checked before any split, so a bad caller fails at every size and CPU count
+    out = np.empty((4, 3))
+    assert _by_rows(np.multiply, out, np.full((1, 3), 2.0), np.arange(12.0).reshape(4, 3)) is out
+    assert np.array_equal(out, 2 * np.arange(12.0).reshape(4, 3))
+    with pytest.raises(AssertionError, match="broadcast"):
+        _by_rows(np.multiply, out, np.ones((4, 3)), np.ones((2, 3)))

@@ -7,11 +7,12 @@ import os
 import numpy as np
 import pytest
 
+import phaselab.grids
 import phaselab.lab
 import phaselab.norms
 import phaselab.stft
 from phaselab.exponents import ExponentError, ExponentTuple
-from phaselab.grids import GridError, GridFunction, make_grid
+from phaselab.grids import GridError, GridFunction, _thread_count, make_grid
 from phaselab.lab import (
     EnsembleSpec,
     RatioConfig,
@@ -25,7 +26,7 @@ from phaselab.lab import (
     stft_integral_representation,
     window_for_representation,
 )
-from phaselab.lab import _sample_ratios, _sigma_table, _thread_count
+from phaselab.lab import _sample_ratios, _sigma_table
 from phaselab.norms import MixedNormSpec
 from phaselab.stft import symplectic_stft
 from phaselab.weights import WeightError, parse_weight, unit_weight
@@ -272,6 +273,29 @@ class TestRatioExperiment:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert _thread_count() == 3
+
+    def test_only_a_one_sample_run_splits_rows(self, monkeypatch):
+        # a sample worker already has a CPU: only the caller of a one-sample run
+        # splits its STFT blocks in spans of shift rows, through the row pool
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        submitters = []
+        with ThreadPoolExecutor(2) as real:
+            class Recording:
+                def submit(self, fn, *args, **kwargs):
+                    submitters.append(threading.current_thread())
+                    return real.submit(fn, *args, **kwargs)
+
+            monkeypatch.setattr(phaselab.grids, "_pool", Recording)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            all2 = ExponentTuple.parse("2,2,2,2")
+            ens = EnsembleSpec(seed=28, count=6, atoms_per_symbol=2)
+            two = _one_config(all2, all2, ens, make_grid(1, 32))
+            assert submitters == []
+            one = _one_config(all2, all2, dataclasses.replace(ens, count=3), make_grid(1, 32))
+        assert submitters and set(submitters) == {threading.main_thread()}
+        assert one.ratios == two.ratios[:1]
 
     @pytest.mark.parametrize("p, q, message", [
         ("2,2,2", "2,2,2", "odd N"),  # N = 2

@@ -445,6 +445,23 @@ def test_block_walk_equals_itself_without_the_arena():
         assert stft_norms(b, Phi, specs) == _fresh_walk(b, Phi, specs)
 
 
+@pytest.mark.parametrize("n", [32, 64])  # 64 is the block walk
+def test_norms_do_not_depend_on_the_cpu_count(monkeypatch, n):
+    # |V|, |V| * w and the powers run in one span of shift rows per usable CPU (three
+    # parts cut unevenly) and every sum whole, so the bits are those of one CPU
+    pg = make_grid(1, n)
+    Phi, a = _window(pg), _symbols(pg, 1)[0]
+    wy, wx = split_weight(poly_weight(1.0), "Y"), split_weight(poly_weight(1.0), "X")
+    specs = [MixedNormSpec(2, 1, "modulation", wy), MixedNormSpec(1, 2, "amalgam", wy, "counting"),
+             MixedNormSpec(3, 3), MixedNormSpec(float("inf"), 2, "modulation", wx),
+             MixedNormSpec(4 / 3, 2, "amalgam", wx)]
+    got = []
+    for cpus in ({0}, {0, 1}, {0, 1, 2}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        got.append(np.array(stft_norms(a, Phi, specs)).tobytes())
+    assert got[0] == got[1] == got[2]
+
+
 def test_arena_buffers_have_fresh_strides(monkeypatch):
     # the arena keeps the block only; |V|, |V| * w and the powers reuse the spent block
     pg = make_grid(1, 16)

@@ -1,6 +1,7 @@
 """Short-time Fourier transforms: oracles, energy identities, cross-relations."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -283,6 +284,17 @@ def test_transforms_equal_per_axis_route_bitwise(d, n):
             want = _per_axis_sums(f.values.astype(complex), range(b.dim), sign)
             want *= (2 * math.pi) ** (-b.dim / 2) * b.quadrature_weight
             assert _same(fourier(f, inverse).values, GridFunction(b, want).values)
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}, {0, 1, 2}])  # three parts cut 32 rows unevenly
+@pytest.mark.parametrize("n", [16, 24, 32])
+def test_row_spans_keep_the_per_axis_bits(monkeypatch, cpus, n):
+    # an STFT block runs in one span of shift rows per usable CPU, whatever their count
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    g = make_grid(1, n).symbol_grid
+    a, Phi = _random(g), _random(g)
+    assert _same(symplectic_stft(a, Phi).values, _oracle_block(a, Phi, True))
+    assert _same(stft(a, Phi).values, _oracle_block(a, Phi, False))
 
 
 def test_block_walk_equals_per_axis_route_bitwise(monkeypatch):
