@@ -52,9 +52,9 @@ def _run(args) -> int:
     report sections, and the CSV form (None if there is none; only the
     commands with one take ``--emit``).  ``--out`` is opened before the
     command runs, so a path that cannot be written costs no computation; it
-    is opened for appending and emptied only when the report is written, so a
-    failed run leaves an existing file as it was and removes a file that it
-    created.
+    is opened for appending and a regular file is emptied only when the
+    report is written, so a failed run leaves an existing file as it was and
+    removes a file that it created.
     """
     created = bool(args.out) and not os.path.exists(args.out)
     try:
@@ -70,7 +70,7 @@ def _run(args) -> int:
             }
             payload = (csv_text if getattr(args, "emit", "json") == "csv"
                        else json.dumps(report, sort_keys=True, indent=2) + "\n")
-            if args.out:
+            if args.out and os.path.isfile(args.out):
                 fh.truncate(0)
             fh.write(payload)
     except BaseException:
@@ -286,12 +286,9 @@ def main(argv=None) -> int:
             return 2
         argv = _with_config(argv, config)
     try:
-        args, remaining = build_parser().parse_known_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage error (or the help)
         return exc.code
-    if remaining:
-        print(f"unrecognized arguments: {' '.join(remaining)}", file=sys.stderr)
-        return 2
     args.t0 = time.perf_counter()
     try:
         return _run(args)

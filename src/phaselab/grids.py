@@ -55,11 +55,9 @@ def _sign_table(shape: Sequence[int], axes: Sequence[int], sign: int = 0,
 
 def _thread_count() -> int:
     """The usable CPUs (this process's affinity mask), at most 4: sample workers, row spans (README)."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(4, cpus)
+    if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
+        return min(4, len(os.sched_getaffinity(0)))
+    return min(4, os.cpu_count() or 1)
 
 
 SPAN_ENTRIES = 1 << 15  #: the fewest entries worth a span of their own (README)
@@ -67,8 +65,13 @@ SPAN_ENTRIES = 1 << 15  #: the fewest entries worth a span of their own (README)
 
 @functools.cache
 def _pool():
+    """The package's one executor, for ratio samples and row spans, sized at first use (README)."""
     from concurrent.futures import ThreadPoolExecutor  # loads logging: only when used
     return ThreadPoolExecutor(_thread_count())
+
+
+if hasattr(os, "register_at_fork"):  # a forked child's copy of the pool has no threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def _by_rows(fn, out: np.ndarray, *args) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .exponents import ConditionReport, ExponentTuple, check_conditions, require_same_n
-from .grids import Grid, GridError, GridFunction, PhaseGrid, _thread_count, gaussian_atom
+from .grids import Grid, GridError, GridFunction, PhaseGrid, _pool, gaussian_atom
 from .norms import MixedNormSpec, stft_norms
 from .stft import STFTTensor, symplectic_stft
 from .weights import WeightError, WeightSpec
@@ -287,9 +287,9 @@ def ratio_experiment_multi(configs: Sequence[RatioConfig], ensemble: EnsembleSpe
     Sample ``k`` consumes symbols ``[k*N, (k+1)*N)`` of the ensemble; the
     expensive transforms (Weyl-quantized products, STFTs against
     ``default_window``) are computed once per sample and shared across
-    configs.  Samples evaluate in parallel on one thread per CPU this process
-    may run on (``_thread_count``); aggregation is ordered and each thread has
-    its own arena, so results are schedule-independent.
+    configs.  Two or more samples evaluate in parallel on the worker pool
+    (``grids._pool``); aggregation is ordered and each thread has its own
+    arena, so results are schedule-independent.
     """
     if not configs:
         return []
@@ -301,14 +301,8 @@ def ratio_experiment_multi(configs: Sequence[RatioConfig], ensemble: EnsembleSpe
                 for cfg in configs]
     window = default_window(phase)
     symbols = ensemble_generate(ensemble, phase)
-    n_samples = len(symbols) // n_factors
-    groups = [symbols[k * n_factors:(k + 1) * n_factors] for k in range(n_samples)]
-    threads = min(_thread_count(), len(groups))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor  # loads logging: only when used
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda grp: _sample_ratios(configs, grp, window), groups))
-    else:
-        rows = [_sample_ratios(configs, grp, window) for grp in groups]
+    groups = [symbols[k:k + n_factors] for k in range(0, len(symbols) - n_factors + 1, n_factors)]
+    each = _pool().map if len(groups) > 1 else map
+    rows = list(each(lambda grp: _sample_ratios(configs, grp, window), groups))
     return [RatioReport(cfg, phase.n, ensemble.seed, verdict, tuple(row[i] for row in rows))
             for i, (cfg, verdict) in enumerate(zip(configs, verdicts))]

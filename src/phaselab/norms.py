@@ -48,7 +48,7 @@ import numpy as np
 from .exponents import Exponent
 from .grids import Grid, GridError, GridFunction, _by_rows
 from .stft import STFTTensor, _extent, _fits, _laid_out, _product_into, stft_blocks, symplectic_stft
-from .weights import WeightSpec
+from .weights import WeightError, WeightSpec
 
 _ARENA = threading.local()
 
@@ -166,12 +166,17 @@ def _finish(acc: np.ndarray, key: tuple, cells: tuple[float, float]) -> float:
 
 def _weight_tensor(weight: WeightSpec | None, shift_grid: Grid, freq_grid: Grid,
                    rows: slice = slice(None)) -> np.ndarray | None:
-    """``weight`` over the tensor entries with leading shift index in ``rows``; None if unit."""
+    """``weight`` over the tensor entries with leading shift index in ``rows``; None if unit.
+    A weight that overflows (or is otherwise not finite) there is refused."""
     if weight is None or weight.is_unit:
         return None
     axes = [shift_grid.axis] * shift_grid.dim + [freq_grid.axis] * freq_grid.dim
     axes[0] = axes[0][rows]
-    return weight.evaluate_grid(np.ix_(*axes))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = weight.evaluate_grid(np.ix_(*axes))
+    if not np.isfinite(w).all():
+        raise WeightError(f"weight {weight.literal()} is not finite on the grid at n = {shift_grid.count}")
+    return w
 
 
 def _magnitudes(state: dict, block: np.ndarray, weight: WeightSpec | None,

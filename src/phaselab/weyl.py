@@ -239,14 +239,14 @@ def _scatter(M: np.ndarray, phase: PhaseGrid, A: float, offset: int, K: np.ndarr
         (M / base.quadrature_weight).reshape((base.count,) * (2 * phase.d)))
 
 
-def operator_matrix(a: GridFunction, A: float, offset: int = 0) -> np.ndarray:
+def operator_matrix(a: GridFunction, A: float) -> np.ndarray:
     """Quadrature matrix of the quantized operator of a symbol.
 
     The ``(m^d, m^d)`` matrix on the companion base grid already carries the
     ``(2h)^d`` quadrature factor, so application and composition are plain
     matrix products (hence composition is exactly associative).
     """
-    return _sample(symbol_to_kernel(a, A), _phase_of(a), A, offset)
+    return _sample(symbol_to_kernel(a, A), _phase_of(a), A, 0)
 
 
 def compose_via_matrices(a: GridFunction, b: GridFunction, A: float) -> GridFunction:

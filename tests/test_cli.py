@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -195,6 +196,16 @@ def test_ratio_non_finite_weight_exits_two(capsys, weight):
     assert code == 2 and "finite" in err and not out
 
 
+@pytest.mark.parametrize("weight, shown", [("poly:s=2000", "poly:s=2000"),
+                                           ("poly:s=1e308", "poly:s=1e+308")])
+def test_ratio_weight_that_overflows_exits_two(capsys, weight, shown):
+    # finite parameters, but the weight overflows on the grid: refused, never a ratio of 0
+    code, out, err = run(capsys, "ratio", "--p", "2,inf,2,2", "--q", "2,1,2,2", "--samples", "2",
+                         "--weights", f"unit,{weight},unit,unit")
+    assert code == 2 and not out
+    assert err == f"error: weight {shown} is not finite on the grid at n = 16\n"
+
+
 def test_ratio_non_number_weight_exits_two(capsys):
     code, out, err = run(capsys, "ratio", "--p", "2,2,2,2", "--q", "2,2,2,2", "--samples", "1",
                          "--weights", "poly:s=abc,unit,unit,unit")
@@ -281,6 +292,19 @@ def test_failed_run_removes_the_out_file_it_created(capsys, tmp_path):
                          "--weights", "poly:s=inf,unit,unit,unit", "--out", str(out_path))
     assert code == 2 and "finite" in err
     assert not out_path.exists()
+
+
+def test_out_to_a_file_that_is_not_regular(capsys):
+    # /dev/null and a pipe cannot be emptied: the report is only written to them
+    code, out, err = run(capsys, "exponents", "--p", "2,inf,2,2", "--q", "2,1,2,2",
+                         "--out", os.devnull)
+    assert code == 0 and not out and not err
+    if os.path.exists("/dev/stdout"):
+        src = str(pathlib.Path(phaselab.__file__).resolve().parent.parent)
+        argv = ["exponents", "--p", "2,inf,2,2", "--q", "2,1,2,2", "--out", "/dev/stdout"]
+        piped = subprocess.run([sys.executable, "-m", "phaselab.cli", *argv], capture_output=True,
+                               text=True, env={**os.environ, "PYTHONPATH": src})
+        assert piped.returncode == 0 and json.loads(piped.stdout)["command"] == "exponents"
 
 
 def _strip_timing(doc):

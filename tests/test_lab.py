@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import os
+import re
 
 import numpy as np
 import pytest
@@ -253,13 +254,13 @@ class TestRatioExperiment:
         assert reports[0].ratios == single.ratios
         assert reports[0].label == "a" and reports[1].label == "b"
 
-    def test_thread_count_does_not_change_results(self, pg8, monkeypatch):
+    def test_thread_count_does_not_change_results(self, pg8, usable_cpus):
         all2 = ExponentTuple.parse("2,2,2,2")
         ens = EnsembleSpec(seed=27, count=9, atoms_per_symbol=2, width_range=(0.4, 0.5),
                            center_radius=0.5, modulation_radius=0.4)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        usable_cpus({0})
         base = _one_config(all2, all2, ens, pg8)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        usable_cpus({0, 1, 2})
         threaded = _one_config(all2, all2, ens, pg8)
         assert base.ratios == threaded.ratios
 
@@ -274,21 +275,21 @@ class TestRatioExperiment:
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert _thread_count() == 3
 
-    def test_only_a_one_sample_run_splits_rows(self, monkeypatch):
-        # a sample worker already has a CPU: only the caller of a one-sample run
-        # splits its STFT blocks in spans of shift rows, through the row pool
+    def test_only_a_one_sample_run_splits_rows(self, monkeypatch, usable_cpus):
+        # a sample worker, a thread of the same pool, already has a CPU: only the
+        # caller of a one-sample run splits its STFT blocks in spans of shift rows
         import threading
         from concurrent.futures import ThreadPoolExecutor
 
         submitters = []
+        usable_cpus({0, 1})
         with ThreadPoolExecutor(2) as real:
-            class Recording:
+            class Recording:  # the pool _by_rows sees; lab maps its samples on the real one
                 def submit(self, fn, *args, **kwargs):
                     submitters.append(threading.current_thread())
                     return real.submit(fn, *args, **kwargs)
 
             monkeypatch.setattr(phaselab.grids, "_pool", Recording)
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
             all2 = ExponentTuple.parse("2,2,2,2")
             ens = EnsembleSpec(seed=28, count=6, atoms_per_symbol=2)
             two = _one_config(all2, all2, ens, make_grid(1, 32))
@@ -296,6 +297,31 @@ class TestRatioExperiment:
             one = _one_config(all2, all2, dataclasses.replace(ens, count=3), make_grid(1, 32))
         assert submitters and set(submitters) == {threading.main_thread()}
         assert one.ratios == two.ratios[:1]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_builds_its_own_pool(self, usable_cpus):
+        # the child inherits the parent's pool object but none of its threads: work
+        # handed to that copy would wait for good, so the child must build a new pool
+        import signal
+
+        usable_cpus({0, 1})
+        all2 = ExponentTuple.parse("2,2,2,2")
+        ens = EnsembleSpec(seed=28, count=3, atoms_per_symbol=2)
+        _one_config(all2, all2, ens, make_grid(1, 32))  # row spans start the pool
+        assert phaselab.grids._pool.cache_info().currsize == 1
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(20)  # a hang ends the child by SIGALRM
+                _one_config(all2, all2, ens, make_grid(1, 32))
+                _one_config(all2, all2, dataclasses.replace(ens, count=6), make_grid(1, 32))
+                code = 0
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert not (os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGALRM), "child hung"
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
 
     @pytest.mark.parametrize("p, q, message", [
         ("2,2,2", "2,2,2", "odd N"),  # N = 2
@@ -340,6 +366,21 @@ class TestRatioExperiment:
         unit, constant = (ratio_experiment_multi([RatioConfig(p, q, (w,) * 4)], ens, pg16)[0]
                           for w in (unit_weight(), parse_weight(literal)))
         assert constant.ratios == unit.ratios and None not in unit.ratios
+
+    @pytest.mark.parametrize("literal, shown", [("poly:s=2000", "poly:s=2000"),
+                                                ("poly:s=1e308", "poly:s=1e+308")])
+    @pytest.mark.parametrize("rows", [None, 4])
+    def test_a_weight_that_overflows_is_refused(self, monkeypatch, literal, shown, rows):
+        # a finite parameter whose weight is not finite on the grid: an error, not a ratio of 0
+        if rows:
+            monkeypatch.setattr(phaselab.stft, "MATERIALIZE_LIMIT", rows * 16**3)
+        p, q = ExponentTuple.parse("2,inf,2,2"), ExponentTuple.parse("2,1,2,2")
+        ens = EnsembleSpec(seed=9, count=8, atoms_per_symbol=2, width_range=(0.35, 0.5),
+                           center_radius=1.0, modulation_radius=0.7)
+        weights = (unit_weight(), parse_weight(literal), unit_weight(), unit_weight())
+        message = f"weight {shown} is not finite on the grid at n = 16"
+        with pytest.raises(WeightError, match=f"^{re.escape(message)}$"):
+            ratio_experiment_multi([RatioConfig(p, q, weights)], ens, make_grid(1, 16))
 
     def test_shared_norms_match_lone_configs_bitwise(self):
         # run together, the drift configs reuse factor norms through the
@@ -436,13 +477,13 @@ class TestTensorWalk:
         assert got == want == [None] * len(configs)
         assert len(count_norms) == 2 * n_oracle == 2 * len(configs) * (position + 1)
 
-    def test_threads_match_config_by_config(self, count_norms, monkeypatch):
+    def test_threads_match_config_by_config(self, count_norms, usable_cpus):
         configs, ens, groups, pg16 = _drift_samples(9)
         window = default_window(pg16)
         rows = [_config_by_config_ratios(configs, grp, window)
                 for grp in groups]
         n_oracle = len(count_norms)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        usable_cpus({0, 1, 2})
         reports = ratio_experiment_multi(configs, ens, pg16)
         for i, rep in enumerate(reports):
             assert rep.ratios == tuple(row[i] for row in rows)

@@ -1,7 +1,5 @@
 """Mixed norms: collapse, monotonicity, energy identities, duality bounds."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -446,7 +444,7 @@ def test_block_walk_equals_itself_without_the_arena():
 
 
 @pytest.mark.parametrize("n", [32, 64])  # 64 is the block walk
-def test_norms_do_not_depend_on_the_cpu_count(monkeypatch, n):
+def test_norms_do_not_depend_on_the_cpu_count(usable_cpus, n):
     # |V|, |V| * w and the powers run in one span of shift rows per usable CPU (three
     # parts cut unevenly) and every sum whole, so the bits are those of one CPU
     pg = make_grid(1, n)
@@ -457,7 +455,7 @@ def test_norms_do_not_depend_on_the_cpu_count(monkeypatch, n):
              MixedNormSpec(4 / 3, 2, "amalgam", wx)]
     got = []
     for cpus in ({0}, {0, 1}, {0, 1, 2}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        usable_cpus(cpus)
         got.append(np.array(stft_norms(a, Phi, specs)).tobytes())
     assert got[0] == got[1] == got[2]
 
@@ -751,7 +749,7 @@ def test_standalone_norms_never_write_an_arena_tensor():
     assert T.values.tobytes() == before.tobytes()
 
 
-def test_thread_workers_hold_distinct_arenas(monkeypatch):
+def test_thread_workers_hold_distinct_arenas(monkeypatch, usable_cpus):
     import json
     import threading
 
@@ -761,7 +759,7 @@ def test_thread_workers_hold_distinct_arenas(monkeypatch):
     pg = make_grid(1, 16)
     ens = EnsembleSpec(seed=9, count=6, atoms_per_symbol=2, width_range=(0.35, 0.5),
                        center_radius=1.0, modulation_radius=0.7)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # the serial oracle
+    usable_cpus({0})  # the serial oracle
     one = ratio_experiment_multi(drift_configs(), ens, pg)
     arenas = {}
     both_started = threading.Barrier(2, timeout=60)  # each of the 2 samples on its own worker
@@ -775,7 +773,7 @@ def test_thread_workers_hold_distinct_arenas(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(phaselab.lab, "stft_norms", recording)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    usable_cpus({0, 1})
     two = ratio_experiment_multi(drift_configs(), ens, pg)
     assert (json.dumps([r.as_dict() for r in two], sort_keys=True)
             == json.dumps([r.as_dict() for r in one], sort_keys=True))

@@ -1,7 +1,6 @@
 """Short-time Fourier transforms: oracles, energy identities, cross-relations."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -288,9 +287,9 @@ def test_transforms_equal_per_axis_route_bitwise(d, n):
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}, {0, 1, 2}])  # three parts cut 32 rows unevenly
 @pytest.mark.parametrize("n", [16, 24, 32])
-def test_row_spans_keep_the_per_axis_bits(monkeypatch, cpus, n):
+def test_row_spans_keep_the_per_axis_bits(usable_cpus, cpus, n):
     # an STFT block runs in one span of shift rows per usable CPU, whatever their count
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    usable_cpus(cpus)
     g = make_grid(1, n).symbol_grid
     a, Phi = _random(g), _random(g)
     assert _same(symplectic_stft(a, Phi).values, _oracle_block(a, Phi, True))

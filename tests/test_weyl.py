@@ -1,7 +1,6 @@
 """Twisted convolution, symbol products, kernel maps, operator matrices."""
 
 import math
-import os
 import warnings
 
 import numpy as np
@@ -488,13 +487,13 @@ def test_two_dimensional_symbols_supported():
 
 
 @pytest.mark.parametrize("d, n", [(2, 16), (1, 256)])  # 2^16 entries: large enough to split
-def test_products_do_not_depend_on_the_cpu_count(monkeypatch, d, n):
+def test_products_do_not_depend_on_the_cpu_count(usable_cpus, d, n):
     # the symplectic transform sums axis 0 with a full-length trailing table: the
     # spans of its second sum must cut that table with the rows (three parts cut unevenly)
     pg = make_grid(d, n)
     a, b = _random_symbol(pg), _random_symbol(pg)
     got = []
     for cpus in ({0}, {0, 1}, {0, 1, 2}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        usable_cpus(cpus)
         got.append((symplectic_fourier(a).values.tobytes(), weyl_product(a, b).values.tobytes()))
     assert got[0] == got[1] == got[2]
