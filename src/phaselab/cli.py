@@ -190,7 +190,7 @@ def _grid_size(minimum: int, whole: bool = False):
         if not _rows_per_block(value, 2):
             raise argparse.ArgumentTypeError(
                 f"one STFT shift row at n = {value} exceeds the materialization limit")
-        if whole and not _fits(make_grid(1, value).symbol_grid):
+        if whole and not _fits(make_grid(1, value)):
             raise argparse.ArgumentTypeError(
                 f"the STFT at n = {value} exceeds the materialization limit")
         return value

@@ -24,6 +24,7 @@ atom's center, modulation, width and amplitude as its own arguments.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 import os
@@ -77,7 +78,8 @@ if hasattr(os, "register_at_fork"):  # a forked child's copy of the pool has no 
 def _by_rows(fn, out: np.ndarray, *args) -> np.ndarray:
     """``fn(*args, out=out)`` in spans of the leading axis of ``out``, one per usable CPU,
     split on the main thread only (README, "Determinism and threads"); returns ``out``.
-    An argument with fewer axes or a length-one leading axis goes whole to every span."""
+    An argument with fewer axes or a length-one leading axis goes whole to every span.
+    Each span runs in a copy of the caller's context, so numpy's ``errstate`` holds there."""
     assert all(np.ndim(a) < out.ndim or len(a) in (1, len(out)) for a in args), "does not broadcast"
     if out.size < 2 * SPAN_ENTRIES or threading.current_thread() is not threading.main_thread():
         return fn(*args, out=out)
@@ -85,7 +87,8 @@ def _by_rows(fn, out: np.ndarray, *args) -> np.ndarray:
     cut = [np.ndim(a) == out.ndim and len(a) > 1 for a in args]
     rows = [slice(len(out) * k // parts, len(out) * (k + 1) // parts) for k in range(parts)]
     spans = [(out[r], [a[r] if c else a for a, c in zip(args, cut)]) for r in rows]
-    futures = [_pool().submit(fn, *span, out=part) for part, span in spans[1:]]
+    futures = [_pool().submit(contextvars.copy_context().run, fn, *span, out=part)
+               for part, span in spans[1:]]
     try:
         fn(*spans[0][1], out=spans[0][0])
     finally:
@@ -180,47 +183,28 @@ class Grid:
     def quadrature_weight(self) -> float:
         return self.spacing**self.dim
 
+    @property
+    def base_grid(self) -> "Grid":
+        """Of a phase grid over ``R^{2d}``, the self-dual grid for functions on ``R^d``:
+        ``n/2`` points per axis, spacing ``2h``."""
+        if not self.is_symplectic or self.count % 4:
+            raise GridError(f"base-space companion needs a phase grid with n divisible by 4, "
+                            f"got ({self.dim}, {self.count})")
+        return Grid(self.dim // 2, self.count // 2, 2 * self.spacing)
+
     def coordinates(self) -> list[np.ndarray]:
         """Broadcastable coordinate arrays, one per axis."""
         ax = self.axis
         return [ax.reshape([-1 if i == k else 1 for i in range(self.dim)]) for k in range(self.dim)]
 
 
-@dataclass(frozen=True)
-class PhaseGrid:
-    """Discretised phase space ``R^{2d}`` plus its base-space companion."""
-
-    d: int
-    n: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise GridError(f"dimension must be >= 1, got {self.d}")
-        if self.n < 4 or self.n % 2:
-            raise GridError(f"samples per axis must be even and >= 4, got {self.n}")
-
-    @property
-    def h(self) -> float:
-        return math.sqrt(math.pi / self.n)
-
-    @property
-    def extent(self) -> float:
-        return self.n * self.h
-
-    @property
-    def symbol_grid(self) -> Grid:
-        return Grid(2 * self.d, self.n, self.h)
-
-    @property
-    def base_grid(self) -> Grid:
-        """Self-dual grid for functions on ``R^d``: ``n/2`` points, spacing ``2h``."""
-        if self.n % 4:
-            raise GridError(f"base-space companion needs n divisible by 4, got {self.n}")
-        return Grid(self.d, self.n // 2, 2 * self.h)
-
-
-def make_grid(d: int, n: int) -> PhaseGrid:
-    return PhaseGrid(d, n)
+def make_grid(d: int, n: int) -> Grid:
+    """The phase grid over ``R^{2d}``: ``n`` points per axis, spacing ``sqrt(pi/n)``."""
+    if d < 1:
+        raise GridError(f"dimension must be >= 1, got {d}")
+    if n < 4 or n % 2:
+        raise GridError(f"samples per axis must be even and >= 4, got {n}")
+    return Grid(2 * d, n, math.sqrt(math.pi / n))
 
 
 @dataclass(frozen=True)
@@ -257,8 +241,7 @@ def require_same_grid(*fns: GridFunction):
             raise GridError("grid mismatch")
 
 
-def constant_symbol(phase: PhaseGrid, value: complex = 1.0) -> GridFunction:
-    g = phase.symbol_grid
+def constant_symbol(g: Grid, value: complex = 1.0) -> GridFunction:
     return GridFunction(g, np.full(g.shape, value, dtype=complex))
 
 
@@ -304,7 +287,7 @@ def _symplectic_transform(signed: np.ndarray, g: Grid, lead: int = 0) -> np.ndar
     return np.moveaxis(signed, first, second)
 
 
-def gaussian_atom(phase: PhaseGrid, center: Sequence[float], modulation: Sequence[float],
+def gaussian_atom(g: Grid, center: Sequence[float], modulation: Sequence[float],
                   width: float = 1.0, amplitude: complex = 1.0) -> GridFunction:
     """Sample ``amplitude * exp(-|Z - X0|^2 / (2 width^2)) * exp(2i sigma(Y0, Z))``.
 
@@ -319,7 +302,6 @@ def gaussian_atom(phase: PhaseGrid, center: Sequence[float], modulation: Sequenc
         raise GridError("atom width must be positive")
     center = tuple(float(c) for c in center)
     modulation = tuple(float(m) for m in modulation)
-    g = phase.symbol_grid
     if len(center) != g.dim or len(modulation) != g.dim:
         raise GridError("atom center/modulation dimension mismatch")
     L = g.extent

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .exponents import ConditionReport, ExponentTuple, check_conditions, require_same_n
-from .grids import Grid, GridError, GridFunction, PhaseGrid, _pool, gaussian_atom
+from .grids import Grid, GridError, GridFunction, _pool, gaussian_atom
 from .norms import MixedNormSpec, stft_norms
 from .stft import STFTTensor, symplectic_stft
 from .weights import WeightError, WeightSpec
@@ -43,24 +43,24 @@ class EnsembleSpec:
             raise GridError("ensemble needs count >= 0 and at least one atom per symbol")
 
 
-def ensemble_generate(spec: EnsembleSpec, phase: PhaseGrid) -> list[GridFunction]:
+def ensemble_generate(spec: EnsembleSpec, g: Grid) -> list[GridFunction]:
     """Sample ``count`` symbols; identical output for identical (seed, spec, grid).
 
     All random draws are in physical units and independent of the grid, so
     the same spec sampled on two grids yields the same continuum symbols.
     """
     reach = spec.center_radius + spec.modulation_radius
-    if reach > phase.extent / 4 + 1e-12:
+    if reach > g.extent / 4 + 1e-12:
         raise GridError(
-            f"ensemble reach {reach:.3g} violates truncation safety for extent {phase.extent:.3g}"
+            f"ensemble reach {reach:.3g} violates truncation safety for extent {g.extent:.3g}"
         )
     streams = np.random.SeedSequence(spec.seed).spawn(spec.count)
-    return [_random_atoms(phase, np.random.default_rng(stream), spec.atoms_per_symbol,
+    return [_random_atoms(g, np.random.default_rng(stream), spec.atoms_per_symbol,
                           spec.center_radius, spec.modulation_radius, spec.width_range)
             for stream in streams]
 
 
-def _random_atoms(phase: PhaseGrid, rng: np.random.Generator, atoms: int, center_radius: float,
+def _random_atoms(g: Grid, rng: np.random.Generator, atoms: int, center_radius: float,
                   modulation_radius: float, width) -> GridFunction:
     """Sum of ``atoms`` random Gaussian atoms.
 
@@ -70,18 +70,18 @@ def _random_atoms(phase: PhaseGrid, rng: np.random.Generator, atoms: int, center
     """
     vals = None
     for _ in range(atoms):
-        center = rng.uniform(-center_radius, center_radius, size=2 * phase.d)
-        modulation = rng.uniform(-modulation_radius, modulation_radius, size=2 * phase.d)
+        center = rng.uniform(-center_radius, center_radius, size=g.dim)
+        modulation = rng.uniform(-modulation_radius, modulation_radius, size=g.dim)
         w = width if np.isscalar(width) else rng.uniform(*width)
         amp = rng.standard_normal() + 1j * rng.standard_normal()
-        atom = gaussian_atom(phase, center, modulation, w, amp)
+        atom = gaussian_atom(g, center, modulation, w, amp)
         vals = atom.values if vals is None else vals + atom.values
-    return GridFunction(phase.symbol_grid, vals)
+    return GridFunction(g, vals)
 
 
-def default_window(phase: PhaseGrid) -> GridFunction:
+def default_window(g: Grid) -> GridFunction:
     """Centered Gaussian window, truncation-safe down to n = 16."""
-    return gaussian_atom(phase, (0.0,) * (2 * phase.d), (0.0,) * (2 * phase.d), 0.45)
+    return gaussian_atom(g, (0.0,) * g.dim, (0.0,) * g.dim, 0.45)
 
 
 def _fold(symbols: Sequence[GridFunction], product) -> GridFunction:
@@ -281,7 +281,7 @@ def _sample_ratios(configs: Sequence[RatioConfig], symbols: Sequence[GridFunctio
 
 
 def ratio_experiment_multi(configs: Sequence[RatioConfig], ensemble: EnsembleSpec,
-                           phase: PhaseGrid) -> list[RatioReport]:
+                           g: Grid) -> list[RatioReport]:
     """Run several ratio probes over one shared ensemble.
 
     Sample ``k`` consumes symbols ``[k*N, (k+1)*N)`` of the ensemble; the
@@ -299,10 +299,10 @@ def ratio_experiment_multi(configs: Sequence[RatioConfig], ensemble: EnsembleSpe
     # a config with no verdict (an even N, a quasi-Banach tuple) fails before any sampling
     verdicts = [check_conditions("thm-B" if cfg.mode == "weyl" else "twist", cfg.p, cfg.q)
                 for cfg in configs]
-    window = default_window(phase)
-    symbols = ensemble_generate(ensemble, phase)
+    window = default_window(g)
+    symbols = ensemble_generate(ensemble, g)
     groups = [symbols[k:k + n_factors] for k in range(0, len(symbols) - n_factors + 1, n_factors)]
     each = _pool().map if len(groups) > 1 else map
     rows = list(each(lambda grp: _sample_ratios(configs, grp, window), groups))
-    return [RatioReport(cfg, phase.n, ensemble.seed, verdict, tuple(row[i] for row in rows))
+    return [RatioReport(cfg, g.count, ensemble.seed, verdict, tuple(row[i] for row in rows))
             for i, (cfg, verdict) in enumerate(zip(configs, verdicts))]

@@ -14,7 +14,9 @@ one power sum over every entry, whatever the order.
 
 A norm reduces in two steps shared by every caller: ``_partial`` sums p-th
 powers (or takes maxima) over the shift axes of a block of magnitudes and
-``_finish`` turns the accumulated sums into the norm.  ``stft_norms`` takes
+``_finish`` turns the accumulated sums into the norm.  A norm whose sums
+leave the float range, not finite or 0 for a tensor with a positive
+magnitude, is refused with a ``GridError``.  ``stft_norms`` takes
 the norms of one symbol's symplectic STFT: a tensor within
 ``MATERIALIZE_LIMIT`` is one block and goes through ``mixed_norm``; a larger
 one is walked once in blocks.
@@ -141,27 +143,37 @@ def _cells(measure: str, shift_grid: Grid, freq_grid: Grid) -> tuple[float, floa
     return 1.0, 1.0
 
 
+@np.errstate(over="ignore")  # a sum out of the float range is refused by _finish
 def _partial(mags: np.ndarray, key: tuple, cells: tuple[float, float],
-             flat: np.ndarray | None = None) -> np.ndarray:
-    """Power sums (maxima) over the shift axes, the leading half, of a block of magnitudes."""
+             flat: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
+    """Power sums (maxima) over the shift axes, the leading half, of a block of
+    magnitudes, and whether the block has a positive magnitude: read off the
+    sums, or off the block only where every sum is 0 (they underflowed or it is 0)."""
     p, q, order = key[:3]
     kx = mags.ndim // 2
     if order == "amalgam":  # the outer sum is over the small inner norms
         inner = _root(_power_sum(mags, tuple(range(kx, 2 * kx)), q, flat), q, cells[1])
-        return _power_sum(inner, tuple(range(kx)), p)
-    return _power_sum(mags, None if order is None else tuple(range(kx)), p, flat)
+        part = _power_sum(inner, tuple(range(kx)), p)
+    else:
+        part = _power_sum(mags, None if order is None else tuple(range(kx)), p, flat)
+    return part, bool(np.any(part) or np.max(mags) > 0)
 
 
-def _finish(acc: np.ndarray, key: tuple, cells: tuple[float, float]) -> float:
-    """The norm from the partials of every block."""
+@np.errstate(over="ignore")
+def _finish(acc: np.ndarray, positive: bool, key: tuple, cells: tuple[float, float],
+            n: int) -> float:
+    """The norm from the partials of every block, refused where it left the float
+    range: not finite, or 0 for a tensor with a positive magnitude."""
     p, q, order = key[:3]
     cell_shift, cell_freq = cells
-    if order is None:
-        return float(_root(acc, p, cell_shift * cell_freq))
-    inner = _root(acc, p, cell_shift)
+    inner = _root(acc, p, cell_shift if order else cell_shift * cell_freq)
     if order == "modulation":
         inner = _root(_power_sum(inner, tuple(range(inner.ndim)), q), q, cell_freq)
-    return float(inner)
+    norm = float(inner)
+    if not math.isfinite(norm) or (norm == 0 and positive):
+        how = "underflows" if math.isfinite(norm) else "overflows"
+        raise GridError(f"the ({p:g}, {q:g}) norm at n = {n} {how} the float range")
+    return norm
 
 
 def _weight_tensor(weight: WeightSpec | None, shift_grid: Grid, freq_grid: Grid,
@@ -209,15 +221,15 @@ def mixed_norm(F: STFTTensor, spec: MixedNormSpec, *, _state: dict | None = None
     arrays and ``F.values`` is only read.
     """
     w = _weight_tensor(spec.weight, F.shift_grid, F.freq_grid)
-    key = spec.key
+    key, n = spec.key, F.shift_grid.count
     cells = _cells(spec.measure, F.shift_grid, F.freq_grid)
     if _state is None:
         mags = np.abs(F.values)
         x = mags if w is None else np.multiply(mags, w)
-        return _finish(_partial(x, key, cells), key, cells)
+        return _finish(*_partial(x, key, cells), key, cells, n)
     if key not in _state:
         x, flat = _magnitudes(_state, F.values, key[3], w)
-        _state[key] = _finish(_partial(x, key, cells, flat), key, cells)
+        _state[key] = _finish(*_partial(x, key, cells, flat), key, cells, n)
     return _state[key]
 
 
@@ -245,12 +257,15 @@ def stft_norms(a: GridFunction, window: GridFunction, specs: list[MixedNormSpec]
                  for i in sorted(range(len(specs)), key=lambda i: weights.index(keys[i][3]))}
         return [norms[i] for i in range(len(specs))]
     cells = {key: _cells(key[4], g, g) for key in keys}
-    acc = {}
+    acc, positive = {}, dict.fromkeys(keys, False)
     for rows, block in stft_blocks(a, window, True, _scratch=_arena()):
         state = {"last": last}
         for weight in weights:
             x, flat = _magnitudes(state, block, weight, _weight_tensor(weight, g, g, rows))
             for key in [k for k in cells if k[3] == weight]:
                 combine = np.maximum if math.isinf(key[0]) else np.add
-                acc[key] = combine(acc.get(key, 0.0), _partial(x, key, cells[key], flat))
-    return [_finish(acc[key], key, cells[key]) for key in keys]
+                part, pos = _partial(x, key, cells[key], flat)
+                with np.errstate(over="ignore"):
+                    acc[key] = combine(acc.get(key, 0.0), part)
+                positive[key] |= pos
+    return [_finish(acc[key], positive[key], key, cells[key], g.count) for key in keys]

@@ -23,8 +23,8 @@ from .exponents import (
     implication_chain,
 )
 from .grids import (
+    Grid,
     GridFunction,
-    PhaseGrid,
     constant_symbol,
     make_grid,
     symplectic_fourier,
@@ -82,16 +82,15 @@ def _verdict_check(name: str, ok: bool) -> Check:
     return Check(name, 0.0 if ok else 1.0, None, bool(ok))
 
 
-def _random_symbol(phase: PhaseGrid, rng: np.random.Generator) -> GridFunction:
-    g = phase.symbol_grid
+def _random_symbol(g: Grid, rng: np.random.Generator) -> GridFunction:
     vals = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
     return GridFunction(g, vals)
 
 
-def _atom_cloud(phase: PhaseGrid, rng: np.random.Generator, atoms: int = 3,
+def _atom_cloud(g: Grid, rng: np.random.Generator, atoms: int = 3,
                 modulation_frac: float = 0.0625) -> GridFunction:
-    L = phase.extent
-    return _random_atoms(phase, rng, atoms, 0.125 * L, modulation_frac * L, min(1.0, L / 14))
+    L = g.extent
+    return _random_atoms(g, rng, atoms, 0.125 * L, modulation_frac * L, min(1.0, L / 14))
 
 
 def _rel(ref: np.ndarray, other: np.ndarray) -> float:
@@ -147,7 +146,7 @@ def suite_products(n: int = 32, seed: int = 2) -> list[Check]:
         conj_b = GridFunction(b.grid, np.conj(b.values))
         twist_image = symplectic_fourier(twisted_convolution(a, b)).values
         product_image = symplectic_fourier(weyl_product(a, b)).values
-        image_rhs = (2 * math.pi) ** (-phase.d / 2) * twisted_convolution(
+        image_rhs = (2 * math.pi) ** (-phase.dim / 4) * twisted_convolution(
             symplectic_fourier(a), symplectic_fourier(b)).values
         ip = weyl_product(a, b).inner(c)
         it = twisted_convolution(a, b).inner(c)

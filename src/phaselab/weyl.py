@@ -35,7 +35,6 @@ from .grids import (
     Grid,
     GridError,
     GridFunction,
-    PhaseGrid,
     centered_character_sum,
     require_same_grid,
     symplectic_fourier,
@@ -47,11 +46,10 @@ def _require_half_integer(A: float, what: str):
         raise GridError(f"{what} needs a half-integer quantization index to stay grid-aligned")
 
 
-def _phase_of(a: GridFunction) -> PhaseGrid:
-    g = a.grid
-    if not g.is_symplectic:
+def _phase_grid(a: GridFunction) -> Grid:
+    if not a.grid.is_symplectic:
         raise GridError("symbol must live on a phase grid")
-    return PhaseGrid(g.dim // 2, g.count)
+    return a.grid
 
 
 def point_reflection(a: GridFunction) -> GridFunction:
@@ -85,11 +83,11 @@ def twisted_convolution(a: GridFunction, b: GridFunction, method: str = "fast") 
         raise GridError(f"unknown twisted convolution method {method!r}")
     require_same_grid(a, b)
     route = _twisted_fast if method == "fast" else _twisted_direct
-    return route(a, b, _phase_of(a))
+    return route(a, b, _phase_grid(a))
 
 
-def _twisted_coeff(phase: PhaseGrid) -> float:
-    return (2 / math.pi) ** (phase.d / 2) * phase.symbol_grid.quadrature_weight
+def _twisted_coeff(g: Grid) -> float:
+    return (2 / math.pi) ** (g.dim / 4) * g.quadrature_weight
 
 
 #: einsum subscripts, three per axis pair j: ``y_j``, ``xi_j``, ``eta_j`` (``kml`` at d = 1)
@@ -114,11 +112,10 @@ def _each_position(n: int, d: int, ndim: int):
     return zip(itertools.product(range(n), repeat=d), itertools.product(*rows))
 
 
-def _twisted_direct(a: GridFunction, b: GridFunction, phase: PhaseGrid) -> GridFunction:
+def _twisted_direct(a: GridFunction, b: GridFunction, g: Grid) -> GridFunction:
     """Direct double sum, one output position ``x`` at a time to bound memory."""
-    g = a.grid
-    n, d = g.count, phase.d
-    coeff = _twisted_coeff(phase)
+    n, d = g.count, g.dim // 2
+    coeff = _twisted_coeff(g)
     P = _phase_table(n, +1)  # P[p, q] = e^{2pi i (p-c)(q-c)/n}
     Pc = np.conj(P)
     k, m, l = (_SUBSCRIPTS[s:3 * d:3] for s in range(3))
@@ -134,12 +131,11 @@ def _twisted_direct(a: GridFunction, b: GridFunction, phase: PhaseGrid) -> GridF
     return GridFunction(g, out)
 
 
-def _twisted_fast(a: GridFunction, b: GridFunction, phase: PhaseGrid) -> GridFunction:
+def _twisted_fast(a: GridFunction, b: GridFunction, g: Grid) -> GridFunction:
     """Per-pair factorization: FFT convolution over the frequency axes, explicit
     character sum over the position axes, one output position ``x`` at a time."""
-    g = a.grid
-    n, d = g.count, phase.d
-    coeff = _twisted_coeff(phase)
+    n, d = g.count, g.dim // 2
+    coeff = _twisted_coeff(g)
     Pm = _phase_table(n, -1)  # e^{-2pi i (p-c)(q-c)/n}
     Pp = [np.conj(Pm)] * d
     freq_axes = range(d, 2 * d)
@@ -171,9 +167,9 @@ def weyl_product(a: GridFunction, b: GridFunction) -> GridFunction:
     Computed as ``(2*pi)^{-d/2} * (a twisted-conv symplectic_fourier(b))``;
     the constant symbol 1 is the unit.
     """
-    phase = _phase_of(a)
+    g = _phase_grid(a)
     scaled = twisted_convolution(a, symplectic_fourier(b))
-    return GridFunction(a.grid, (2 * math.pi) ** (-phase.d / 2) * scaled.values)
+    return GridFunction(g, (2 * math.pi) ** (-g.dim / 4) * scaled.values)
 
 
 # -- symbol/kernel maps -------------------------------------------------------
@@ -186,23 +182,22 @@ def symbol_to_kernel(a: GridFunction, A: float) -> np.ndarray:
     position axes (n points, spacing h, periodic with extent L) and the
     ``t`` axes carry n points of spacing 2h (extent 2L).
     """
-    phase = _phase_of(a)
-    d = phase.d
+    d = _phase_grid(a).dim // 2
     _require_half_integer(A, "kernel map")
     # (2 pi)^{-d/2} * [(2 pi)^{-d/2} h^d sum_xi a(u, xi) e^{+i t xi}]
     coeff = (2 * math.pi) ** (-d) * a.grid.quadrature_weight ** 0.5
     return coeff * centered_character_sum(a.values, range(d, 2 * d), +1)
 
 
-def kernel_to_symbol(K: np.ndarray, phase: PhaseGrid) -> GridFunction:
-    """Inverse of :func:`symbol_to_kernel`; exact round trip."""
-    d = phase.d
-    t_spacing = 2 * phase.h
+def kernel_to_symbol(K: np.ndarray, g: Grid) -> GridFunction:
+    """Inverse of :func:`symbol_to_kernel` onto the phase grid ``g``; exact round trip."""
+    d = g.dim // 2
+    t_spacing = 2 * g.spacing
     coeff = (2 * math.pi) ** (d / 2) * (2 * math.pi) ** (-d / 2) * t_spacing**d
-    return GridFunction(phase.symbol_grid, coeff * centered_character_sum(K, range(d, 2 * d), -1))
+    return GridFunction(g, coeff * centered_character_sum(K, range(d, 2 * d), -1))
 
 
-def _kernel_sample_indices(phase: PhaseGrid, A: float, offset: int):
+def _kernel_sample_indices(g: Grid, A: float, offset: int):
     """Index arrays mapping base-lattice pairs ``(x, y)`` into the (u, t) axes.
 
     ``offset = 0`` is the base grid itself, ``offset = 1`` the half-spacing
@@ -210,7 +205,7 @@ def _kernel_sample_indices(phase: PhaseGrid, A: float, offset: int):
     the ``(u, t)`` checkerboard; both lattices together cover the full
     diamond of reachable cells.
     """
-    m, n, d = phase.base_grid.count, phase.n, phase.d
+    m, n, d = g.base_grid.count, g.count, g.dim // 2
     # per-axis integer coordinates of x and y in units of the base spacing 2h
     xy = np.indices((m,) * (2 * d)) - m // 2  # x axes then y axes
     x, diff = xy[:d], xy[:d] - xy[d:]
@@ -218,14 +213,14 @@ def _kernel_sample_indices(phase: PhaseGrid, A: float, offset: int):
     return tuple((u + n // 2) % n) + tuple(diff + n // 2)  # t in units of 2h, no wrap needed
 
 
-def _sample(K: np.ndarray, phase: PhaseGrid, A: float, offset: int) -> np.ndarray:
+def _sample(K: np.ndarray, g: Grid, A: float, offset: int) -> np.ndarray:
     """Quadrature-scaled matrix of the kernel ``K`` on one base lattice."""
-    base = phase.base_grid
-    m, d = base.count, phase.d
-    return base.quadrature_weight * K[_kernel_sample_indices(phase, A, offset)].reshape(m**d, m**d)
+    base = g.base_grid
+    m = base.count**base.dim
+    return base.quadrature_weight * K[_kernel_sample_indices(g, A, offset)].reshape(m, m)
 
 
-def _scatter(M: np.ndarray, phase: PhaseGrid, A: float, offset: int, K: np.ndarray):
+def _scatter(M: np.ndarray, g: Grid, A: float, offset: int, K: np.ndarray):
     """Write the kernel samples of the matrix ``M`` back into ``K``.
 
     One lattice offset fills one parity class of ``K``; scatter the other
@@ -234,9 +229,8 @@ def _scatter(M: np.ndarray, phase: PhaseGrid, A: float, offset: int, K: np.ndarr
     approximation for decaying kernels (and the reason the operator route
     carries a looser tolerance than the phase-space route).
     """
-    base = phase.base_grid
-    K[_kernel_sample_indices(phase, A, offset)] = (
-        (M / base.quadrature_weight).reshape((base.count,) * (2 * phase.d)))
+    base = g.base_grid
+    K[_kernel_sample_indices(g, A, offset)] = (M / base.quadrature_weight).reshape(base.shape * 2)
 
 
 def operator_matrix(a: GridFunction, A: float) -> np.ndarray:
@@ -246,20 +240,20 @@ def operator_matrix(a: GridFunction, A: float) -> np.ndarray:
     ``(2h)^d`` quadrature factor, so application and composition are plain
     matrix products (hence composition is exactly associative).
     """
-    return _sample(symbol_to_kernel(a, A), _phase_of(a), A, 0)
+    return _sample(symbol_to_kernel(a, A), _phase_grid(a), A, 0)
 
 
 def compose_via_matrices(a: GridFunction, b: GridFunction, A: float) -> GridFunction:
     """Oracle route: compose quantized matrices on both lattice offsets and
     reassemble the product symbol from the two checkerboard classes."""
     require_same_grid(a, b)
-    phase = _phase_of(a)
+    g = _phase_grid(a)
     Ka, Kb = symbol_to_kernel(a, A), symbol_to_kernel(b, A)
     K = np.zeros(Ka.shape, dtype=complex)
     for offset in (0, 1):
-        M = _sample(Ka, phase, A, offset) @ _sample(Kb, phase, A, offset)
-        _scatter(M, phase, A, offset, K)
-    return kernel_to_symbol(K, phase)
+        M = _sample(Ka, g, A, offset) @ _sample(Kb, g, A, offset)
+        _scatter(M, g, A, offset, K)
+    return kernel_to_symbol(K, g)
 
 
 # -- calculi transform and general quantizations ------------------------------
@@ -271,13 +265,12 @@ def calculi_transform(a: GridFunction, A1: float, A2: float) -> GridFunction:
     ``A1 - A2`` the multiplier is an exact grid character, the map is unitary
     and the transforms compose as a group.
     """
-    phase = _phase_of(a)
-    d = phase.d
+    g = _phase_grid(a)
+    d = g.dim // 2
     dA = A1 - A2
     _require_half_integer(dA, "calculi transform")
     if not dA:
         return a
-    g = a.grid
     n, c = g.count, g.count // 2
     ahat = centered_character_sum(a.values, range(2 * d), -1)
     k = np.arange(n) - c

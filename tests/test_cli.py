@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -204,6 +205,19 @@ def test_ratio_weight_that_overflows_exits_two(capsys, weight, shown):
                          "--weights", f"unit,{weight},unit,unit")
     assert code == 2 and not out
     assert err == f"error: weight {shown} is not finite on the grid at n = 16\n"
+
+
+@pytest.mark.parametrize("weights, how", [((), "underflows"),
+                                          (("--weights", "unit,poly:s=6,unit,unit"), "overflows")])
+def test_ratio_norm_beyond_float_range_exits_two(capsys, weights, how):
+    # p = 1000: the power sums of |V| underflow to a norm of 0, read as a zero
+    # factor; weighted by <.>^6 they overflow to a ratio of 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "ratio", "--p", "2,1000,2,2", "--q", "2,1,2,2",
+                             "--samples", "3", *weights)
+    assert code == 2 and not out and not caught
+    assert err == f"error: the (1000, 1) norm at n = 16 {how} the float range\n"
 
 
 def test_ratio_non_number_weight_exits_two(capsys):

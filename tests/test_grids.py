@@ -1,11 +1,13 @@
 """Grids, Fourier transforms, Gaussian atoms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from phaselab.grids import (
+    SPAN_ENTRIES,
     Grid,
     GridError,
     GridFunction,
@@ -88,11 +90,11 @@ def test_centered_sum_leaves_read_only_input_untouched():
 
 def test_make_grid_values():
     pg = make_grid(1, 16)
-    assert pg.h == pytest.approx(0.443113, abs=1e-6)
+    assert pg.spacing == pytest.approx(0.443113, abs=1e-6)
     assert pg.extent == pytest.approx(7.08982, abs=1e-5)
-    assert make_grid(1, 64).h ** 2 == pytest.approx(math.pi / 64, abs=1e-15)
+    assert make_grid(1, 64).spacing ** 2 == pytest.approx(math.pi / 64, abs=1e-15)
     # symplectic self-duality h^2 n = pi holds exactly by construction
-    assert pg.h**2 * pg.n == pytest.approx(math.pi, abs=1e-15)
+    assert pg.spacing**2 * pg.count == pytest.approx(math.pi, abs=1e-15)
 
 
 def test_make_grid_validation():
@@ -108,10 +110,18 @@ def test_companion_base_grid_is_self_dual_and_shear_compatible():
     pg = make_grid(1, 32)
     base = pg.base_grid
     assert base.count == 16
-    assert base.spacing == pytest.approx(2 * pg.h)
+    assert base.spacing == pytest.approx(2 * pg.spacing)
     assert base.is_self_dual
     with pytest.raises(GridError):
         make_grid(1, 6).base_grid  # n = 6 has no even companion
+
+
+@pytest.mark.parametrize("grid", [make_grid(1, 16).base_grid, Grid(2, 16, 0.25),
+                                  Grid(3, 16, math.sqrt(math.pi / 16))])
+def test_only_a_phase_grid_has_a_base_grid(grid):
+    # the base grid, a grid that is not symplectic, an odd number of axes
+    with pytest.raises(GridError, match="base-space companion needs a phase grid"):
+        grid.base_grid
 
 
 def test_fourier_gaussian_self_dual():
@@ -132,7 +142,7 @@ def test_fourier_round_trip_and_parseval():
 
 def test_fourier_requires_self_dual():
     pg = make_grid(1, 16)
-    a = GridFunction(pg.symbol_grid, np.ones(pg.symbol_grid.shape))
+    a = GridFunction(pg, np.ones(pg.shape))
     with pytest.raises(GridError):
         fourier(a)
 
@@ -140,7 +150,7 @@ def test_fourier_requires_self_dual():
 @pytest.mark.parametrize("n", [16, 32, 64])
 def test_symplectic_involution(n):
     pg = make_grid(1, n)
-    g = pg.symbol_grid
+    g = pg
     a = GridFunction(g, RNG.standard_normal(g.shape) + 1j * RNG.standard_normal(g.shape))
     aa = symplectic_fourier(symplectic_fourier(a))
     rel = np.max(np.abs(aa.values - a.values)) / np.max(np.abs(a.values))
@@ -157,9 +167,9 @@ def test_symplectic_gaussian_fixed_point():
 
 def test_symplectic_matches_quadrature_oracle():
     pg = make_grid(1, 32)
-    g = pg.symbol_grid
+    g = pg
     h, ax = g.spacing, g.axis
-    a = gaussian_atom(pg, (0.5, -0.4), (2 * pg.h, pg.h), 0.8)
+    a = gaussian_atom(pg, (0.5, -0.4), (2 * pg.spacing, pg.spacing), 0.8)
     fa = symplectic_fourier(a)
     Z1, Z2 = np.meshgrid(ax, ax, indexing="ij")
     for (i, j) in [(16, 16), (20, 13), (5, 27)]:
@@ -170,7 +180,7 @@ def test_symplectic_matches_quadrature_oracle():
 
 def test_symplectic_linearity_zero():
     pg = make_grid(1, 16)
-    z = GridFunction(pg.symbol_grid, np.zeros(pg.symbol_grid.shape))
+    z = GridFunction(pg, np.zeros(pg.shape))
     assert np.all(symplectic_fourier(z).values == 0)
 
 
@@ -212,7 +222,7 @@ class TestGaussianAtom:
 
     def test_grid_step_shift_is_cyclic(self):
         pg = make_grid(1, 32)
-        h = pg.h
+        h = pg.spacing
         a0 = gaussian_atom(pg, (0.0, 0.0), (2 * h, -3 * h), 0.8)
         a1 = gaussian_atom(pg, (h, 0.0), (2 * h, -3 * h), 0.8)
         rolled = np.roll(a0.values, 1, axis=0)
@@ -230,11 +240,11 @@ def test_gridfunction_immutability_and_validation():
     with pytest.raises(ValueError):
         a.values[0, 0] = 1.0
     with pytest.raises(GridError):
-        GridFunction(pg.symbol_grid, np.ones((3, 3)))
-    bad = np.ones(pg.symbol_grid.shape)
+        GridFunction(pg, np.ones((3, 3)))
+    bad = np.ones(pg.shape)
     bad[0, 0] = np.nan
     with pytest.raises(GridError):
-        GridFunction(pg.symbol_grid, bad)
+        GridFunction(pg, bad)
 
 
 def test_grid_dual_pairing():
@@ -251,3 +261,17 @@ def test_row_spans_refuse_an_argument_that_does_not_broadcast():
     assert np.array_equal(out, 2 * np.arange(12.0).reshape(4, 3))
     with pytest.raises(AssertionError, match="broadcast"):
         _by_rows(np.multiply, out, np.ones((4, 3)), np.ones((2, 3)))
+
+
+def test_row_spans_run_in_the_callers_error_state(usable_cpus):
+    # numpy's errstate is per thread; a span on the pool must still see the caller's
+    usable_cpus({0, 1})
+    x = np.full((8, SPAN_ENTRIES // 4), 1e200)  # two spans, rows 4 to 7 on the pool
+    power = np.array([[1.0]] * 4 + [[2.0]] * 4)  # overflows in the pool's span only
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with np.errstate(over="ignore"):
+            out = _by_rows(np.power, np.empty_like(x), x, power)
+    assert np.isinf(out[4:]).all() and np.array_equal(out[:4], x[:4]) and not caught
+    with pytest.raises(FloatingPointError), np.errstate(over="raise"):
+        _by_rows(np.power, np.empty_like(x), x, power)

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -104,7 +105,7 @@ class TestNfoldProduct:
 class TestRepresentation:
     def test_zero_factors_give_zero(self, pg8):
         window = default_window(pg8)
-        zero = GridFunction(pg8.symbol_grid, np.zeros(pg8.symbol_grid.shape))
+        zero = GridFunction(pg8, np.zeros(pg8.shape))
         out = stft_integral_representation([zero, zero], window)
         assert np.all(out == 0)
 
@@ -131,8 +132,8 @@ class TestRepresentation:
         """``paired_stft`` equals ``V(X + Y, X - Y)`` gathered point pair by point pair."""
         pg = make_grid(d, n)
         rng = np.random.default_rng(n)
-        shape = pg.symbol_grid.shape
-        a = GridFunction(pg.symbol_grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        shape = pg.shape
+        a = GridFunction(pg, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         window = default_window(pg)
         V = symplectic_stft(a, window).values
         points = _centered_points(d, n)
@@ -152,7 +153,7 @@ class TestRepresentation:
         points = _centered_points(d, n)
         s = np.array([[sum(A[d + i] * B[i] - A[i] * B[d + i] for i in range(d)) for B in points]
                       for A in points])
-        assert np.array_equal(_sigma_table(make_grid(d, n).symbol_grid), np.exp(2j * np.pi * s / n))
+        assert np.array_equal(_sigma_table(make_grid(d, n)), np.exp(2j * np.pi * s / n))
 
     def test_grid_16_runs(self):
         # the only size rule is symplectic_stft's: an STFT within MATERIALIZE_LIMIT
@@ -203,7 +204,7 @@ class TestRatioExperiment:
         all2 = ExponentTuple.parse("2,2,2,2")
         cfg = RatioConfig(all2, all2, (unit_weight(),) * 4, "weyl", "counting")
         window = default_window(pg8)
-        zero = GridFunction(pg8.symbol_grid, np.zeros(pg8.symbol_grid.shape))
+        zero = GridFunction(pg8, np.zeros(pg8.shape))
         spec = EnsembleSpec(seed=2, count=3, center_radius=0.5, modulation_radius=0.3)
         symbols = ensemble_generate(spec, pg8)
         ratios = _sample_ratios([cfg], [symbols[0], zero, symbols[1]], window)
@@ -382,6 +383,24 @@ class TestRatioExperiment:
         with pytest.raises(WeightError, match=f"^{re.escape(message)}$"):
             ratio_experiment_multi([RatioConfig(p, q, weights)], ens, make_grid(1, 16))
 
+    @pytest.mark.parametrize("literal, how", [("unit", "underflows"), ("poly:s=6", "overflows")])
+    @pytest.mark.parametrize("rows", [None, 4])
+    def test_a_norm_beyond_the_float_range_is_refused(self, monkeypatch, literal, how, rows):
+        # a finite exponent whose power sums leave the float range: an error, never a
+        # zero factor norm (a degenerate sample) or a ratio of 0
+        if rows:
+            monkeypatch.setattr(phaselab.stft, "MATERIALIZE_LIMIT", rows * 16**3)
+        p, q = ExponentTuple.parse("2,1000,2,2"), ExponentTuple.parse("2,1,2,2")
+        ens = EnsembleSpec(seed=9, count=6, atoms_per_symbol=2, width_range=(0.35, 0.5),
+                           center_radius=1.0, modulation_radius=0.7)
+        weights = (unit_weight(), parse_weight(literal), unit_weight(), unit_weight())
+        message = f"the (1000, 1) norm at n = 16 {how} the float range"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(GridError, match=f"^{re.escape(message)}$"):
+                ratio_experiment_multi([RatioConfig(p, q, weights)], ens, make_grid(1, 16))
+        assert not caught
+
     def test_shared_norms_match_lone_configs_bitwise(self):
         # run together, the drift configs reuse factor norms through the
         # per-tensor memo; a lone config takes one norm per tensor and never hits it
@@ -470,7 +489,7 @@ class TestTensorWalk:
         configs, _, groups, pg16 = _drift_samples(3)
         window = default_window(pg16)
         symbols = list(groups[0])
-        symbols[position] = GridFunction(pg16.symbol_grid, np.zeros(pg16.symbol_grid.shape))
+        symbols[position] = GridFunction(pg16, np.zeros(pg16.shape))
         want = _config_by_config_ratios(configs, symbols, window)
         n_oracle = len(count_norms)
         got = _sample_ratios(configs, symbols, window)

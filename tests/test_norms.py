@@ -1,5 +1,8 @@
 """Mixed norms: collapse, monotonicity, energy identities, duality bounds."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,14 +26,14 @@ RNG = np.random.default_rng(2)
 @pytest.fixture
 def setup():
     pg = make_grid(1, 16)
-    a = gaussian_atom(pg, (0.4, -0.2), (2 * pg.h, -pg.h), 0.45)
+    a = gaussian_atom(pg, (0.4, -0.2), (2 * pg.spacing, -pg.spacing), 0.45)
     Phi = gaussian_atom(pg, (0, 0), (0, 0), 0.45)
     return pg, a, Phi, symplectic_stft(a, Phi)
 
 
 def test_single_entry_counting(setup):
     pg, a, Phi, W = setup
-    g = pg.symbol_grid
+    g = pg
     vals = np.zeros(W.values.shape, dtype=complex)
     vals[3, 5, 7, 2] = 2 - 1j
     T = STFTTensor(W.shift_grid, W.freq_grid, vals)
@@ -43,7 +46,7 @@ def test_single_entry_counting(setup):
 
 def test_equal_exponents_collapse_bitwise(setup):
     pg, a, Phi, W = setup
-    g = pg.symbol_grid
+    g = pg
     for measure in ("counting", "quadrature"):
         cell = g.quadrature_weight**2 if measure == "quadrature" else 1.0
         for order in ("modulation", "amalgam"):
@@ -120,8 +123,8 @@ def test_duality_lower_bound():
     for n in (16, 32):
         pg = make_grid(1, n)
         Phi = gaussian_atom(pg, (0, 0), (0, 0), 0.45)
-        a = gaussian_atom(pg, (0.4, -0.2), (2 * pg.h, -pg.h), 0.45)
-        b = gaussian_atom(pg, (-0.3, 0.5), (pg.h, 0), 0.5)
+        a = gaussian_atom(pg, (0.4, -0.2), (2 * pg.spacing, -pg.spacing), 0.45)
+        b = gaussian_atom(pg, (-0.3, 0.5), (pg.spacing, 0), 0.5)
         for (p, q) in [(1.0, 2.0), (2.0, 3.0), (4.0, 1.0)]:
             pc = Exponent.from_value(p).conjugate().value
             qc = Exponent.from_value(q).conjugate().value
@@ -146,7 +149,7 @@ def test_multi_block_matches_one_block(monkeypatch):
     ]
     for n in (16, 32):
         pg = make_grid(1, n)
-        a = gaussian_atom(pg, (0.4, -0.2), (2 * pg.h, -pg.h), 0.45)
+        a = gaussian_atom(pg, (0.4, -0.2), (2 * pg.spacing, -pg.spacing), 0.45)
         Phi = gaussian_atom(pg, (0, 0), (0, 0), 0.45)
         want = stft_norms(a, Phi, specs)
         for rows in (1, 4):
@@ -167,6 +170,33 @@ def test_spec_validation():
         MixedNormSpec(huge, 2)
     with pytest.raises(GridError):
         MixedNormSpec(2, huge)
+
+
+@pytest.mark.parametrize("p, q, order, how", [
+    (2, 1000, "amalgam", "underflows"),  # every inner norm
+    (2, 1000, "modulation", "underflows"),  # the outer sum over positive partials
+    (1000, 1000, "modulation", "underflows"),  # the one flat power sum
+    (0.001, 1, "modulation", "overflows"),  # the 1/p power of the partials
+    (1, 0.001, "amalgam", "overflows"),  # the 1/q power of the inner sums
+])
+@pytest.mark.parametrize("rows", [None, 4])
+def test_a_norm_beyond_the_float_range_is_refused(monkeypatch, setup, p, q, order, how, rows):
+    # 0 for a tensor with a positive magnitude, or not finite: refused on its own,
+    # on the one-block path and in a walk alike, without a warning
+    _, a, Phi, W = setup
+    spec = MixedNormSpec(p, q, order)
+    message = f"^{re.escape(f'the ({p:g}, {q:g}) norm at n = 16 {how} the float range')}$"
+    if rows:
+        monkeypatch.setattr(phaselab.stft, "MATERIALIZE_LIMIT", rows * 16**3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(GridError, match=message):
+            mixed_norm(W, spec)
+        with pytest.raises(GridError, match=message):
+            stft_norms(a, Phi, [spec])
+    assert not caught
+    # the zero tensor keeps its norm of 0
+    assert mixed_norm(STFTTensor(W.shift_grid, W.freq_grid, np.zeros(W.values.shape)), spec) == 0.0
 
 
 # -- per-tensor norm memo ----------------------------------------------------------
@@ -363,7 +393,7 @@ def test_sample_ratios_releases_magnitudes(monkeypatch):
     ens = EnsembleSpec(seed=9, count=3, atoms_per_symbol=2, width_range=(0.35, 0.5),
                        center_radius=1.0, modulation_radius=0.7)
     symbols = ensemble_generate(ens, pg)
-    zero = GridFunction(pg.symbol_grid, np.zeros(pg.symbol_grid.shape))
+    zero = GridFunction(pg, np.zeros(pg.shape))
     for grp in (symbols, [symbols[0], zero, symbols[2]]):
         _sample_ratios(drift_configs(), grp, default_window(pg))
     # 3 factors and 2 products; then 2 factors, after which every config is degenerate
@@ -373,13 +403,13 @@ def test_sample_ratios_releases_magnitudes(monkeypatch):
 # -- per-thread scratch arena ------------------------------------------------------
 
 def _window(pg):
-    return gaussian_atom(pg, (0,) * (2 * pg.d), (0,) * (2 * pg.d), 0.45)
+    return gaussian_atom(pg, (0,) * pg.dim, (0,) * pg.dim, 0.45)
 
 
 def _symbols(pg, count, seed=5):
     """``count`` different Gaussian symbols on ``pg``."""
     rng = np.random.default_rng(seed)
-    k, r = 2 * pg.d, min(0.6, pg.symbol_grid.extent / 10)  # truncation-safe reach
+    k, r = pg.dim, min(0.6, pg.extent / 10)  # truncation-safe reach
     return [gaussian_atom(pg, rng.uniform(-r, r, k), rng.uniform(-r, r, k) * 2 / 3, 0.45)
             for _ in range(count)]
 
@@ -415,15 +445,17 @@ def _fresh_walk(a, window, specs):
     g = a.grid
     keys = [spec.key for spec in specs]
     cells = {key: norms._cells(key[4], g, g) for key in keys}
-    acc = {}
+    acc, positive = {}, dict.fromkeys(keys, False)
     for rows, block in stft_blocks(a, window, True):
         mags = np.abs(block)
         for key in cells:
             w = norms._weight_tensor(key[3], g, g, rows)
             x = mags if w is None else np.multiply(mags, w)
             combine = np.maximum if np.isinf(key[0]) else np.add
-            acc[key] = combine(acc.get(key, 0.0), norms._partial(x, key, cells[key]))
-    return [norms._finish(acc[key], key, cells[key]) for key in keys]
+            part, pos = norms._partial(x, key, cells[key])
+            acc[key] = combine(acc.get(key, 0.0), part)
+            positive[key] |= pos
+    return [norms._finish(acc[key], positive[key], key, cells[key], g.count) for key in keys]
 
 
 def test_block_walk_equals_itself_without_the_arena():

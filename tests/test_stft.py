@@ -34,7 +34,7 @@ def base_setup():
 @pytest.fixture
 def phase_setup():
     pg = make_grid(1, 16)
-    a = gaussian_atom(pg, (0.5, -0.3), (2 * pg.h, pg.h), 0.45)
+    a = gaussian_atom(pg, (0.5, -0.3), (2 * pg.spacing, pg.spacing), 0.45)
     Phi = gaussian_atom(pg, (0, 0), (0, 0), 0.45)
     return pg, a, Phi
 
@@ -89,7 +89,7 @@ def test_moyal_energy_identity_ordinary():
 def test_moyal_energy_identity_symplectic(phase_setup):
     pg, a, Phi = phase_setup
     W = symplectic_stft(a, Phi)
-    h = pg.symbol_grid.spacing
+    h = pg.spacing
     qnorm = math.sqrt(h**4 * np.sum(np.abs(W.values) ** 2))
     assert qnorm == pytest.approx(a.norm2() * Phi.norm2(), rel=1e-10)
 
@@ -111,7 +111,7 @@ def test_fourier_covariance_of_stft(base_setup):
 
 def test_symplectic_stft_direct_sum_oracle(phase_setup):
     pg, a, Phi = phase_setup
-    g = pg.symbol_grid
+    g = pg
     W = symplectic_stft(a, Phi)
     h, ax, cn = g.spacing, g.axis, g.count // 2
     Z1, Z2 = np.meshgrid(ax, ax, indexing="ij")
@@ -125,7 +125,7 @@ def test_symplectic_stft_direct_sum_oracle(phase_setup):
 
 def test_symplectic_stft_zero_frequency_slice(phase_setup):
     pg, a, Phi = phase_setup
-    g = pg.symbol_grid
+    g = pg
     W = symplectic_stft(a, Phi)
     h, cn = g.spacing, g.count // 2
     for idx in [(8, 8), (3, 12)]:
@@ -137,7 +137,7 @@ def test_symplectic_stft_zero_frequency_slice(phase_setup):
 def test_stft_comparison_relation(phase_setup):
     # symplectic STFT(X, Y) = 2^d * ordinary STFT at (x, xi, -2 eta, 2 y)
     pg, a, Phi = phase_setup
-    g = pg.symbol_grid
+    g = pg
     n, cn = g.count, g.count // 2
     W = symplectic_stft(a, Phi)
     V = stft(a, Phi)  # frequency block on the dual (2h) grid
@@ -150,7 +150,7 @@ def test_stft_comparison_relation(phase_setup):
 
 def test_symplectic_fourier_covariance(phase_setup):
     pg, a, Phi = phase_setup
-    g = pg.symbol_grid
+    g = pg
     W = symplectic_stft(a, Phi)
     Wf = symplectic_stft(symplectic_fourier(a), symplectic_fourier(Phi))
     ax = g.axis
@@ -162,7 +162,7 @@ def test_symplectic_fourier_covariance(phase_setup):
 @pytest.mark.parametrize("n", [16, 32])
 def test_blocks_match_materialized(monkeypatch, n):
     pg = make_grid(1, n)
-    a = gaussian_atom(pg, (0.5, -0.3), (2 * pg.h, pg.h), 0.45)
+    a = gaussian_atom(pg, (0.5, -0.3), (2 * pg.spacing, pg.spacing), 0.45)
     Phi = gaussian_atom(pg, (0, 0), (0, 0), 0.45)
     for symplectic in (False, True):
         T = symplectic_stft(a, Phi) if symplectic else stft(a, Phi)
@@ -205,7 +205,7 @@ def test_shift_stack_equals_direct_gather(base_setup, phase_setup):
 def test_stft_memory_layout(phase_setup):
     # norms reduce in memory order, so the layout is part of the bitwise contract
     pg, a, Phi = phase_setup
-    n, item = pg.n, np.dtype(complex).itemsize
+    n, item = pg.count, np.dtype(complex).itemsize
     assert symplectic_stft(a, Phi).values.strides == tuple(
         item * n**k for k in (3, 1, 0, 2))
     assert stft(a, Phi).values.strides == tuple(item * n**k for k in (3, 1, 2, 0))
@@ -268,7 +268,7 @@ def _same(got, want):
 @pytest.mark.parametrize("d, n", [(1, 16), (1, 32), (1, 12), (1, 24), (2, 4), (2, 8)])
 def test_transforms_equal_per_axis_route_bitwise(d, n):
     pg = make_grid(d, n)
-    g = pg.symbol_grid
+    g = pg
     a, Phi = _random(g), _random(g)
     want = _per_axis_symplectic(a.values.astype(complex), g, 0)
     assert _same(symplectic_fourier(a).values, GridFunction(g, want).values)
@@ -290,7 +290,7 @@ def test_transforms_equal_per_axis_route_bitwise(d, n):
 def test_row_spans_keep_the_per_axis_bits(usable_cpus, cpus, n):
     # an STFT block runs in one span of shift rows per usable CPU, whatever their count
     usable_cpus(cpus)
-    g = make_grid(1, n).symbol_grid
+    g = make_grid(1, n)
     a, Phi = _random(g), _random(g)
     assert _same(symplectic_stft(a, Phi).values, _oracle_block(a, Phi, True))
     assert _same(stft(a, Phi).values, _oracle_block(a, Phi, False))
@@ -299,7 +299,7 @@ def test_row_spans_keep_the_per_axis_bits(usable_cpus, cpus, n):
 def test_block_walk_equals_per_axis_route_bitwise(monkeypatch):
     n = 64
     pg = make_grid(1, n)
-    a, Phi = _random(pg.symbol_grid), _random(pg.symbol_grid)
+    a, Phi = _random(pg), _random(pg)
     monkeypatch.setattr(phaselab.stft, "MATERIALIZE_LIMIT", 3 * n**3)
     for symplectic in (True, False):
         blocks = 0
@@ -321,7 +321,7 @@ def test_each_transform_makes_two_character_sums(monkeypatch):
     for module in (phaselab.grids, phaselab.stft):
         monkeypatch.setattr(module, "centered_character_sum", counted)
     pg = make_grid(1, 32)
-    a, Phi = _random(pg.symbol_grid), _random(pg.symbol_grid)
+    a, Phi = _random(pg), _random(pg)
     symplectic_stft(a, Phi)
     assert calls == [+1, -1]
     calls.clear()
@@ -333,5 +333,5 @@ def test_each_transform_makes_two_character_sums(monkeypatch):
     calls.clear()
     # n = 64: 16 blocks of four shift rows each
     pg = make_grid(1, 64)
-    stft_norms(_random(pg.symbol_grid), _random(pg.symbol_grid), [MixedNormSpec(2, 2)])
+    stft_norms(_random(pg), _random(pg), [MixedNormSpec(2, 2)])
     assert calls == [+1, -1] * 16

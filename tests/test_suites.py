@@ -11,10 +11,10 @@ def _fake_experiment(max_by_grid):
     """Stand-in for ``ratio_experiment_multi`` returning fixed ``max_ratio`` values."""
 
     def run(configs, ens, phase, *args, **kwargs):
-        mx = max_by_grid[phase.n]
+        mx = max_by_grid[phase.count]
         ratios = (mx,) if mx else (None,)
         verdict = ConditionReport("thm-B", True, 0.0, 0.0)
-        return [RatioReport(cfg, phase.n, ens.seed, verdict, ratios) for cfg in configs]
+        return [RatioReport(cfg, phase.count, ens.seed, verdict, ratios) for cfg in configs]
 
     return run
 

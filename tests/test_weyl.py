@@ -39,7 +39,7 @@ def _rel(err, ref):
 
 
 def _random_symbol(pg):
-    g = pg.symbol_grid
+    g = pg
     return GridFunction(g, RNG.standard_normal(g.shape) + 1j * RNG.standard_normal(g.shape))
 
 
@@ -53,7 +53,7 @@ def _atom_cloud(pg, seed, atoms=3, width=1.0, center_frac=0.125, modulation_frac
         amp = rng.standard_normal() + 1j * rng.standard_normal()
         g = gaussian_atom(pg, c, m, width, amp)
         vals = g.values if vals is None else vals + g.values
-    return GridFunction(pg.symbol_grid, vals)
+    return GridFunction(pg, vals)
 
 
 @pytest.fixture
@@ -239,6 +239,13 @@ class TestKernelMaps:
             back = kernel_to_symbol(symbol_to_kernel(a, A), pg16)
             assert _rel(back.values - a.values, a.values) < 1e-12
 
+    @pytest.mark.parametrize("A", [0.0, 0.5, 1.0])
+    def test_round_trip_exact_at_d2(self, A):
+        pg = make_grid(2, 8)
+        a = _random_symbol(pg)
+        back = kernel_to_symbol(symbol_to_kernel(a, A), pg)
+        assert _rel(back.values - a.values, a.values) < 1e-12
+
     def test_shear_must_be_half_integer(self, pg16):
         a = _random_symbol(pg16)
         with pytest.raises(GridError):
@@ -278,7 +285,7 @@ class TestKernelMaps:
         M = operator_matrix(one, 0.5)
         m = pg16.base_grid.count
         diag = 1.0 / pg16.base_grid.spacing
-        t0 = pg16.n // 2
+        t0 = pg16.count // 2
         assert np.max(np.abs(K[:, t0] - diag)) < 1e-12 * diag
         assert np.max(np.abs(np.delete(K, t0, axis=1))) < 1e-12 * diag
         kv = M / pg16.base_grid.quadrature_weight
@@ -299,7 +306,7 @@ class TestKernelMaps:
 
         pg = make_grid(1, 64)
         base = pg.base_grid
-        n, m = pg.n, base.count
+        n, m = pg.count, base.count
         cn, cm = n // 2, m // 2
         a = _atom_cloud(pg, 7, atoms=2, width=1.0, center_frac=0.05, modulation_frac=0.02)
         Psi = gaussian_atom(pg, (0, 0), (0, 0), 1.0)
@@ -319,7 +326,7 @@ class TestKernelMaps:
         M1 = (iy - ix + cn) % n
         M2 = (ie - ik + cn) % n
         # evaluate the symplectic STFT only on the needed shift slices
-        g = pg.symbol_grid
+        g = pg
         cache = {}
         rhs = np.empty(lhs.shape)
         flat = P1 * n + P2
@@ -348,8 +355,13 @@ class TestOperatorMatrix:
             M = operator_matrix(constant_symbol(pg16), A)
             assert np.max(np.abs(M - np.eye(M.shape[0]))) < 1e-12
 
+    @pytest.mark.parametrize("A", [0.0, 0.5, 1.0])
+    def test_identity_symbol_at_d2(self, A):
+        M = operator_matrix(constant_symbol(make_grid(2, 8)), A)
+        assert M.shape == (16, 16) and np.max(np.abs(M - np.eye(16))) < 1e-12
+
     def test_hermitian_for_real_symbol(self, pg16):
-        ar = GridFunction(pg16.symbol_grid, RNG.standard_normal(pg16.symbol_grid.shape))
+        ar = GridFunction(pg16, RNG.standard_normal(pg16.shape))
         M = operator_matrix(ar, 0.5)
         assert np.max(np.abs(M - M.conj().T)) < 1e-12
 
@@ -359,7 +371,7 @@ class TestOperatorMatrix:
         psi = base_gaussian(base, center=-0.3, width=1.1, frequency=0.7)
         outer = np.outer(phi.values, np.conj(psi.values))
         M = base.quadrature_weight * outer
-        K = np.zeros((pg16.n,) * 2, dtype=complex)
+        K = np.zeros((pg16.count,) * 2, dtype=complex)
         _scatter(M, pg16, 0.5, 0, K)
         back = operator_matrix(kernel_to_symbol(K, pg16), 0.5)
         assert _rel(back - M, M) < 1e-8
@@ -468,12 +480,12 @@ def test_two_dimensional_symbols_supported():
     # d = 2 stays in scope at desk scale: involution exact, products associative
     pg8 = make_grid(2, 8)
     rng = np.random.default_rng(17)
-    g8 = pg8.symbol_grid
+    g8 = pg8
     a8 = GridFunction(g8, rng.standard_normal(g8.shape) + 1j * rng.standard_normal(g8.shape))
     aa = symplectic_fourier(symplectic_fourier(a8))
     assert _rel(aa.values - a8.values, a8.values) < 1e-12
     pg = make_grid(2, 4)
-    g = pg.symbol_grid
+    g = pg
     a = GridFunction(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
     b = GridFunction(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
     c = GridFunction(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
