@@ -37,7 +37,7 @@ from .exponents import (
 )
 from .grids import GridError, _thread_count, make_grid
 from .lab import EnsembleSpec, RatioConfig, RatioReport, ratio_experiment_multi
-from .stft import _fits, _rows_per_block
+from .stft import _block_shape
 from .weights import WeightError, parse_weight_list, unit_weight
 from . import suites
 
@@ -187,10 +187,11 @@ def _grid_size(minimum: int, whole: bool = False):
         value = at_least(text)
         if value % 2:
             raise argparse.ArgumentTypeError(f"must be even, got {value}")
-        if not _rows_per_block(value, 2):
+        rows = _block_shape(make_grid(1, value))[0]
+        if not rows:
             raise argparse.ArgumentTypeError(
                 f"one STFT shift row at n = {value} exceeds the materialization limit")
-        if whole and not _fits(make_grid(1, value)):
+        if whole and rows < value:
             raise argparse.ArgumentTypeError(
                 f"the STFT at n = {value} exceeds the materialization limit")
         return value

@@ -276,8 +276,17 @@ def _sample_ratios(configs: Sequence[RatioConfig], symbols: Sequence[GridFunctio
         product = nfold_product(symbols) if mode == "weyl" else nfold_twisted(symbols)
         specs = [configs[i].norm_specs[0] for i in asking]
         numers.update(zip(asking, stft_norms(product, window, specs)))
-    return [numers[i] / math.prod(vals) if i in numers else None
-            for i, vals in enumerate(factor_norms)]
+    return [_ratio(numers[i], vals) if i in numers else None for i, vals in enumerate(factor_norms)]
+
+
+def _ratio(numer: float, vals: list[float]) -> float:
+    """``numer`` over the product of the positive factor norms ``vals``, refused where
+    the product or the ratio is not finite and positive: it left the float range."""
+    denom = math.prod(vals)
+    ratio = numer / denom if denom else math.inf
+    if not 0 < ratio < math.inf:
+        raise GridError(f"the ratio {numer:g} / {denom:g} leaves the float range")
+    return ratio
 
 
 def ratio_experiment_multi(configs: Sequence[RatioConfig], ensemble: EnsembleSpec,
@@ -289,7 +298,7 @@ def ratio_experiment_multi(configs: Sequence[RatioConfig], ensemble: EnsembleSpe
     ``default_window``) are computed once per sample and shared across
     configs.  Two or more samples evaluate in parallel on the worker pool
     (``grids._pool``); aggregation is ordered and each thread has its own
-    arena, so results are schedule-independent.
+    block buffer, so results are schedule-independent.
     """
     if not configs:
         return []

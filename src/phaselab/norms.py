@@ -15,8 +15,10 @@ one power sum over every entry, whatever the order.
 A norm reduces in two steps shared by every caller: ``_partial`` sums p-th
 powers (or takes maxima) over the shift axes of a block of magnitudes and
 ``_finish`` turns the accumulated sums into the norm.  A norm whose sums
-leave the float range, not finite or 0 for a tensor with a positive
-magnitude, is refused with a ``GridError``.  ``stft_norms`` takes
+leave the float range is refused with a ``GridError``: not finite, or a
+sum that a root follows 0 over a slice with magnitude (the whole tensor, or
+an inner sum: a shift point's in amalgam order, in modulation order a
+frequency point's over every block).  ``stft_norms`` takes
 the norms of one symbol's symplectic STFT: a tensor within
 ``MATERIALIZE_LIMIT`` is one block and goes through ``mixed_norm``; a larger
 one is walked once in blocks.
@@ -28,16 +30,14 @@ returns the first float on a repeat; the memo lives for one call, so the
 ratio-sample workers share nothing.  Called on its own, ``mixed_norm``
 reduces a fresh ``|V|`` (times ``w``) and never writes the tensor.
 
-``stft_norms`` keeps only the STFT block in a per-thread arena: one complex
-buffer, grown to the largest block the thread has built (16 MiB from n = 32
-on) and never shrunk.  The one-block tensor and each block of a walk go
-into its front.  Both paths reduce a spent block by one rule,
-``_magnitudes``: ``|V|`` over its first float64 half,
-``|V| * w`` (one weight at a time) into its second, unit-weight powers into
-the second half, the last weight's powers over ``|V|`` and any other
-weight's into fresh arrays.  Each buffer is laid out as the fresh array it
-replaces, so the bits do not change.  No returned value aliases the arena.
-Those passes run in spans of shift rows and every sum whole (see README).
+``stft_norms`` owns the STFT block buffer: each thread keeps one flat
+complex buffer, grown to the largest block the thread has built (16 MiB
+from n = 32 on) and never shrunk, and hands it to the STFT as ``_out``.
+The one-block tensor and each block of a walk go into its front, and both
+paths reduce the spent block by one rule, ``_magnitudes``, into buffers
+laid out as the fresh arrays they replace, so the bits do not change.  No
+returned value aliases the buffer.  Those passes run in spans of shift rows
+and every sum whole (see README).
 """
 
 from __future__ import annotations
@@ -49,17 +49,10 @@ import numpy as np
 
 from .exponents import Exponent
 from .grids import Grid, GridError, GridFunction, _by_rows
-from .stft import STFTTensor, _extent, _fits, _laid_out, _product_into, stft_blocks, symplectic_stft
+from .stft import STFTTensor, _block_shape, _laid_out, _product_into, stft_blocks, symplectic_stft
 from .weights import WeightError, WeightSpec
 
-_ARENA = threading.local()
-
-
-def _arena() -> dict:
-    """This thread's scratch for ``stft_norms``: one block buffer, kept between calls."""
-    if not hasattr(_ARENA, "buffers"):
-        _ARENA.buffers = {}
-    return _ARENA.buffers
+_BLOCK = threading.local()  # this thread's flat complex block buffer, kept by stft_norms
 
 
 def _exponent_value(p) -> float:
@@ -99,20 +92,15 @@ class MixedNormSpec:
                                          None if unit else self.weight, self.measure))
 
 
-def _halves(values: np.ndarray) -> np.ndarray:
-    """The entries behind the spent ``values`` as two float64 halves, rows of one array."""
-    return _extent(values).view(np.float64).reshape(2, -1)
-
-
-def _abs_over(values: np.ndarray) -> np.ndarray:
-    """``np.abs(values)`` written over the first float64 half of the entries behind them.
+def _abs_over(values: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """``np.abs(values)`` written over the first float64 half of ``flat``, the entries
+    that ``values`` was written into.
 
     The entries go in doubling chunks of memory order, each in row spans:
     entries ``[a, 2a)`` write floats ``[a, 2a)`` and read floats ``[2a, 4a)``,
     so no write meets an unread entry and numpy makes no overlap copy.  The
     result is laid out as ``values``, as a fresh ``np.abs`` is.
     """
-    flat = _extent(values)
     out = flat.view(np.float64)[:flat.size]
     np.abs(flat[:1], out=out[:1])  # the one entry that overlaps its own output
     a = 1
@@ -143,36 +131,52 @@ def _cells(measure: str, shift_grid: Grid, freq_grid: Grid) -> tuple[float, floa
     return 1.0, 1.0
 
 
-@np.errstate(over="ignore")  # a sum out of the float range is refused by _finish
+def _positive(sums: np.ndarray, mags: np.ndarray, axes: tuple[int, ...] | None) -> np.ndarray:
+    """Where the slices over ``axes`` of ``mags`` behind ``sums`` (or their roots) have a
+    positive magnitude: read off ``sums``, and off slice maxima only when a sum is 0."""
+    zero = sums == 0
+    return ~zero | (np.max(mags, axis=axes) > 0) if np.any(zero) else ~zero
+
+
+def _out_of_range(key: tuple, n: int, how: str) -> GridError:
+    return GridError(f"the ({key[0]:g}, {key[1]:g}) norm at n = {n} {how} the float range")
+
+
+@np.errstate(over="ignore")  # a sum out of the float range is refused
 def _partial(mags: np.ndarray, key: tuple, cells: tuple[float, float],
-             flat: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
+             flat: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Power sums (maxima) over the shift axes, the leading half, of a block of
-    magnitudes, and whether the block has a positive magnitude: read off the
-    sums, or off the block only where every sum is 0 (they underflowed or it is 0)."""
+    magnitudes, and where their slices have a positive magnitude (``_positive``).
+    An amalgam norm's inner sums are whole in the block: one whose root is 0 over
+    a slice with magnitude underflowed, and is refused here."""
     p, q, order = key[:3]
     kx = mags.ndim // 2
-    if order == "amalgam":  # the outer sum is over the small inner norms
-        inner = _root(_power_sum(mags, tuple(range(kx, 2 * kx)), q, flat), q, cells[1])
-        part = _power_sum(inner, tuple(range(kx)), p)
-    else:
-        part = _power_sum(mags, None if order is None else tuple(range(kx)), p, flat)
-    return part, bool(np.any(part) or np.max(mags) > 0)
+    shift, freq = tuple(range(kx)), tuple(range(kx, 2 * kx))
+    if order == "amalgam":  # the outer sum is over the small inner norms, fresh powers
+        inner = _root(_power_sum(mags, freq, q, flat), q, cells[1])
+        if np.any((inner == 0) & _positive(inner, mags, freq)):
+            raise _out_of_range(key, mags.shape[-1], "underflows")
+        mags, flat = inner, None
+    axes = None if order is None else shift
+    part = _power_sum(mags, axes, p, flat)
+    return part, _positive(part, mags, axes)
 
 
 @np.errstate(over="ignore")
-def _finish(acc: np.ndarray, positive: bool, key: tuple, cells: tuple[float, float],
+def _finish(acc: np.ndarray, positive: np.ndarray, key: tuple, cells: tuple[float, float],
             n: int) -> float:
-    """The norm from the partials of every block, refused where it left the float
-    range: not finite, or 0 for a tensor with a positive magnitude."""
+    """The norm from the partials of every block and where their slices have a positive
+    magnitude, refused where it left the float range: not finite, or a root of a
+    partial, or the norm, 0 over a positive magnitude."""
     p, q, order = key[:3]
     cell_shift, cell_freq = cells
     inner = _root(acc, p, cell_shift if order else cell_shift * cell_freq)
+    lost = np.any((inner == 0) & positive)
     if order == "modulation":
         inner = _root(_power_sum(inner, tuple(range(inner.ndim)), q), q, cell_freq)
     norm = float(inner)
-    if not math.isfinite(norm) or (norm == 0 and positive):
-        how = "underflows" if math.isfinite(norm) else "overflows"
-        raise GridError(f"the ({p:g}, {q:g}) norm at n = {n} {how} the float range")
+    if not math.isfinite(norm) or lost or (norm == 0 and np.any(positive)):
+        raise _out_of_range(key, n, "underflows" if math.isfinite(norm) else "overflows")
     return norm
 
 
@@ -195,16 +199,17 @@ def _magnitudes(state: dict, block: np.ndarray, weight: WeightSpec | None,
                 w: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
     """``|block|`` (``w`` None) or ``|block| * w``, and the buffer for their powers.
 
-    ``block`` is spent, and ``state`` belongs to it and names the ``"last"``
+    ``block`` is spent, and ``state`` belongs to it: it holds the ``"spent"``
+    buffer entries the block was written into and names the ``"last"``
     weight its norms take.  ``|block|`` goes over the first float64 half
     once, and ``|block| * w`` into the second once per weight (weights are
     compared by ``==``).  Unit-weight powers go into the second half, the
     last weight's over ``|block|``, and any other weight's into fresh arrays
     (None).
     """
-    half_a, half_b = _halves(block)
+    half_a, half_b = state["spent"].view(np.float64).reshape(2, -1)
     if "abs" not in state:
-        state["abs"] = _abs_over(block)
+        state["abs"] = _abs_over(block, state["spent"])
     if w is None:
         return state["abs"], half_b
     if "weight" not in state or state["weight"] != weight:
@@ -215,8 +220,8 @@ def _magnitudes(state: dict, block: np.ndarray, weight: WeightSpec | None,
 def mixed_norm(F: STFTTensor, spec: MixedNormSpec, *, _state: dict | None = None) -> float:
     """Iterated (quasi-)norm of ``|F * weight|`` in the declared order.
 
-    ``_state`` (for ``stft_norms``) says that ``F.values`` is a spent arena
-    block, which :func:`_magnitudes` writes over, and memoises the norm
+    ``_state`` (for ``stft_norms``) says that ``F.values`` is a spent block,
+    which :func:`_magnitudes` writes over, and memoises the norm
     under ``spec.key``; without it the magnitudes and powers are fresh
     arrays and ``F.values`` is only read.
     """
@@ -239,10 +244,10 @@ def stft_norms(a: GridFunction, window: GridFunction, specs: list[MixedNormSpec]
     The specs are taken grouped by weight, unit weights first and then in
     first-appearance order, so each ``|V| * w`` is written once and ``|V|``
     is dead once the last weight has its product.  A tensor within
-    ``MATERIALIZE_LIMIT`` is built once in this thread's arena and every
+    ``MATERIALIZE_LIMIT`` is built once in this thread's block buffer and every
     spec goes through :func:`mixed_norm`, whose state memoises each
     distinct norm.  A larger one is walked once in blocks through the same
-    arena, and each distinct norm adds every block's partial sums (or
+    buffer, and each distinct norm adds every block's partial sums (or
     maxima).  Either way each block's magnitudes come from one
     :func:`_magnitudes` state.
     """
@@ -250,16 +255,21 @@ def stft_norms(a: GridFunction, window: GridFunction, specs: list[MixedNormSpec]
     keys = [spec.key for spec in specs]
     weights = sorted(dict.fromkeys(key[3] for key in keys), key=lambda weight: weight is not None)
     last = weights[-1] if weights else None
-    if _fits(g):
-        F = symplectic_stft(a, window, _scratch=_arena())
-        state = {"last": last}
+    shape = _block_shape(g)
+    if getattr(_BLOCK, "buffer", np.empty(0)).size < math.prod(shape):  # grown, never shrunk
+        _BLOCK.buffer = None  # the smaller buffer is released before the larger is allocated
+        _BLOCK.buffer = np.empty(math.prod(shape), complex)
+    buffer = _BLOCK.buffer
+    if shape[0] == g.count:  # one block
+        F = symplectic_stft(a, window, _out=buffer)
+        state = {"last": last, "spent": buffer[:F.values.size]}
         norms = {i: mixed_norm(F, specs[i], _state=state)
                  for i in sorted(range(len(specs)), key=lambda i: weights.index(keys[i][3]))}
         return [norms[i] for i in range(len(specs))]
     cells = {key: _cells(key[4], g, g) for key in keys}
     acc, positive = {}, dict.fromkeys(keys, False)
-    for rows, block in stft_blocks(a, window, True, _scratch=_arena()):
-        state = {"last": last}
+    for rows, block in stft_blocks(a, window, True, _out=buffer):
+        state = {"last": last, "spent": buffer[:block.size]}
         for weight in weights:
             x, flat = _magnitudes(state, block, weight, _weight_tensor(weight, g, g, rows))
             for key in [k for k in cells if k[3] == weight]:

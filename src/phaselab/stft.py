@@ -12,12 +12,10 @@ built from samples already multiplied by the sums' sign table, and one table
 after the last FFT holds every trailing factor and the scale.  All three
 run in spans of shift rows (``grids._by_rows``), with the bits of one pass.
 
-``symplectic_stft`` and ``stft_blocks`` take a private ``_scratch`` dict
-(a caller's per-thread arena): the dict keeps one complex buffer, grown to
-the largest block built with it, and each shift stack is written into its
-front, laid out as a fresh product, so the returned values alias that
-buffer and the caller owns it once they are spent.  Without it every call
-allocates its own tensor; ``stft`` always does.
+Each block is written into the front of a flat complex buffer, laid out as a
+fresh product: a fresh buffer, or the private ``_out`` of ``symplectic_stft``
+and ``stft_blocks``, a caller's buffer of ``_block_shape``'s entries that the
+block values alias (``norms.stft_norms`` keeps one per thread).
 """
 
 from __future__ import annotations
@@ -94,34 +92,18 @@ def _product_into(x: np.ndarray, y: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return _by_rows(np.multiply, _laid_out(flat, shape, np.multiply(x_corner, y_corner).strides), x, y)
 
 
-def _front(scratch: dict, size: int) -> np.ndarray:
-    """The first ``size`` entries of ``scratch``'s complex block buffer, which only grows.
-
-    A smaller buffer is released before the larger one is allocated."""
-    if "block" not in scratch or scratch["block"].size < size:
-        scratch.pop("block", None)
-        scratch["block"] = np.empty(size, complex)
-    return scratch["block"][:size]
-
-
-def _extent(values: np.ndarray) -> np.ndarray:
-    """The front entries of the scratch buffer that the block ``values`` was written into."""
-    return values.base[:values.size]
-
-
 def _shift_stack(values: np.ndarray, phi: GridFunction, rows: slice = slice(None),
-                 scratch: dict | None = None) -> np.ndarray:
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Windowed copies ``values(y) * conj(phi(y - x))`` stacked over the shifts x in ``rows``.
 
     ``rows`` selects along the leading shift axis; every other axis is whole.
-    With ``scratch`` the stack goes into the front of its buffer with the
-    strides and bits of a fresh ``np.multiply``.
+    The stack goes into the front of ``out`` (a fresh buffer if None) with
+    the strides and bits of a fresh ``np.multiply``.
     """
     samples = values[(np.newaxis,) * values.ndim + (Ellipsis,)]
     windows = _shifted_windows(phi)[rows]
-    if scratch is None:
-        return np.multiply(samples, windows)
-    return _product_into(samples, windows, _front(scratch, windows.size))
+    flat = np.empty(windows.size, complex) if out is None else out[:windows.size]
+    return _product_into(samples, windows, flat)
 
 
 def stft(f: GridFunction, phi: GridFunction) -> STFTTensor:
@@ -134,42 +116,39 @@ def stft(f: GridFunction, phi: GridFunction) -> STFTTensor:
 
 
 def symplectic_stft(a: GridFunction, Phi: GridFunction, *,
-                    _scratch: dict | None = None) -> STFTTensor:
+                    _out: np.ndarray | None = None) -> STFTTensor:
     """Symplectic STFT ``(X, Y) -> pi^{-d} integral a(Z) conj(Phi(Z-X)) e^{2i sigma(Y,Z)} dZ``."""
-    return STFTTensor(a.grid, a.grid, _one_block(a, Phi, True, _scratch))
+    return STFTTensor(a.grid, a.grid, _one_block(a, Phi, True, _out))
 
 
-def _fits(g: Grid) -> bool:
-    """Whether an STFT over ``g`` is within ``MATERIALIZE_LIMIT`` entries."""
-    return (g.count**g.dim) ** 2 <= MATERIALIZE_LIMIT
-
-
-def _rows_per_block(n: int, m: int) -> int:
-    """Whole rows of the leading shift axis in one block of an STFT over m axes
-    of n points; 0 when a single row exceeds ``MATERIALIZE_LIMIT``."""
-    return MATERIALIZE_LIMIT * n // (n**m) ** 2
+def _block_shape(g: Grid) -> tuple[int, ...]:
+    """The largest block of an STFT over ``g``: as many whole rows of the leading shift
+    axis as fit in ``MATERIALIZE_LIMIT`` entries, at most all n (one block; 0 when a
+    single row exceeds the limit), and every other axis whole."""
+    n, m = g.count, g.dim
+    return (min(n, MATERIALIZE_LIMIT * n // (n**m) ** 2),) + (n,) * (2 * m - 1)
 
 
 def _one_block(a: GridFunction, Phi: GridFunction, symplectic: bool,
-               scratch: dict | None) -> np.ndarray:
+               out: np.ndarray | None) -> np.ndarray:
     """The whole STFT as one block; past ``MATERIALIZE_LIMIT`` walk ``stft_blocks``."""
-    if not _fits(a.grid):
+    if _block_shape(a.grid)[0] < a.grid.count:
         raise GridError(f"tensor over {a.grid.shape} exceeds the materialization limit")
-    ((_, values),) = stft_blocks(a, Phi, symplectic, _scratch=scratch)
+    ((_, values),) = stft_blocks(a, Phi, symplectic, _out=out)
     return values
 
 
 def stft_blocks(a: GridFunction, Phi: GridFunction, symplectic: bool, *,
-                _scratch: dict | None = None) -> Iterator[tuple[slice, np.ndarray]]:
+                _out: np.ndarray | None = None) -> Iterator[tuple[slice, np.ndarray]]:
     """The STFT of ``a`` in blocks of whole rows of the leading shift axis.
 
     Yields ``(rows, values)`` in shift order, where ``values`` is the tensor
     restricted to leading shift indices ``rows``.  A block holds as many rows
     as fit in ``MATERIALIZE_LIMIT`` entries, so no array past the limit is
     built, and a single row past it is refused.  A tensor within the limit is
-    one block, bitwise the materialized one with its strides.  With
-    ``_scratch`` every block is written into the front of the one buffer
-    kept there, so a block is valid only until the next is yielded.
+    one block, bitwise the materialized one with its strides.  With ``_out``
+    every block is written into the front of that buffer, so a block is valid
+    only until the next is yielded.
     """
     require_same_grid(a, Phi)
     if not np.any(Phi.values):
@@ -178,14 +157,14 @@ def stft_blocks(a: GridFunction, Phi: GridFunction, symplectic: bool, *,
     if symplectic and not g.is_symplectic:
         raise GridError("symplectic STFT requires a phase grid")
     n, m = g.count, g.dim
-    step = _rows_per_block(n, m)
+    step = _block_shape(g)[0]
     if step < 1:
         raise GridError(f"one shift row of {n ** (2 * m - 1)} entries exceeds the materialization limit")
     # the sums' sign table goes into the n^m samples instead of the block
     signed = a.values * _sign_table(g.shape, range(m))
     for start in range(0, n, step):
         rows = slice(start, min(start + step, n))
-        block = _shift_stack(signed, Phi, rows, _scratch)
+        block = _shift_stack(signed, Phi, rows, _out)
         if symplectic:
             yield rows, _symplectic_transform(block, g, m)
         else:

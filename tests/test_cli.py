@@ -220,6 +220,23 @@ def test_ratio_norm_beyond_float_range_exits_two(capsys, weights, how):
     assert err == f"error: the (1000, 1) norm at n = 16 {how} the float range\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    # 77 and 10 of the 256 frequency slices of a (200, 1) factor norm summed to 0, and
+    # the norms read 7.05% and 0.42% low
+    (("--p", "2,200,2,2", "--q", "2,1,2,2"), "the (200, 1) norm at n = 16 underflows"),
+    # the product of the factor norms overflowed, and every ratio read 0.0
+    (("--p", "2,inf,2,2", "--q", "2,1,2,2", "--weights", "unit,poly:s=150,poly:s=150,poly:s=150"),
+     "the ratio "),
+], ids=["inner-sum-underflows", "product-overflows"])
+def test_ratio_sum_or_ratio_beyond_float_range_exits_two(capsys, argv, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "ratio", *argv, "--samples", "2")
+    assert code == 2 and not out and not caught
+    assert err.startswith(f"error: {message}") and err.endswith(" the float range\n")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_ratio_non_number_weight_exits_two(capsys):
     code, out, err = run(capsys, "ratio", "--p", "2,2,2,2", "--q", "2,2,2,2", "--samples", "1",
                          "--weights", "poly:s=abc,unit,unit,unit")

@@ -401,6 +401,29 @@ class TestRatioExperiment:
                 ratio_experiment_multi([RatioConfig(p, q, weights)], ens, make_grid(1, 16))
         assert not caught
 
+    @pytest.mark.parametrize("factor, product", [
+        (1e150, 1.0),  # the product of the factor norms overflows: the ratio read 0.0
+        (1e-150, 1.0),  # it underflows to 0.0: the division raised ZeroDivisionError
+        (1e-100, 1e10),  # the ratio overflows
+        (1e100, 1e-30),  # the ratio underflows to 0.0
+    ])
+    def test_a_ratio_beyond_the_float_range_is_refused(self, monkeypatch, factor, product):
+        pg = make_grid(1, 16)
+        ens = EnsembleSpec(seed=9, count=3, atoms_per_symbol=2, width_range=(0.35, 0.5),
+                           center_radius=1.0, modulation_radius=0.7)
+        symbols, window = ensemble_generate(ens, pg), default_window(pg)
+        p = ExponentTuple.parse("2,2,2,2")
+        config = RatioConfig(p, p, (unit_weight(),) * 4)
+
+        def faked(*norms):
+            values = iter(norms)
+            monkeypatch.setattr(phaselab.lab, "stft_norms", lambda a, w, specs: [next(values)])
+            return _sample_ratios([config], symbols, window)
+
+        with pytest.raises(GridError, match="^the ratio .* leaves the float range$"):
+            faked(factor, factor, factor, product)
+        assert faked(2.0, 4.0, 0.5, 3.0) == [3.0 / 4.0]
+
     def test_shared_norms_match_lone_configs_bitwise(self):
         # run together, the drift configs reuse factor norms through the
         # per-tensor memo; a lone config takes one norm per tensor and never hits it

@@ -1,5 +1,6 @@
 """Mixed norms: collapse, monotonicity, energy identities, duality bounds."""
 
+import math
 import re
 import warnings
 
@@ -199,6 +200,56 @@ def test_a_norm_beyond_the_float_range_is_refused(monkeypatch, setup, p, q, orde
     assert mixed_norm(STFTTensor(W.shift_grid, W.freq_grid, np.zeros(W.values.shape)), spec) == 0.0
 
 
+@pytest.mark.parametrize("p, q, order", [(700, 1, "modulation"), (1, 700, "amalgam")])
+@pytest.mark.parametrize("rows", [None, 4])
+def test_an_inner_sum_that_underflows_is_refused(monkeypatch, p, q, order, rows):
+    # on this atom the (700, 1) modulation norm is 5.769 and the (1, 700) amalgam norm
+    # 1.026 (max-scaled long double); with the inner power sums of some slices
+    # underflowed to 0 they read 0.5685 and 0.1471: refused, on its own, on the
+    # one-block path and in a walk alike
+    from phaselab.lab import default_window
+
+    pg = make_grid(1, 16)
+    a = gaussian_atom(pg, (0.2, -0.1), (0.1, 0.05), 0.45, 2.0)
+    Phi = default_window(pg)
+    W = symplectic_stft(a, Phi)
+    spec = MixedNormSpec(p, q, order)
+    message = f"^{re.escape(f'the ({p}, {q}) norm at n = 16 underflows the float range')}$"
+    if rows:
+        monkeypatch.setattr(phaselab.stft, "MATERIALIZE_LIMIT", rows * 16**3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(GridError, match=message):
+            mixed_norm(W, spec)
+        with pytest.raises(GridError, match=message):
+            stft_norms(a, Phi, [spec])
+    assert not caught
+
+
+def test_a_walk_refuses_a_sum_that_every_block_lost():
+    # modulation order with p != q: a frequency point's power sum over the shifts is
+    # refused where it is 0 after every block though a slice there has magnitude; a
+    # block whose powers underflowed beside one whose powers did not is kept
+    norms = phaselab.norms
+    key, cells = MixedNormSpec(700, 1).key, (1.0, 1.0)
+    tiny, zero, half = (np.full((2, 4, 4, 4), v) for v in (1e-3, 0.0, 0.5))
+    one_point = half.copy()
+    one_point[:, :, 0, 0] = 1e-3  # one frequency point's sums underflow, the others' do not
+
+    def walk(*blocks):
+        acc, positive = 0.0, False
+        for mags in blocks:
+            part, pos = norms._partial(mags, key, cells)
+            acc, positive = acc + part, positive | pos
+        return norms._finish(acc, positive, key, cells, 4)
+
+    assert walk(zero, zero) == 0.0
+    assert walk(tiny, half) == walk(zero, half) > 0
+    for blocks in ((tiny, zero), (zero, tiny), (one_point,), (one_point, zero)):
+        with pytest.raises(GridError, match="^the \\(700, 1\\) norm at n = 4 underflows"):
+            walk(*blocks)
+
+
 # -- per-tensor norm memo ----------------------------------------------------------
 
 def _drift_specs():
@@ -320,9 +371,9 @@ def test_abs_runs_once_per_tensor(monkeypatch):
     calls = []
     real = phaselab.norms._abs_over
 
-    def counting(values):
+    def counting(values, flat):
         calls.append(values.shape)
-        return real(values)
+        return real(values, flat)
 
     monkeypatch.setattr(phaselab.norms, "_abs_over", counting)
     for a in symbols:
@@ -414,6 +465,16 @@ def _symbols(pg, count, seed=5):
             for _ in range(count)]
 
 
+def _reset_buffer():
+    """Drop this thread's block buffer, as a fresh thread has none."""
+    phaselab.norms._BLOCK.buffer = np.empty(0, complex)
+
+
+def _halves(flat):
+    """The spent block entries ``flat`` as two float64 halves, rows of one array."""
+    return flat.view(np.float64).reshape(2, -1)
+
+
 def _arena_specs():
     """The drift specs plus a second Y weight and an X weight: three weight slots."""
     w2 = split_weight(poly_weight(2.0), "Y")
@@ -429,14 +490,14 @@ def test_arena_norms_equal_fresh_tensor_bitwise(d, n):
     pg = make_grid(d, n)
     Phi = _window(pg)
     specs = _arena_specs()
-    keys = None
+    buf = None
     for a in _symbols(pg, 3):
         got = stft_norms(a, Phi, specs)
         fresh = symplectic_stft(a, Phi)
         assert got == [mixed_norm(fresh, spec) for spec in specs]
         # one block buffer: later symbols add none
-        keys = keys or set(phaselab.norms._arena())
-        assert set(phaselab.norms._arena()) == keys
+        buf = buf if buf is not None else phaselab.norms._BLOCK.buffer
+        assert phaselab.norms._BLOCK.buffer is buf
 
 
 def _fresh_walk(a, window, specs):
@@ -498,13 +559,12 @@ def test_arena_buffers_have_fresh_strides(monkeypatch):
     Phi = _window(pg)
     a, b = _symbols(pg, 2)
     specs = _arena_specs()
-    scratch = {}
-    first = symplectic_stft(a, Phi, _scratch=scratch)
-    reused = symplectic_stft(b, Phi, _scratch=scratch)
+    out = np.empty(16**4, complex)
+    first = symplectic_stft(a, Phi, _out=out)
+    reused = symplectic_stft(b, Phi, _out=out)
     fresh = symplectic_stft(b, Phi)
-    assert np.shares_memory(reused.values, first.values)
+    assert np.shares_memory(reused.values, first.values) and np.shares_memory(reused.values, out)
     assert reused.values.strides == fresh.values.strides
-    assert list(scratch) == ["block"]
     # every magnitude array _magnitudes returns lies in the spent block with the strides
     # and bits of the fresh |V| or |V| * w; the powers go into a half clear of it, or fresh
     states, returned, want_blocks = [], [], []
@@ -532,7 +592,7 @@ def test_arena_buffers_have_fresh_strides(monkeypatch):
     flags = {(weight, weight in (None, specs[-1].weight)) for weight in weights}
     for limit, blocks in ((phaselab.stft.MATERIALIZE_LIMIT, 1), (4 * 16**3, 4)):
         monkeypatch.setattr(phaselab.stft, "MATERIALIZE_LIMIT", limit)
-        phaselab.norms._arena().clear()
+        _reset_buffer()
         want_blocks.clear()
         stft_norms(a, Phi, specs)
         states.clear()
@@ -543,11 +603,11 @@ def test_arena_buffers_have_fresh_strides(monkeypatch):
         assert set(returned) == flags
     # blocks of a walk: every block goes into one buffer with the fresh block's strides
     want = [(rows, block.strides) for rows, block in stft_blocks(a, Phi, True)]
-    scratch = {}
+    out = np.empty(4 * 16**3, complex)
     for f in (a, b):
-        got = [(rows, block.strides) for rows, block in stft_blocks(f, Phi, True, _scratch=scratch)]
-        assert got == want and len(want) == 4
-    assert len(scratch) == 1
+        got = [(rows, block.strides, np.shares_memory(block, out))
+               for rows, block in stft_blocks(f, Phi, True, _out=out)]
+        assert got == [(rows, strides, True) for rows, strides in want] and len(want) == 4
 
 
 @pytest.mark.parametrize("d, n", [(1, 16), (1, 32), (2, 4), (1, 64)])
@@ -558,9 +618,10 @@ def test_spent_block_halves_have_fresh_layouts(d, n):
     pg = make_grid(d, n)
     a = _symbols(pg, 1)[0]
     g = a.grid
-    rows, block = next(stft_blocks(a, _window(pg), True, _scratch={}))
+    out = np.empty(math.prod(phaselab.stft._block_shape(g)), complex)
+    rows, block = next(stft_blocks(a, _window(pg), True, _out=out))
     mags = np.abs(block)
-    half_a, half_b = phaselab.norms._halves(block)
+    half_a, half_b = _halves(out[:block.size])
     assert half_a.size == half_b.size == mags.size and not np.shares_memory(half_a, half_b)
     weights = [split_weight(poly_weight(1.0), "X"), split_weight(poly_weight(-1.0), "Y"),
                poly_weight(0.5), parse_weight("split:poly:s=1@X*split:poly:s=2@Y")]
@@ -585,13 +646,13 @@ def test_abs_written_over_the_spent_block_equals_fresh_abs(d, n):
     pg = make_grid(d, n)
     a = _symbols(pg, 1)[0]
     Phi = _window(pg)
-    scratch = {}
+    out = np.empty(math.prod(phaselab.stft._block_shape(pg)), complex)
     blocks = 0
     for (rows, fresh), (_, block) in zip(stft_blocks(a, Phi, True),
-                                         stft_blocks(a, Phi, True, _scratch=scratch), strict=True):
+                                         stft_blocks(a, Phi, True, _out=out), strict=True):
         want = np.abs(fresh)
-        got = phaselab.norms._abs_over(block)
-        assert np.shares_memory(got, phaselab.norms._halves(block)[0])
+        got = phaselab.norms._abs_over(block, out[:block.size])
+        assert np.shares_memory(got, _halves(out[:block.size])[0])
         assert got.strides == want.strides
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), rows
         blocks += 1
@@ -608,10 +669,9 @@ def test_two_weights_keep_abs_and_match_a_fresh_tensor_bitwise(monkeypatch):
     specs = [MixedNormSpec(2, 1, "modulation", wy), MixedNormSpec(1, 2, "amalgam", wx),
              MixedNormSpec(3, 3), MixedNormSpec(4 / 3, 2, "modulation", wy),
              MixedNormSpec(2, 4 / 3, "amalgam", wx, "counting")]
-    phaselab.norms._arena().clear()
+    _reset_buffer()
     stft_norms(a, Phi, specs)
-    (buf,) = phaselab.norms._arena().values()
-    half_a, half_b = phaselab.norms._halves(buf[...])
+    half_a, half_b = _halves(phaselab.norms._BLOCK.buffer)
     where = []
     real = phaselab.norms._partial
 
@@ -638,7 +698,7 @@ def test_warm_norms_allocate_no_tensor():
     w = split_weight(poly_weight(1.0), "Y")
     specs = [MixedNormSpec(4 / 3, 2, "modulation", w), MixedNormSpec(2, 4 / 3, "amalgam", w),
              MixedNormSpec(2, 1)]
-    phaselab.norms._arena().clear()
+    _reset_buffer()
     stft_norms(a, Phi, specs)
     tracemalloc.start()
     try:
@@ -647,7 +707,7 @@ def test_warm_norms_allocate_no_tensor():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert sum(buf.nbytes for buf in phaselab.norms._arena().values()) == 16 * 2**20
+    assert phaselab.norms._BLOCK.buffer.nbytes == 16 * 2**20
     fresh = symplectic_stft(b, Phi)
     assert got == [mixed_norm(fresh, spec) for spec in specs]
 
@@ -691,7 +751,6 @@ def test_one_block_buffer_per_thread_serves_every_grid_and_walk(monkeypatch):
     # its front, so a walk allocates no block of its own
     import tracemalloc
 
-    arena = phaselab.norms._arena()
     wy = split_weight(poly_weight(1.0), "Y")
     specs = [MixedNormSpec(2, 1, "modulation", wy), MixedNormSpec(1, 2, "amalgam", wy, "counting"),
              MixedNormSpec(3, 3)]
@@ -704,14 +763,14 @@ def test_one_block_buffer_per_thread_serves_every_grid_and_walk(monkeypatch):
 
     def recording(*args, **kwargs):
         for rows, block in real(*args, **kwargs):
-            buf = arena.get("block", np.empty(0, complex))
+            buf = phaselab.norms._BLOCK.buffer
             walked.append((block.shape[0], rows, block.strides,
                            np.shares_memory(block, buf[:block.size])
                            and not np.shares_memory(block, buf[block.size:])))
             yield rows, block
 
     monkeypatch.setattr(phaselab.norms, "stft_blocks", recording)
-    arena.clear()
+    _reset_buffer()
     got = {}
     for n, a, Phi in cases:
         tracemalloc.start()
@@ -721,8 +780,8 @@ def test_one_block_buffer_per_thread_serves_every_grid_and_walk(monkeypatch):
         finally:
             tracemalloc.stop()
         assert n < 48 or peak < 4 * 2**20, (n, peak)
-    (buf,) = arena.values()
-    assert list(arena) == ["block"] and buf.shape == (phaselab.stft.MATERIALIZE_LIMIT,)
+    buf = phaselab.norms._BLOCK.buffer
+    assert buf.shape == (phaselab.stft.MATERIALIZE_LIMIT,)
     assert buf.dtype == complex and buf.nbytes == 16 * 2**20
     # n = 48 walks 5 blocks of 9 rows and ends with 3 rows, each in the front of the
     # buffer with a fresh block's strides
@@ -731,9 +790,9 @@ def test_one_block_buffer_per_thread_serves_every_grid_and_walk(monkeypatch):
     fresh = [(rows, block.strides) for _, a, Phi in cases[2:] for rows, block in real(a, Phi, True)]
     assert [(rows, strides) for _, rows, strides, _ in walked] == fresh
     # a smaller tensor goes into the front of the same buffer
-    assert stft_norms(*cases[0][1:], specs) == got[16] and arena["block"] is buf
+    assert stft_norms(*cases[0][1:], specs) == got[16] and phaselab.norms._BLOCK.buffer is buf
     for n, a, Phi in cases:
-        arena.clear()
+        _reset_buffer()
         assert stft_norms(a, Phi, specs) == got[n], n
 
 
@@ -760,20 +819,20 @@ def test_public_tensors_never_alias_the_arena(monkeypatch):
     blocks = [block for _, block in stft_blocks(b, Phi, True)]
     before = T.values.copy()
     stft_norms(c, Phi, specs)
-    arena = list(phaselab.norms._arena().values())
-    assert arena and len(reduced) == len(specs)
+    buf = phaselab.norms._BLOCK.buffer
+    assert buf.size and len(reduced) == len(specs)
     for arr in (T.values, *blocks, *(mags for mags, _ in reduced)):
-        assert not any(np.shares_memory(arr, buf) for buf in arena)
+        assert not np.shares_memory(arr, buf)
     assert all(flat is None for _, flat in reduced)
     assert T.values.tobytes() == before.tobytes() == blocks[0].tobytes()
 
 
 def test_standalone_norms_never_write_an_arena_tensor():
-    # a tensor built on a scratch dict keeps its values through mixed_norm called on its own
+    # a tensor built into a caller's buffer keeps its values through mixed_norm called on its own
     pg = make_grid(1, 16)
     Phi = _window(pg)
     a = _symbols(pg, 1)[0]
-    T = symplectic_stft(a, Phi, _scratch={})
+    T = symplectic_stft(a, Phi, _out=np.empty(16**4, complex))
     before = T.values.copy()
     fresh = symplectic_stft(a, Phi)
     for spec in _arena_specs():
@@ -793,23 +852,24 @@ def test_thread_workers_hold_distinct_arenas(monkeypatch, usable_cpus):
                        center_radius=1.0, modulation_radius=0.7)
     usable_cpus({0})  # the serial oracle
     one = ratio_experiment_multi(drift_configs(), ens, pg)
-    arenas = {}
+    buffers = {}
     both_started = threading.Barrier(2, timeout=60)  # each of the 2 samples on its own worker
     real = phaselab.lab.stft_norms
 
     def recording(*args, **kwargs):
         me = threading.get_ident()
-        if me not in arenas:
-            arenas[me] = phaselab.norms._arena()
+        if me not in buffers:
             both_started.wait()
-        return real(*args, **kwargs)
+        norms = real(*args, **kwargs)
+        buffers[me] = phaselab.norms._BLOCK.buffer
+        return norms
 
     monkeypatch.setattr(phaselab.lab, "stft_norms", recording)
     usable_cpus({0, 1})
     two = ratio_experiment_multi(drift_configs(), ens, pg)
     assert (json.dumps([r.as_dict() for r in two], sort_keys=True)
             == json.dumps([r.as_dict() for r in one], sort_keys=True))
-    assert threading.get_ident() not in arenas
-    x, y = arenas.values()
-    assert x is not y and x and y
-    assert not any(np.shares_memory(u, v) for u in x.values() for v in y.values())
+    assert threading.get_ident() not in buffers
+    x, y = buffers.values()
+    assert x is not y and x.size and y.size
+    assert not np.shares_memory(x, y)

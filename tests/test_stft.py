@@ -200,6 +200,16 @@ def test_shift_stack_equals_direct_gather(base_setup, phase_setup):
     assert np.array_equal(_shift_stack(f.values, phi), _gathered_stack(f, phi))
     pg, a, Phi = phase_setup
     assert np.array_equal(_shift_stack(a.values, Phi), _gathered_stack(a, Phi))
+    # every stack is written into a flat buffer, fresh or a caller's, with the strides
+    # and bits of a fresh np.multiply
+    for values, window in ((f.values, phi), (a.values, Phi)):
+        for rows in (slice(None), slice(2, 5)):
+            fresh = np.multiply(values[(np.newaxis,) * values.ndim + (Ellipsis,)],
+                                _shifted_windows(window)[rows])
+            out = np.empty(fresh.size + 3, complex)
+            for got in (_shift_stack(values, window, rows), _shift_stack(values, window, rows, out)):
+                assert got.strides == fresh.strides and got.tobytes() == fresh.tobytes()
+            assert np.shares_memory(got, out[:fresh.size]) and not np.shares_memory(got, out[fresh.size:])
 
 
 def test_stft_memory_layout(phase_setup):
